@@ -1,15 +1,20 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the host-side library layers:
- * bigint primitives, OPF word-level arithmetic, curve group
- * operations, full scalar multiplications, and the raw simulation
- * rate of the AVR ISS. These measure the reproduction itself (host
- * performance), not the paper's cycle counts.
+ * google-benchmark microbenchmarks of the host-side library layers,
+ * bottom up: bigint primitives (the field oracle's cost), Fe field
+ * mul/sqr/inv on both reduction shapes (Arg 0: secp160r1's fold,
+ * Arg 1: the paper OPF prime's REDC), OPF word-level arithmetic, curve
+ * group operations, full scalar multiplications, and the raw
+ * simulation rate of the AVR ISS. The field rows time dependent
+ * chains (each result feeds the next call), so they report latency.
+ * These measure the reproduction itself (host performance), not the
+ * paper's cycle counts.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "avrgen/opf_harness.hh"
+#include "curves/fixed_base.hh"
 #include "curves/standard_curves.hh"
 #include "field/opf_field.hh"
 #include "nt/opf_prime.hh"
@@ -46,6 +51,65 @@ BM_BigUIntDivMod(benchmark::State &state)
 BENCHMARK(BM_BigUIntDivMod);
 
 void
+BM_BigUIntInvMod(benchmark::State &state)
+{
+    const BigUInt &p = secp160r1Field().modulus();
+    Rng rng(8);
+    BigUInt a = BigUInt::random(rng, p);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(a.invMod(p));
+}
+BENCHMARK(BM_BigUIntInvMod);
+
+/** The field of a two-shape row: 0 = secp160r1 (fold), 1 = OPF (REDC). */
+const PrimeField &
+shapeField(const benchmark::State &state)
+{
+    return state.range(0) == 0 ? static_cast<const PrimeField &>(
+                                     secp160r1Field())
+                               : paperOpfField();
+}
+
+void
+BM_FeMul(benchmark::State &state)
+{
+    const PrimeField &f = shapeField(state);
+    Rng rng(9);
+    Fe a = f.fromBig(f.random(rng)), b = f.fromBig(f.random(rng));
+    for (auto _ : state) {
+        a = f.mul(a, b);
+        benchmark::DoNotOptimize(a);
+    }
+}
+BENCHMARK(BM_FeMul)->Arg(0)->Arg(1);
+
+void
+BM_FeSqr(benchmark::State &state)
+{
+    const PrimeField &f = shapeField(state);
+    Rng rng(10);
+    Fe a = f.fromBig(f.random(rng));
+    for (auto _ : state) {
+        a = f.sqr(a);
+        benchmark::DoNotOptimize(a);
+    }
+}
+BENCHMARK(BM_FeSqr)->Arg(0)->Arg(1);
+
+void
+BM_FeInv(benchmark::State &state)
+{
+    const PrimeField &f = shapeField(state);
+    Rng rng(11);
+    Fe a = f.fromBig(f.random(rng) + BigUInt(1));
+    for (auto _ : state) {
+        a = f.inv(a);
+        benchmark::DoNotOptimize(a);
+    }
+}
+BENCHMARK(BM_FeInv)->Arg(0)->Arg(1);
+
+void
 BM_OpfMontMul(benchmark::State &state)
 {
     OpfField f(paperOpfPrime());
@@ -71,13 +135,17 @@ BENCHMARK(BM_FieldInv);
 void
 BM_JacobianDouble(benchmark::State &state)
 {
-    const WeierstrassCurve &c = weierstrassOpfCurve();
+    // a = -3 doubling on Fe: 0 = secp160r1 (fold), 1 = OPF (REDC).
+    const WeierstrassCurve &c =
+        state.range(0) == 0 ? secp160r1Curve() : weierstrassOpfCurve();
     Rng rng(5);
     JacobianPoint p = c.toJacobian(c.randomPoint(rng));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(c.dbl(p));
+    for (auto _ : state) {
+        p = c.dbl(p);
+        benchmark::DoNotOptimize(p);
+    }
 }
-BENCHMARK(BM_JacobianDouble);
+BENCHMARK(BM_JacobianDouble)->Arg(0)->Arg(1);
 
 void
 BM_ScalarMult(benchmark::State &state)
@@ -107,9 +175,18 @@ BM_ScalarMult(benchmark::State &state)
             benchmark::DoNotOptimize(c.mulGlvJsf(k, g));
         break;
       }
+      case 3: {
+        // The service's fixed-base path: width-5 comb, no inversion.
+        const WeierstrassCurve &c = secp160r1Curve();
+        const CurveGenerator &g = secp160r1Generator();
+        FixedBaseComb comb(c, g.g, g.order.bitLength());
+        for (auto _ : state)
+            benchmark::DoNotOptimize(comb.mulJacobian(c, k));
+        break;
+      }
     }
 }
-BENCHMARK(BM_ScalarMult)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ScalarMult)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void
 BM_IssSimulationRate(benchmark::State &state)

@@ -63,6 +63,19 @@ BigUInt::fromWords(const std::vector<uint32_t> &words)
 }
 
 BigUInt
+BigUInt::fromLimbs64(const uint64_t *limbs64, size_t count)
+{
+    BigUInt r;
+    r.setSize(2 * count);
+    for (size_t i = 0; i < count; i++) {
+        r.limbs[2 * i] = static_cast<uint32_t>(limbs64[i]);
+        r.limbs[2 * i + 1] = static_cast<uint32_t>(limbs64[i] >> 32);
+    }
+    r.normalize();
+    return r;
+}
+
+BigUInt
 BigUInt::powerOfTwo(unsigned bit)
 {
     BigUInt r;

@@ -47,6 +47,9 @@ class BigUInt
     /** Construct from little-endian 32-bit words. */
     static BigUInt fromWords(const std::vector<uint32_t> &words);
 
+    /** Construct from @p count little-endian 64-bit limbs. */
+    static BigUInt fromLimbs64(const uint64_t *limbs64, size_t count);
+
     /** 2^bit. */
     static BigUInt powerOfTwo(unsigned bit);
 
@@ -136,6 +139,13 @@ class BigUInt
 
     /** Lowest 32 bits (0 for zero). */
     uint32_t low32() const { return limb(0); }
+
+    /** 64-bit limb @p i (limbs 2i and 2i+1), 0 beyond the value. */
+    uint64_t
+    limb64(size_t i) const
+    {
+        return limb(2 * i) | static_cast<uint64_t>(limb(2 * i + 1)) << 32;
+    }
 
     /** Lowercase hex, no prefix, minimal digits ("0" for zero). */
     std::string toHex() const;

@@ -9,14 +9,15 @@ namespace jaavr
 
 Ecdsa::Ecdsa(const WeierstrassCurve &curve, const AffinePoint &gen,
              const BigUInt &order)
-    : c(curve), glv(nullptr), g(gen), n(order)
+    : c(curve), glv(nullptr), g(gen), n(order), fn(order)
 {
     if (!validatePoint(c, g, &n))
         fatal("Ecdsa: invalid generator (off curve or order mismatch)");
 }
 
 Ecdsa::Ecdsa(const GlvCurve &curve)
-    : c(curve), glv(&curve), g(curve.generator()), n(curve.order())
+    : c(curve), glv(&curve), g(curve.generator()), n(curve.order()),
+      fn(curve.order())
 {
     if (!validatePoint(c, g, &n))
         fatal("Ecdsa: invalid GLV generator");
@@ -84,13 +85,14 @@ Ecdsa::signWithNonce(const std::string &message, const BigUInt &d,
     AffinePoint rp = mulG(k);
     if (rp.inf)
         return std::nullopt;
-    BigUInt r = rp.x % n;
+    Fe r = fn.fromBig(rp.x);
     if (r.isZero())
         return std::nullopt;
-    BigUInt s = k.invMod(n).mulMod(e.addMod(r.mulMod(d, n), n), n);
+    Fe s = fn.mul(fn.inv(fn.fromBig(k)),
+                  fn.add(fn.fromBig(e), fn.mul(r, fn.fromBig(d))));
     if (s.isZero())
         return std::nullopt;
-    return EcdsaSignature{r, s};
+    return EcdsaSignature{r.toBig(), s.toBig()};
 }
 
 EcdsaSignature
@@ -113,10 +115,10 @@ Ecdsa::verify(const std::string &message, const EcdsaSignature &sig,
     if (!validatePoint(c, q, &n))
         return false;
 
-    BigUInt e = hashToScalar(message);
-    BigUInt w = sig.s.invMod(n);
-    BigUInt u1 = e.mulMod(w, n);
-    BigUInt u2 = sig.r.mulMod(w, n);
+    Fe r = fn.fromBig(sig.r);
+    Fe w = fn.inv(fn.fromBig(sig.s));
+    BigUInt u1 = fn.mul(fn.fromBig(hashToScalar(message)), w).toBig();
+    BigUInt u2 = fn.mul(r, w).toBig();
 
     // R = u1 * G + u2 * Q.
     JacobianPoint acc = c.toJacobian(mulG(u1));
@@ -124,7 +126,7 @@ Ecdsa::verify(const std::string &message, const EcdsaSignature &sig,
     AffinePoint rp = c.toAffine(acc);
     if (rp.inf)
         return false;
-    return rp.x % n == sig.r;
+    return fn.fromBig(rp.x) == r;
 }
 
 } // namespace jaavr

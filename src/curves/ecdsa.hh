@@ -73,6 +73,8 @@ class Ecdsa
                 const AffinePoint &q) const;
 
     const BigUInt &order() const { return n; }
+    /** Arithmetic mod n (private to this instance, like its curve's). */
+    const PrimeField &scalarField() const { return fn; }
     const AffinePoint &generator() const { return g; }
     const WeierstrassCurve &curve() const { return c; }
     const GlvCurve *glvCurve() const { return glv; }
@@ -104,6 +106,7 @@ class Ecdsa
     const FixedBaseComb *comb = nullptr;  ///< optional, not owned
     AffinePoint g;
     BigUInt n;
+    PrimeField fn;  ///< the scalar field mod n
 };
 
 } // namespace jaavr

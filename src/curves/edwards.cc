@@ -17,7 +17,7 @@ EdwardsCurve::EdwardsCurve(const PrimeField &field, const BigUInt &ca,
     if (d.isZero() || d == a)
         fatal("EdwardsCurve %s: d must be non-zero and distinct from a",
               ident.c_str());
-    d2 = f->add(d, d);
+    d2 = f->fromBig(f->add(d, d));
     complete = f->isSquare(a) && !f->isSquare(d);
     if (!complete)
         warn("EdwardsCurve %s: addition law is not complete "
@@ -83,28 +83,35 @@ EdwardsCurve::negate(const AffinePoint &p) const
     return AffinePoint(f->neg(p.x), p.y);
 }
 
+AffineFe
+EdwardsCurve::negate(const AffineFe &p) const
+{
+    return AffineFe{f->neg(p.x), p.y, p.inf};
+}
+
 ExtendedPoint
 EdwardsCurve::toExtended(const AffinePoint &p) const
 {
+    return toExtended(AffineFe::from(*f, p));
+}
+
+ExtendedPoint
+EdwardsCurve::toExtended(const AffineFe &p) const
+{
     if (p.inf)
         panic("EdwardsCurve: no projective image for 'infinity'");
-    ExtendedPoint e;
-    e.x = p.x;
-    e.y = p.y;
-    e.t = f->mul(p.x, p.y);
-    e.z = BigUInt(1);
-    return e;
+    return ExtendedPoint{p.x, p.y, f->mul(p.x, p.y), Fe::one()};
 }
 
 AffinePoint
 EdwardsCurve::toAffine(const ExtendedPoint &p) const
 {
-    BigUInt zi = f->inv(p.z);
-    return AffinePoint(f->mul(p.x, zi), f->mul(p.y, zi));
+    Fe zi = f->inv(p.z);
+    return AffineFe{f->mul(p.x, zi), f->mul(p.y, zi), false}.toAffine();
 }
 
-BigUInt
-EdwardsCurve::precomputeTd2(const AffinePoint &p) const
+Fe
+EdwardsCurve::precomputeTd2(const AffineFe &p) const
 {
     return f->mul(d2, f->mul(p.x, p.y));
 }
@@ -112,18 +119,28 @@ EdwardsCurve::precomputeTd2(const AffinePoint &p) const
 std::vector<AffinePoint>
 EdwardsCurve::toAffineBatch(const std::vector<ExtendedPoint> &points) const
 {
+    std::vector<AffinePoint> out;
+    out.reserve(points.size());
+    for (const AffineFe &p : toAffineBatchFe(points))
+        out.push_back(p.toAffine());
+    return out;
+}
+
+std::vector<AffineFe>
+EdwardsCurve::toAffineBatchFe(const std::vector<ExtendedPoint> &points) const
+{
     // Z is never 0 on a complete curve, but invBatch's zero
     // passthrough keeps a malformed input from perturbing neighbours.
-    std::vector<BigUInt> zs;
+    std::vector<Fe> zs;
     zs.reserve(points.size());
     for (const ExtendedPoint &p : points)
         zs.push_back(p.z);
     invBatch(*f, zs);
 
-    std::vector<AffinePoint> out(points.size());
+    std::vector<AffineFe> out(points.size());
     for (size_t i = 0; i < points.size(); i++)
-        out[i] = AffinePoint(f->mul(points[i].x, zs[i]),
-                             f->mul(points[i].y, zs[i]));
+        out[i] = AffineFe{f->mul(points[i].x, zs[i]),
+                          f->mul(points[i].y, zs[i]), false};
     return out;
 }
 
@@ -131,15 +148,15 @@ ExtendedPoint
 EdwardsCurve::add(const ExtendedPoint &p, const ExtendedPoint &q) const
 {
     // add-2008-hwcd-3 (a = -1): 8M + 1 multiplication by 2d.
-    BigUInt A = f->mul(f->sub(p.y, p.x), f->sub(q.y, q.x));
-    BigUInt B = f->mul(f->add(p.y, p.x), f->add(q.y, q.x));
-    BigUInt C = f->mul(f->mul(p.t, d2), q.t);
-    BigUInt D = f->mul(p.z, q.z);
+    Fe A = f->mul(f->sub(p.y, p.x), f->sub(q.y, q.x));
+    Fe B = f->mul(f->add(p.y, p.x), f->add(q.y, q.x));
+    Fe C = f->mul(f->mul(p.t, d2), q.t);
+    Fe D = f->mul(p.z, q.z);
     D = f->add(D, D);
-    BigUInt E = f->sub(B, A);
-    BigUInt F = f->sub(D, C);
-    BigUInt G = f->add(D, C);
-    BigUInt H = f->add(B, A);
+    Fe E = f->sub(B, A);
+    Fe F = f->sub(D, C);
+    Fe G = f->add(D, C);
+    Fe H = f->add(B, A);
     ExtendedPoint r;
     r.x = f->mul(E, F);
     r.y = f->mul(G, H);
@@ -149,18 +166,18 @@ EdwardsCurve::add(const ExtendedPoint &p, const ExtendedPoint &q) const
 }
 
 ExtendedPoint
-EdwardsCurve::addMixed(const ExtendedPoint &p, const AffinePoint &q,
-                       const BigUInt &q_td2) const
+EdwardsCurve::addMixed(const ExtendedPoint &p, const AffineFe &q,
+                       const Fe &q_td2) const
 {
     // madd-2008-hwcd-3 with the addend's 2d*x*y precomputed: 7M.
-    BigUInt A = f->mul(f->sub(p.y, p.x), f->sub(q.y, q.x));
-    BigUInt B = f->mul(f->add(p.y, p.x), f->add(q.y, q.x));
-    BigUInt C = f->mul(p.t, q_td2);
-    BigUInt D = f->add(p.z, p.z);
-    BigUInt E = f->sub(B, A);
-    BigUInt F = f->sub(D, C);
-    BigUInt G = f->add(D, C);
-    BigUInt H = f->add(B, A);
+    Fe A = f->mul(f->sub(p.y, p.x), f->sub(q.y, q.x));
+    Fe B = f->mul(f->add(p.y, p.x), f->add(q.y, q.x));
+    Fe C = f->mul(p.t, q_td2);
+    Fe D = f->add(p.z, p.z);
+    Fe E = f->sub(B, A);
+    Fe F = f->sub(D, C);
+    Fe G = f->add(D, C);
+    Fe H = f->add(B, A);
     ExtendedPoint r;
     r.x = f->mul(E, F);
     r.y = f->mul(G, H);
@@ -173,19 +190,19 @@ ExtendedPoint
 EdwardsCurve::dbl(const ExtendedPoint &p, bool need_t) const
 {
     // dbl-2008-hwcd with a = -1: 3M + 4S (+1M for T).
-    BigUInt A = f->sqr(p.x);
-    BigUInt B = f->sqr(p.y);
-    BigUInt C = f->sqr(p.z);
+    Fe A = f->sqr(p.x);
+    Fe B = f->sqr(p.y);
+    Fe C = f->sqr(p.z);
     C = f->add(C, C);
-    BigUInt D = f->neg(A);  // a * A with a = -1
-    BigUInt E = f->sub(f->sub(f->sqr(f->add(p.x, p.y)), A), B);
-    BigUInt G = f->add(D, B);
-    BigUInt F = f->sub(G, C);
-    BigUInt H = f->sub(D, B);
+    Fe D = f->neg(A);  // a * A with a = -1
+    Fe E = f->sub(f->sub(f->sqr(f->add(p.x, p.y)), A), B);
+    Fe G = f->add(D, B);
+    Fe F = f->sub(G, C);
+    Fe H = f->sub(D, B);
     ExtendedPoint r;
     r.x = f->mul(E, F);
     r.y = f->mul(G, H);
-    r.t = need_t ? f->mul(E, H) : BigUInt(0);
+    r.t = need_t ? f->mul(E, H) : Fe{};
     r.z = f->mul(F, G);
     return r;
 }
@@ -193,7 +210,7 @@ EdwardsCurve::dbl(const ExtendedPoint &p, bool need_t) const
 AffinePoint
 EdwardsCurve::mulBinary(const BigUInt &k, const AffinePoint &p) const
 {
-    ExtendedPoint r = toExtended(identity());
+    ExtendedPoint r = toExtended(identityFe());
     ExtendedPoint pe = toExtended(p);
     for (size_t i = k.bitLength(); i-- > 0;) {
         r = dbl(r, k.bit(i));
@@ -213,14 +230,15 @@ ExtendedPoint
 EdwardsCurve::mulNafExtended(const BigUInt &k, const AffinePoint &p) const
 {
     auto digits = nafDigits(k);
-    AffinePoint np = negate(p);
-    BigUInt td2_p = precomputeTd2(p);
-    BigUInt td2_n = f->neg(td2_p);
-    ExtendedPoint r = toExtended(identity());
+    AffineFe pf = AffineFe::from(*f, p);
+    AffineFe np = negate(pf);
+    Fe td2_p = precomputeTd2(pf);
+    Fe td2_n = f->neg(td2_p);
+    ExtendedPoint r = toExtended(identityFe());
     for (size_t i = digits.size(); i-- > 0;) {
         r = dbl(r, digits[i] != 0);
         if (digits[i] == 1)
-            r = addMixed(r, p, td2_p);
+            r = addMixed(r, pf, td2_p);
         else if (digits[i] == -1)
             r = addMixed(r, np, td2_n);
     }
@@ -232,11 +250,12 @@ EdwardsCurve::mulDaaa(const BigUInt &k, const AffinePoint &p) const
 {
     // Completeness makes the always-add loop trivially correct: the
     // dummy additions go through the very same code path.
-    BigUInt td2_p = precomputeTd2(p);
-    ExtendedPoint r = toExtended(identity());
+    AffineFe pf = AffineFe::from(*f, p);
+    Fe td2_p = precomputeTd2(pf);
+    ExtendedPoint r = toExtended(identityFe());
     for (size_t i = k.bitLength(); i-- > 0;) {
         r = dbl(r, true);
-        ExtendedPoint q = addMixed(r, p, td2_p);
+        ExtendedPoint q = addMixed(r, pf, td2_p);
         if (k.bit(i))
             r = q;
     }

@@ -49,6 +49,7 @@ class EdwardsCurve
 
     /** Identity element (0, 1). */
     AffinePoint identity() const;
+    static AffineFe identityFe() { return AffineFe{Fe{}, Fe::one(), false}; }
     bool isIdentity(const AffinePoint &p) const;
 
     /** True iff a x^2 + y^2 = 1 + d x^2 y^2. */
@@ -61,10 +62,12 @@ class EdwardsCurve
     AffinePoint randomPoint(Rng &rng) const;
 
     AffinePoint negate(const AffinePoint &p) const;
+    AffineFe negate(const AffineFe &p) const;
 
     // --- Extended-coordinate arithmetic -----------------------------
 
     ExtendedPoint toExtended(const AffinePoint &p) const;
+    ExtendedPoint toExtended(const AffineFe &p) const;
     AffinePoint toAffine(const ExtendedPoint &p) const;
 
     /**
@@ -77,8 +80,8 @@ class EdwardsCurve
      * Mixed addition with an affine addend whose product 2d*t is
      * precomputed: 7M (madd-2008-hwcd-3).
      */
-    ExtendedPoint addMixed(const ExtendedPoint &p, const AffinePoint &q,
-                           const BigUInt &q_td2) const;
+    ExtendedPoint addMixed(const ExtendedPoint &p, const AffineFe &q,
+                           const Fe &q_td2) const;
 
     /**
      * Doubling (dbl-2008-hwcd): 3M + 4S without the T output,
@@ -87,7 +90,7 @@ class EdwardsCurve
     ExtendedPoint dbl(const ExtendedPoint &p, bool need_t) const;
 
     /** 2d * x * y of an affine point (the addMixed precomputation). */
-    BigUInt precomputeTd2(const AffinePoint &p) const;
+    Fe precomputeTd2(const AffineFe &p) const;
 
     /**
      * Convert many extended points to affine with one field inversion
@@ -96,6 +99,8 @@ class EdwardsCurve
      */
     std::vector<AffinePoint>
     toAffineBatch(const std::vector<ExtendedPoint> &points) const;
+    std::vector<AffineFe>
+    toAffineBatchFe(const std::vector<ExtendedPoint> &points) const;
 
     // --- Point multiplication ---------------------------------------
 
@@ -123,7 +128,7 @@ class EdwardsCurve
     const PrimeField *f;
     BigUInt a;
     BigUInt d;
-    BigUInt d2;  ///< 2d
+    Fe d2;  ///< 2d
     bool complete;
     std::string ident;
 };

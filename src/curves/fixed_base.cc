@@ -56,8 +56,8 @@ FixedBaseComb::FixedBaseComb(const WeierstrassCurve &c, const AffinePoint &g,
         tj.push_back(rest == 0 ? powers[lsb]
                                : c.add(tj[rest - 1], powers[lsb]));
     }
-    table = c.toAffineBatch(tj);
-    for (const AffinePoint &p : table)
+    table = c.toAffineBatchFe(tj);
+    for (const AffineFe &p : table)
         if (p.inf)
             fatal("FixedBaseComb: generator order below 2^scalar_bits "
                   "collapsed a table entry to infinity");
@@ -116,9 +116,9 @@ EdwardsFixedBaseComb::EdwardsFixedBaseComb(const EdwardsCurve &c,
         tj.push_back(rest == 0 ? powers[lsb]
                                : c.add(tj[rest - 1], powers[lsb]));
     }
-    table = c.toAffineBatch(tj);
+    table = c.toAffineBatchFe(tj);
     tableTd2.reserve(entries);
-    for (const AffinePoint &p : table)
+    for (const AffineFe &p : table)
         tableTd2.push_back(c.precomputeTd2(p));
 }
 
@@ -129,7 +129,7 @@ EdwardsFixedBaseComb::mulExtended(const EdwardsCurve &c,
     if (k.bitLength() > width * cols)
         fatal("EdwardsFixedBaseComb: scalar exceeds the table's "
               "%u-bit range", width * cols);
-    ExtendedPoint r = c.toExtended(c.identity());
+    ExtendedPoint r = c.toExtended(EdwardsCurve::identityFe());
     for (unsigned col = cols; col-- > 0;) {
         unsigned j = combColumn(k, width, cols, col);
         r = c.dbl(r, j != 0);

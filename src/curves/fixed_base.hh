@@ -73,7 +73,7 @@ class FixedBaseComb
     AffinePoint base;
     unsigned width;  ///< comb width w
     unsigned cols;   ///< d = ceil(scalar_bits / w)
-    std::vector<AffinePoint> table; ///< 2^w - 1 entries, all affine
+    std::vector<AffineFe> table; ///< 2^w - 1 entries, all affine
 };
 
 /** Fixed-base comb over a twisted Edwards curve (a = -1). */
@@ -98,8 +98,8 @@ class EdwardsFixedBaseComb
     AffinePoint base;
     unsigned width;
     unsigned cols;
-    std::vector<AffinePoint> table;
-    std::vector<BigUInt> tableTd2; ///< precomputed 2d*x*y per entry
+    std::vector<AffineFe> table;
+    std::vector<Fe> tableTd2; ///< precomputed 2d*x*y per entry
 };
 
 } // namespace jaavr

@@ -171,7 +171,8 @@ GlvCurve::construct(const PrimeField &field, Rng &rng)
 GlvCurve::GlvCurve(const PrimeField &field, const GlvParams &params,
                    std::string name)
     : WeierstrassCurve(field, BigUInt(0), params.b, std::move(name)),
-      prm(params), decomp(params.order, params.lambda)
+      prm(params), betaFe(field.fromBig(params.beta)),
+      decomp(params.order, params.lambda)
 {
     AffinePoint g = generator();
     if (!onCurve(g))
@@ -205,8 +206,9 @@ GlvCurve::mulGlvJsf(const BigUInt &k, const AffinePoint &p) const
         return p;
     GlvSplit split = decomp.decompose(k % prm.order);
 
-    AffinePoint p1 = split.k1.isNegative() ? negate(p) : p;
-    AffinePoint p2 = phi(p);
+    AffineFe pf = AffineFe::from(*f, p);
+    AffineFe p1 = split.k1.isNegative() ? negate(pf) : pf;
+    AffineFe p2{f->mul(betaFe, pf.x), pf.y, false};
     if (split.k2.isNegative())
         p2 = negate(p2);
     BigUInt k1 = split.k1.magnitude();
@@ -215,10 +217,10 @@ GlvCurve::mulGlvJsf(const BigUInt &k, const AffinePoint &p) const
     // Precompute the four sums P1 +- P2 in affine form.
     JacobianPoint sum_j = addMixed(toJacobian(p1), p2);
     JacobianPoint dif_j = addMixed(toJacobian(p1), negate(p2));
-    AffinePoint sum = toAffine(sum_j);
-    AffinePoint dif = toAffine(dif_j);
+    AffineFe sum = toAffineFe(sum_j);
+    AffineFe dif = toAffineFe(dif_j);
 
-    auto table = [&](int u1, int u2) -> AffinePoint {
+    auto table = [&](int u1, int u2) -> AffineFe {
         if (u1 == 0)
             return u2 > 0 ? p2 : negate(p2);
         if (u2 == 0)

@@ -86,6 +86,7 @@ class GlvCurve : public WeierstrassCurve
 
   private:
     GlvParams prm;
+    Fe betaFe;  ///< beta in the field, for mulGlvJsf
     GlvDecomposer decomp;
 };
 

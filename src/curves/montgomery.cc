@@ -61,11 +61,11 @@ XzPoint
 MontgomeryCurve::xzDbl(const XzPoint &p) const
 {
     // 2M + 2S + 1 mulSmall (paper: "3M + 2S" with one small operand).
-    BigUInt sum = f->add(p.x, p.z);
-    BigUInt dif = f->sub(p.x, p.z);
-    BigUInt sum2 = f->sqr(sum);
-    BigUInt dif2 = f->sqr(dif);
-    BigUInt e = f->sub(sum2, dif2);  // 4 X Z
+    Fe sum = f->add(p.x, p.z);
+    Fe dif = f->sub(p.x, p.z);
+    Fe sum2 = f->sqr(sum);
+    Fe dif2 = f->sqr(dif);
+    Fe e = f->sub(sum2, dif2);  // 4 X Z
     XzPoint r;
     r.x = f->mul(sum2, dif2);
     r.z = f->mul(e, f->add(dif2, f->mulSmall(e, a24v)));
@@ -74,15 +74,15 @@ MontgomeryCurve::xzDbl(const XzPoint &p) const
 
 XzPoint
 MontgomeryCurve::xzDiffAdd(const XzPoint &p, const XzPoint &q,
-                           const BigUInt &x_diff) const
+                           const Fe &x_diff) const
 {
     // 3M + 2S with the difference point in affine form (Z = 1), the
     // Montgomery-ladder optimization the paper cites from
     // [3, Remark 13.36 (ii)].
-    BigUInt t1 = f->mul(f->sub(p.x, p.z), f->add(q.x, q.z));
-    BigUInt t2 = f->mul(f->add(p.x, p.z), f->sub(q.x, q.z));
-    BigUInt s = f->sqr(f->add(t1, t2));
-    BigUInt d = f->sqr(f->sub(t1, t2));
+    Fe t1 = f->mul(f->sub(p.x, p.z), f->add(q.x, q.z));
+    Fe t2 = f->mul(f->add(p.x, p.z), f->sub(q.x, q.z));
+    Fe s = f->sqr(f->add(t1, t2));
+    Fe d = f->sqr(f->sub(t1, t2));
     XzPoint r;
     r.x = s;                      // Z_diff = 1
     r.z = f->mul(x_diff, d);
@@ -94,15 +94,17 @@ MontgomeryCurve::ladderXz(const BigUInt &k, const BigUInt &x,
                           const BigUInt *blind) const
 {
     if (k.isZero())
-        return XzPoint{BigUInt(1), BigUInt(0)};  // infinity
+        return XzPoint{Fe::one(), Fe{}};  // infinity
 
     // R0 = P (affine), R1 = 2P; invariant R1 - R0 = P. With a blind,
     // R0 starts as the equivalent randomized projective point
     // (x * lambda : lambda); xzDbl/xzDiffAdd preserve the class.
-    XzPoint r0{x, BigUInt(1)};
+    Fe xf = f->fromBig(x);
+    XzPoint r0{xf, Fe::one()};
     if (blind && !blind->isZero()) {
-        r0.x = f->mul(x, *blind);
-        r0.z = *blind;
+        Fe bf = f->fromBig(*blind);
+        r0.x = f->mul(xf, bf);
+        r0.z = bf;
     }
     XzPoint r1 = xzDbl(r0);
 
@@ -110,10 +112,10 @@ MontgomeryCurve::ladderXz(const BigUInt &k, const BigUInt &x,
         // One differential addition and one doubling per bit,
         // regardless of the bit's value.
         if (k.bit(i)) {
-            r0 = xzDiffAdd(r0, r1, x);
+            r0 = xzDiffAdd(r0, r1, xf);
             r1 = xzDbl(r1);
         } else {
-            r1 = xzDiffAdd(r0, r1, x);
+            r1 = xzDiffAdd(r0, r1, xf);
             r0 = xzDbl(r0);
         }
     }
@@ -127,7 +129,7 @@ MontgomeryCurve::ladder(const BigUInt &k, const BigUInt &x,
     XzPoint r0 = ladderXz(k, x, blind);
     if (r0.z.isZero())
         return std::nullopt;
-    return f->mul(r0.x, f->inv(r0.z));
+    return f->mul(r0.x, f->inv(r0.z)).toBig();
 }
 
 WeierstrassCurve

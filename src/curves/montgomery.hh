@@ -86,7 +86,7 @@ class MontgomeryCurve
      * x-coordinate of P-Q (Z of the difference = 1): 3M + 2S.
      */
     XzPoint xzDiffAdd(const XzPoint &p, const XzPoint &q,
-                      const BigUInt &x_diff) const;
+                      const Fe &x_diff) const;
 
     /**
      * The birationally equivalent short Weierstrass curve

@@ -48,7 +48,7 @@ const PrimeField &glvOpfField();
 /** The OPF prime underlying glvOpfField()/glvOpfCurve(). */
 const OpfPrime &glvOpfPrimeUsed();
 
-/** secp160r1's field with fast pseudo-Mersenne reduction. */
+/** secp160r1's field (PrimeField folds through 2^160 = 2^31 + 1). */
 const Secp160r1Field &secp160r1Field();
 
 /** secp160k1's field. */

@@ -11,6 +11,7 @@ WeierstrassCurve::WeierstrassCurve(const PrimeField &field, const BigUInt &ca,
                                    const BigUInt &cb, std::string name)
     : f(&field), a(ca), b(cb), ident(std::move(name))
 {
+    aFe = f->fromBig(a);
     aIsZero = a.isZero();
     aIsMinus3 = (a == field.modulus() - BigUInt(3));
     // Non-singularity: 4a^3 + 27b^2 != 0.
@@ -61,24 +62,31 @@ WeierstrassCurve::randomPoint(Rng &rng) const
 JacobianPoint
 WeierstrassCurve::toJacobian(const AffinePoint &p) const
 {
+    return toJacobian(AffineFe::from(*f, p));
+}
+
+JacobianPoint
+WeierstrassCurve::toJacobian(const AffineFe &p) const
+{
     if (p.inf)
         return JacobianPoint::infinity();
-    JacobianPoint j;
-    j.x = p.x;
-    j.y = p.y;
-    j.z = BigUInt(1);
-    return j;
+    return JacobianPoint{p.x, p.y, Fe::one()};
 }
 
 AffinePoint
 WeierstrassCurve::toAffine(const JacobianPoint &p) const
 {
+    return toAffineFe(p).toAffine();
+}
+
+AffineFe
+WeierstrassCurve::toAffineFe(const JacobianPoint &p) const
+{
     if (p.isInfinity())
-        return AffinePoint::infinity();
-    BigUInt zi = f->inv(p.z);
-    BigUInt zi2 = f->sqr(zi);
-    AffinePoint out(f->mul(p.x, zi2), f->mul(p.y, f->mul(zi2, zi)));
-    return out;
+        return AffineFe{};
+    Fe zi = f->inv(p.z);
+    Fe zi2 = f->sqr(zi);
+    return AffineFe{f->mul(p.x, zi2), f->mul(p.y, f->mul(zi2, zi)), false};
 }
 
 AffinePoint
@@ -87,6 +95,14 @@ WeierstrassCurve::negate(const AffinePoint &p) const
     if (p.inf)
         return p;
     return AffinePoint(p.x, f->neg(p.y));
+}
+
+AffineFe
+WeierstrassCurve::negate(const AffineFe &p) const
+{
+    if (p.inf)
+        return p;
+    return AffineFe{p.x, f->neg(p.y), false};
 }
 
 JacobianPoint
@@ -98,47 +114,47 @@ WeierstrassCurve::dbl(const JacobianPoint &p) const
     if (aIsMinus3) {
         // dbl-2001-b for a = -3: 3M + 5S (the cost class the paper's
         // Jacobian doubling belongs to).
-        BigUInt delta = f->sqr(p.z);
-        BigUInt gamma = f->sqr(p.y);
-        BigUInt beta = f->mul(p.x, gamma);
-        BigUInt alpha = f->mul(f->sub(p.x, delta), f->add(p.x, delta));
+        Fe delta = f->sqr(p.z);
+        Fe gamma = f->sqr(p.y);
+        Fe beta = f->mul(p.x, gamma);
+        Fe alpha = f->mul(f->sub(p.x, delta), f->add(p.x, delta));
         alpha = f->add(f->add(alpha, alpha), alpha);
         JacobianPoint r;
-        BigUInt beta4 = f->add(beta, beta);
+        Fe beta4 = f->add(beta, beta);
         beta4 = f->add(beta4, beta4);
         r.x = f->sub(f->sqr(alpha), f->add(beta4, beta4));
         r.z = f->sub(f->sub(f->sqr(f->add(p.y, p.z)), gamma), delta);
-        BigUInt g2 = f->sqr(gamma);
-        BigUInt g8 = f->add(g2, g2);
+        Fe g2 = f->sqr(gamma);
+        Fe g8 = f->add(g2, g2);
         g8 = f->add(g8, g8);
         g8 = f->add(g8, g8);
         r.y = f->sub(f->mul(alpha, f->sub(beta4, r.x)), g8);
         return r;
     }
 
-    BigUInt xx = f->sqr(p.x);                       // A = X^2
-    BigUInt yy = f->sqr(p.y);                       // B = Y^2
-    BigUInt yyyy = f->sqr(yy);                      // C = B^2
+    Fe xx = f->sqr(p.x);                            // A = X^2
+    Fe yy = f->sqr(p.y);                            // B = Y^2
+    Fe yyyy = f->sqr(yy);                           // C = B^2
     // D = 2 * ((X + B)^2 - A - C) = 4 X Y^2
-    BigUInt d = f->sub(f->sub(f->sqr(f->add(p.x, yy)), xx), yyyy);
+    Fe d = f->sub(f->sub(f->sqr(f->add(p.x, yy)), xx), yyyy);
     d = f->add(d, d);
 
-    BigUInt e;
+    Fe e;
     if (aIsZero) {
         e = f->add(f->add(xx, xx), xx);             // 3A
     } else {
-        BigUInt zz = f->sqr(p.z);
-        e = f->add(f->add(f->add(xx, xx), xx), f->mul(a, f->sqr(zz)));
+        Fe zz = f->sqr(p.z);
+        e = f->add(f->add(f->add(xx, xx), xx), f->mul(aFe, f->sqr(zz)));
     }
 
-    BigUInt ee = f->sqr(e);                         // F = E^2
+    Fe ee = f->sqr(e);                              // F = E^2
     JacobianPoint r;
     r.x = f->sub(ee, f->add(d, d));                 // X3 = F - 2D
-    BigUInt c8 = f->add(yyyy, yyyy);
+    Fe c8 = f->add(yyyy, yyyy);
     c8 = f->add(c8, c8);
     c8 = f->add(c8, c8);                            // 8C
     r.y = f->sub(f->mul(e, f->sub(d, r.x)), c8);
-    BigUInt yz = f->mul(p.y, p.z);
+    Fe yz = f->mul(p.y, p.z);
     r.z = f->add(yz, yz);                           // Z3 = 2YZ
     return r;
 }
@@ -146,17 +162,23 @@ WeierstrassCurve::dbl(const JacobianPoint &p) const
 JacobianPoint
 WeierstrassCurve::addMixed(const JacobianPoint &p, const AffinePoint &q) const
 {
+    return addMixed(p, AffineFe::from(*f, q));
+}
+
+JacobianPoint
+WeierstrassCurve::addMixed(const JacobianPoint &p, const AffineFe &q) const
+{
     if (q.inf)
         return p;
     if (p.isInfinity())
         return toJacobian(q);
 
     // madd-2007-bl: 7M + 4S.
-    BigUInt z1z1 = f->sqr(p.z);
-    BigUInt u2 = f->mul(q.x, z1z1);
-    BigUInt s2 = f->mul(f->mul(q.y, p.z), z1z1);
-    BigUInt h = f->sub(u2, p.x);
-    BigUInt rr = f->sub(s2, p.y);
+    Fe z1z1 = f->sqr(p.z);
+    Fe u2 = f->mul(q.x, z1z1);
+    Fe s2 = f->mul(f->mul(q.y, p.z), z1z1);
+    Fe h = f->sub(u2, p.x);
+    Fe rr = f->sub(s2, p.y);
     rr = f->add(rr, rr);
 
     if (h.isZero()) {
@@ -165,15 +187,15 @@ WeierstrassCurve::addMixed(const JacobianPoint &p, const AffinePoint &q) const
         return JacobianPoint::infinity();
     }
 
-    BigUInt hh = f->sqr(h);
-    BigUInt i = f->add(hh, hh);
+    Fe hh = f->sqr(h);
+    Fe i = f->add(hh, hh);
     i = f->add(i, i);                               // I = 4 HH
-    BigUInt j = f->mul(h, i);
-    BigUInt v = f->mul(p.x, i);
+    Fe j = f->mul(h, i);
+    Fe v = f->mul(p.x, i);
 
     JacobianPoint r;
     r.x = f->sub(f->sub(f->sqr(rr), j), f->add(v, v));
-    BigUInt yj = f->mul(p.y, j);
+    Fe yj = f->mul(p.y, j);
     r.y = f->sub(f->mul(rr, f->sub(v, r.x)), f->add(yj, yj));
     r.z = f->sub(f->sub(f->sqr(f->add(p.z, h)), z1z1), hh);
     return r;
@@ -188,14 +210,14 @@ WeierstrassCurve::add(const JacobianPoint &p, const JacobianPoint &q) const
         return p;
 
     // add-2007-bl: 11M + 5S.
-    BigUInt z1z1 = f->sqr(p.z);
-    BigUInt z2z2 = f->sqr(q.z);
-    BigUInt u1 = f->mul(p.x, z2z2);
-    BigUInt u2 = f->mul(q.x, z1z1);
-    BigUInt s1 = f->mul(f->mul(p.y, q.z), z2z2);
-    BigUInt s2 = f->mul(f->mul(q.y, p.z), z1z1);
-    BigUInt h = f->sub(u2, u1);
-    BigUInt rr = f->sub(s2, s1);
+    Fe z1z1 = f->sqr(p.z);
+    Fe z2z2 = f->sqr(q.z);
+    Fe u1 = f->mul(p.x, z2z2);
+    Fe u2 = f->mul(q.x, z1z1);
+    Fe s1 = f->mul(f->mul(p.y, q.z), z2z2);
+    Fe s2 = f->mul(f->mul(q.y, p.z), z1z1);
+    Fe h = f->sub(u2, u1);
+    Fe rr = f->sub(s2, s1);
     rr = f->add(rr, rr);
 
     if (h.isZero()) {
@@ -204,15 +226,15 @@ WeierstrassCurve::add(const JacobianPoint &p, const JacobianPoint &q) const
         return JacobianPoint::infinity();
     }
 
-    BigUInt i = f->sqr(f->add(h, h));               // (2H)^2
-    BigUInt j = f->mul(h, i);
-    BigUInt v = f->mul(u1, i);
+    Fe i = f->sqr(f->add(h, h));                    // (2H)^2
+    Fe j = f->mul(h, i);
+    Fe v = f->mul(u1, i);
 
     JacobianPoint r;
     r.x = f->sub(f->sub(f->sqr(rr), j), f->add(v, v));
-    BigUInt sj = f->mul(s1, j);
+    Fe sj = f->mul(s1, j);
     r.y = f->sub(f->mul(rr, f->sub(v, r.x)), f->add(sj, sj));
-    BigUInt zs = f->sub(f->sub(f->sqr(f->add(p.z, q.z)), z1z1), z2z2);
+    Fe zs = f->sub(f->sub(f->sqr(f->add(p.z, q.z)), z1z1), z2z2);
     r.z = f->mul(zs, h);
     return r;
 }
@@ -220,11 +242,12 @@ WeierstrassCurve::add(const JacobianPoint &p, const JacobianPoint &q) const
 AffinePoint
 WeierstrassCurve::mulBinary(const BigUInt &k, const AffinePoint &p) const
 {
+    AffineFe pf = AffineFe::from(*f, p);
     JacobianPoint r = JacobianPoint::infinity();
     for (size_t i = k.bitLength(); i-- > 0;) {
         r = dbl(r);
         if (k.bit(i))
-            r = addMixed(r, p);
+            r = addMixed(r, pf);
     }
     return toAffine(r);
 }
@@ -239,12 +262,13 @@ JacobianPoint
 WeierstrassCurve::mulNafJacobian(const BigUInt &k, const AffinePoint &p) const
 {
     auto digits = nafDigits(k);
-    AffinePoint neg_p = negate(p);
+    AffineFe pf = AffineFe::from(*f, p);
+    AffineFe neg_p = negate(pf);
     JacobianPoint r = JacobianPoint::infinity();
     for (size_t i = digits.size(); i-- > 0;) {
         r = dbl(r);
         if (digits[i] == 1)
-            r = addMixed(r, p);
+            r = addMixed(r, pf);
         else if (digits[i] == -1)
             r = addMixed(r, neg_p);
     }
@@ -258,10 +282,11 @@ WeierstrassCurve::mulDaaa(const BigUInt &k, const AffinePoint &p) const
         return AffinePoint::infinity();
     // Start at the top bit with R = P; every further bit performs
     // exactly one doubling and one addition (result kept or dropped).
-    JacobianPoint r = toJacobian(p);
+    AffineFe pf = AffineFe::from(*f, p);
+    JacobianPoint r = toJacobian(pf);
     for (size_t i = k.bitLength() - 1; i-- > 0;) {
         r = dbl(r);
-        JacobianPoint q = addMixed(r, p);
+        JacobianPoint q = addMixed(r, pf);
         if (k.bit(i))
             r = q;
     }
@@ -271,24 +296,33 @@ WeierstrassCurve::mulDaaa(const BigUInt &k, const AffinePoint &p) const
 std::vector<AffinePoint>
 WeierstrassCurve::toAffineBatch(const std::vector<JacobianPoint> &points) const
 {
+    std::vector<AffinePoint> out;
+    out.reserve(points.size());
+    for (const AffineFe &p : toAffineBatchFe(points))
+        out.push_back(p.toAffine());
+    return out;
+}
+
+std::vector<AffineFe>
+WeierstrassCurve::toAffineBatchFe(
+    const std::vector<JacobianPoint> &points) const
+{
     // Montgomery's trick via the shared invBatch driver: infinity's
     // Z = 0 encoding is exactly invBatch's skip value.
-    std::vector<BigUInt> zs;
+    std::vector<Fe> zs;
     zs.reserve(points.size());
     for (const JacobianPoint &p : points)
         zs.push_back(p.z);
     invBatch(*f, zs);
 
-    std::vector<AffinePoint> out(points.size());
+    std::vector<AffineFe> out(points.size());
     for (size_t i = 0; i < points.size(); i++) {
         const JacobianPoint &p = points[i];
-        if (p.isInfinity()) {
-            out[i] = AffinePoint::infinity();
+        if (p.isInfinity())
             continue;
-        }
-        BigUInt zi2 = f->sqr(zs[i]);
-        out[i] = AffinePoint(f->mul(p.x, zi2),
-                             f->mul(p.y, f->mul(zi2, zs[i])));
+        Fe zi2 = f->sqr(zs[i]);
+        out[i] = AffineFe{f->mul(p.x, zi2), f->mul(p.y, f->mul(zi2, zs[i])),
+                          false};
     }
     return out;
 }
@@ -308,7 +342,7 @@ WeierstrassCurve::mulWNaf(const BigUInt &k, const AffinePoint &p,
     JacobianPoint p2 = dbl(table_j[0]);
     for (size_t i = 1; i < table_size; i++)
         table_j.push_back(add(table_j[i - 1], p2));
-    std::vector<AffinePoint> table = toAffineBatch(table_j);
+    std::vector<AffineFe> table = toAffineBatchFe(table_j);
 
     auto digits = wNafDigits(k, w);
     JacobianPoint r = JacobianPoint::infinity();
@@ -324,21 +358,21 @@ WeierstrassCurve::mulWNaf(const BigUInt &k, const AffinePoint &p,
 }
 
 void
-WeierstrassCurve::dblu(const AffinePoint &p, JacobianPoint &p_out,
+WeierstrassCurve::dblu(const AffineFe &p, JacobianPoint &p_out,
                        JacobianPoint &dbl_out) const
 {
     // Initial doubling of an affine point, leaving P and 2P with the
     // common Z = 2y ("DBLU" of Goundar-Joye-Miyaji).
-    BigUInt bb = f->sqr(p.x);
-    BigUInt e = f->sqr(p.y);
-    BigUInt l = f->sqr(e);
-    BigUInt s4 = f->mul(p.x, e);
+    Fe bb = f->sqr(p.x);
+    Fe e = f->sqr(p.y);
+    Fe l = f->sqr(e);
+    Fe s4 = f->mul(p.x, e);
     s4 = f->add(s4, s4);
     s4 = f->add(s4, s4);                            // 4 x y^2
-    BigUInt m = f->add(f->add(f->add(bb, bb), bb), a);  // 3x^2 + a (Z=1)
+    Fe m = f->add(f->add(f->add(bb, bb), bb), aFe);  // 3x^2 + a (Z=1)
 
     dbl_out.x = f->sub(f->sqr(m), f->add(s4, s4));
-    BigUInt l8 = f->add(l, l);
+    Fe l8 = f->add(l, l);
     l8 = f->add(l8, l8);
     l8 = f->add(l8, l8);                            // 8 y^4
     dbl_out.y = f->sub(f->mul(m, f->sub(s4, dbl_out.x)), l8);
@@ -354,13 +388,13 @@ WeierstrassCurve::zaddu(JacobianPoint &p, const JacobianPoint &q,
                         JacobianPoint &r) const
 {
     // ZADDU: 4M + 2S. Requires p.z == q.z and p != +-q.
-    BigUInt dx = f->sub(p.x, q.x);
-    BigUInt c = f->sqr(dx);
-    BigUInt w1 = f->mul(p.x, c);
-    BigUInt w2 = f->mul(q.x, c);
-    BigUInt dy = f->sub(p.y, q.y);
-    BigUInt d = f->sqr(dy);
-    BigUInt a1 = f->mul(p.y, f->sub(w1, w2));
+    Fe dx = f->sub(p.x, q.x);
+    Fe c = f->sqr(dx);
+    Fe w1 = f->mul(p.x, c);
+    Fe w2 = f->mul(q.x, c);
+    Fe dy = f->sub(p.y, q.y);
+    Fe d = f->sqr(dy);
+    Fe a1 = f->mul(p.y, f->sub(w1, w2));
 
     r.x = f->sub(f->sub(d, w1), w2);
     r.y = f->sub(f->mul(dy, f->sub(w1, r.x)), a1);
@@ -376,14 +410,14 @@ WeierstrassCurve::zaddc(const JacobianPoint &p, const JacobianPoint &q,
                         JacobianPoint &s, JacobianPoint &d) const
 {
     // ZADDC (conjugate co-Z addition): 6M + 3S. s = p + q, d = p - q.
-    BigUInt dx = f->sub(p.x, q.x);
-    BigUInt c = f->sqr(dx);
-    BigUInt w1 = f->mul(p.x, c);
-    BigUInt w2 = f->mul(q.x, c);
-    BigUInt dy = f->sub(p.y, q.y);
-    BigUInt sy = f->add(p.y, q.y);
-    BigUInt a1 = f->mul(p.y, f->sub(w1, w2));
-    BigUInt z3 = f->mul(p.z, dx);
+    Fe dx = f->sub(p.x, q.x);
+    Fe c = f->sqr(dx);
+    Fe w1 = f->mul(p.x, c);
+    Fe w2 = f->mul(q.x, c);
+    Fe dy = f->sub(p.y, q.y);
+    Fe sy = f->add(p.y, q.y);
+    Fe a1 = f->mul(p.y, f->sub(w1, w2));
+    Fe z3 = f->mul(p.z, dx);
 
     s.x = f->sub(f->sub(f->sqr(dy), w1), w2);
     s.y = f->sub(f->mul(dy, f->sub(w1, s.x)), a1);
@@ -402,8 +436,9 @@ WeierstrassCurve::mulLadder(const BigUInt &k, const AffinePoint &p) const
     if (k.isOne())
         return p;
 
+    // r0 = P, r1 = 2P, common Z; invariant r1 - r0 = P.
     JacobianPoint r0, r1;
-    dblu(p, r0, r1);  // r0 = P, r1 = 2P, common Z; invariant r1-r0 = P
+    dblu(AffineFe::from(*f, p), r0, r1);
 
     for (size_t i = k.bitLength() - 1; i-- > 0;) {
         JacobianPoint sum, diff, twice;

@@ -58,7 +58,10 @@ class WeierstrassCurve
     // --- Jacobian arithmetic ---------------------------------------
 
     JacobianPoint toJacobian(const AffinePoint &p) const;
+    JacobianPoint toJacobian(const AffineFe &p) const;
     AffinePoint toAffine(const JacobianPoint &p) const;
+    /** toAffine on field elements (one inversion). */
+    AffineFe toAffineFe(const JacobianPoint &p) const;
 
     /** Point doubling; dispatches on a = 0 / a = -3 / generic. */
     JacobianPoint dbl(const JacobianPoint &p) const;
@@ -69,8 +72,10 @@ class WeierstrassCurve
     /** Mixed Jacobian + affine addition (q must satisfy onCurve). */
     JacobianPoint addMixed(const JacobianPoint &p,
                            const AffinePoint &q) const;
+    JacobianPoint addMixed(const JacobianPoint &p, const AffineFe &q) const;
 
     AffinePoint negate(const AffinePoint &p) const;
+    AffineFe negate(const AffineFe &p) const;
 
     // --- Point multiplication ---------------------------------------
 
@@ -116,13 +121,15 @@ class WeierstrassCurve
      */
     std::vector<AffinePoint>
     toAffineBatch(const std::vector<JacobianPoint> &points) const;
+    std::vector<AffineFe>
+    toAffineBatchFe(const std::vector<JacobianPoint> &points) const;
 
   protected:
     // Co-Z primitives (exposed to the GLV subclass and tests via the
     // public multiplication methods).
 
     /** Initial doubling with Z = 1, leaving P and 2P with a common Z. */
-    void dblu(const AffinePoint &p, JacobianPoint &p_out,
+    void dblu(const AffineFe &p, JacobianPoint &p_out,
               JacobianPoint &dbl_out) const;
 
     /**
@@ -142,6 +149,7 @@ class WeierstrassCurve
     const PrimeField *f;
     BigUInt a;
     BigUInt b;
+    Fe aFe;  ///< a in the field, for the formulas
     bool aIsZero;
     bool aIsMinus3;
     std::string ident;

@@ -4,17 +4,17 @@ namespace jaavr
 {
 
 size_t
-invBatch(const PrimeField &f, std::vector<BigUInt> &elems)
+invBatch(const PrimeField &f, std::vector<Fe> &elems)
 {
     // Prefix products over the nonzero elements only: prefix[i] holds
     // the product of every nonzero element up to and including i, so
     // a zero at position i reuses prefix[i-1] and drops out of the
     // unwind entirely.
-    std::vector<BigUInt> prefix;
+    std::vector<Fe> prefix;
     prefix.reserve(elems.size());
-    BigUInt acc(1);
+    Fe acc = Fe::one();
     size_t nonzero = 0;
-    for (const BigUInt &e : elems) {
+    for (const Fe &e : elems) {
         if (!e.isZero()) {
             acc = f.mul(acc, e);
             nonzero++;
@@ -27,16 +27,29 @@ invBatch(const PrimeField &f, std::vector<BigUInt> &elems)
     // One inversion of the full product, then unwind: before step i,
     // inv_acc = (product of nonzero elems[0..i])^-1, so multiplying
     // by the previous prefix isolates elems[i]^-1.
-    BigUInt inv_acc = f.inv(acc);
+    Fe inv_acc = f.inv(acc);
     for (size_t i = elems.size(); i-- > 0;) {
         if (elems[i].isZero())
             continue;
-        BigUInt prev = i == 0 ? BigUInt(1) : prefix[i - 1];
-        BigUInt inv_i = f.mul(inv_acc, prev);
+        Fe prev = i == 0 ? Fe::one() : prefix[i - 1];
+        Fe inv_i = f.mul(inv_acc, prev);
         inv_acc = f.mul(inv_acc, elems[i]);
         elems[i] = inv_i;
     }
     return nonzero;
+}
+
+size_t
+invBatch(const PrimeField &f, std::vector<BigUInt> &elems)
+{
+    std::vector<Fe> fe;
+    fe.reserve(elems.size());
+    for (const BigUInt &e : elems)
+        fe.push_back(f.fromBig(e));
+    size_t n = invBatch(f, fe);
+    for (size_t i = 0; i < elems.size(); i++)
+        elems[i] = fe[i].toBig();
+    return n;
 }
 
 std::vector<BigUInt>

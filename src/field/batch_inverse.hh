@@ -9,7 +9,7 @@
  * the curve layers (Jacobian/extended batch-affine conversion, the
  * x-only ladder's final X/Z divisions) and the service layer's
  * request micro-batches all share this one driver, so every consumer
- * amortizes the expensive extended-Euclid inversion the same way
+ * amortizes the expensive field inversion the same way
  * (DESIGN.md §14).
  */
 
@@ -32,6 +32,9 @@ namespace jaavr
  * Returns the number of elements actually inverted. Sizes 0 and 1
  * degenerate gracefully (size 1 is exactly one PrimeField::inv).
  */
+size_t invBatch(const PrimeField &f, std::vector<Fe> &elems);
+
+/** invBatch on BigUInt elements (converted through the field). */
 size_t invBatch(const PrimeField &f, std::vector<BigUInt> &elems);
 
 /** Non-mutating convenience wrapper around invBatch. */

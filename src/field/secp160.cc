@@ -4,22 +4,6 @@ namespace jaavr
 {
 
 BigUInt
-pseudoMersenneReduce(const BigUInt &t, const BigUInt &p, unsigned bits,
-                     const BigUInt &c)
-{
-    BigUInt r = t;
-    BigUInt top = BigUInt::powerOfTwo(bits);
-    while (r >= top) {
-        BigUInt hi = r >> bits;
-        BigUInt lo = r - (hi << bits);
-        r = hi * c + lo;
-    }
-    while (r >= p)
-        r -= p;
-    return r;
-}
-
-BigUInt
 Secp160r1Field::primeValue()
 {
     return BigUInt::powerOfTwo(160) - BigUInt::powerOfTwo(31) - BigUInt(1);
@@ -27,14 +11,6 @@ Secp160r1Field::primeValue()
 
 Secp160r1Field::Secp160r1Field() : PrimeField(primeValue())
 {
-}
-
-BigUInt
-Secp160r1Field::reduceProduct(const BigUInt &t) const
-{
-    // 2^160 = 2^31 + 1 (mod p)
-    return pseudoMersenneReduce(
-        t, p, 160, BigUInt::powerOfTwo(31) + BigUInt(1));
 }
 
 BigUInt
@@ -46,14 +22,6 @@ Secp160k1Field::primeValue()
 
 Secp160k1Field::Secp160k1Field() : PrimeField(primeValue())
 {
-}
-
-BigUInt
-Secp160k1Field::reduceProduct(const BigUInt &t) const
-{
-    // 2^160 = 2^32 + 21389 (mod p)
-    return pseudoMersenneReduce(
-        t, p, 160, BigUInt::powerOfTwo(32) + BigUInt(21389));
 }
 
 } // namespace jaavr

@@ -1,11 +1,14 @@
 /**
  * @file
- * The SEC2 160-bit prime fields with pseudo-Mersenne fast reduction.
+ * The SEC2 160-bit prime fields.
  *
  * secp160r1's p = 2^160 - 2^31 - 1 is the standardized reference the
  * paper benchmarks against its OPF fields: reduction works through
  * additions (2^160 = 2^31 + 1 mod p) rather than multiplications,
  * which is why it does not profit from the MAC unit the way OPFs do.
+ * Both primes have the shape 2^160 - c with a small c, so PrimeField
+ * picks its folding reduction for them by itself; these classes only
+ * name the primes.
  */
 
 #ifndef JAAVR_FIELD_SECP160_HH
@@ -26,9 +29,6 @@ class Secp160r1Field : public PrimeField
 
     /** The prime 2^160 - 2^31 - 1. */
     static BigUInt primeValue();
-
-  protected:
-    BigUInt reduceProduct(const BigUInt &t) const override;
 };
 
 /**
@@ -43,17 +43,7 @@ class Secp160k1Field : public PrimeField
 
     /** The prime 2^160 - 2^32 - 21389. */
     static BigUInt primeValue();
-
-  protected:
-    BigUInt reduceProduct(const BigUInt &t) const override;
 };
-
-/**
- * Shared pseudo-Mersenne reduction: fold t modulo p = 2^bits - c
- * using 2^bits = c (mod p).
- */
-BigUInt pseudoMersenneReduce(const BigUInt &t, const BigUInt &p,
-                             unsigned bits, const BigUInt &c);
 
 } // namespace jaavr
 

@@ -65,9 +65,6 @@ WorkerContext::WorkerContext(uint64_t rng_seed, CpuMode machine_mode)
       k1Field(),
       glvField(S().glvP),
       opfField(S().opfP),
-      r1Scalar(S().r1N),
-      k1Scalar(S().k1Params.order),
-      glvScalar(S().glvParams.order),
       secp160r1(r1Field, S().r1A, S().r1B, "secp160r1"),
       secp160k1(k1Field, S().k1Params, "secp160k1"),
       glvOpf(glvField, S().glvParams, "glv-opf"),
@@ -91,21 +88,6 @@ WorkerContext::signerFor(ServiceCurve c)
         return &ecdsaK1;
     case ServiceCurve::GlvOpf:
         return &ecdsaGlv;
-    default:
-        return nullptr;
-    }
-}
-
-const PrimeField *
-WorkerContext::scalarFieldFor(ServiceCurve c) const
-{
-    switch (c) {
-    case ServiceCurve::Secp160r1:
-        return &r1Scalar;
-    case ServiceCurve::Secp160k1:
-        return &k1Scalar;
-    case ServiceCurve::GlvOpf:
-        return &glvScalar;
     default:
         return nullptr;
     }

@@ -88,11 +88,6 @@ class WorkerContext
     Secp160k1Field k1Field;
     PrimeField glvField;
     PrimeField opfField;
-    // Scalar fields mod the subgroup orders, for the batched nonce
-    // inversions (n is prime, so PrimeField applies as-is).
-    PrimeField r1Scalar;
-    PrimeField k1Scalar;
-    PrimeField glvScalar;
 
     WeierstrassCurve secp160r1;
     GlvCurve secp160k1;
@@ -110,9 +105,6 @@ class WorkerContext
 
     /** The ECDSA signer for @p c, or nullptr if its order is unknown. */
     Ecdsa *signerFor(ServiceCurve c);
-
-    /** Scalar field mod n for @p c (same availability as signerFor). */
-    const PrimeField *scalarFieldFor(ServiceCurve c) const;
 
     /** The Weierstrass(-family) curve object, or nullptr. */
     const WeierstrassCurve *weierstrassFor(ServiceCurve c) const;

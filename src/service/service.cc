@@ -635,20 +635,20 @@ EccService::processSignBatch(WorkerContext &ctx,
     ServiceCurve curve = reqs[0]->curve;
     Ecdsa *S = ctx.signerFor(curve);
     const WeierstrassCurve &c = S->curve();
-    const PrimeField &fn = *ctx.scalarFieldFor(curve);
+    const PrimeField &fn = S->scalarField();
     const BigUInt &n = S->order();
     const FixedBaseComb *comb = S->fixedBase();
 
     struct Item
     {
         ServiceRequest *req;
-        BigUInt e;        ///< hash scalar (Sign only)
+        Fe e;             ///< hash scalar (Sign only)
         size_t nonceSlot; ///< index into nonceInv; SIZE_MAX for Keygen
     };
     std::vector<Item> items;
     std::vector<BigUInt> scalars;      ///< nonce k (Sign) / key d (Keygen)
     std::vector<JacobianPoint> points; ///< k*G resp. d*G
-    std::vector<BigUInt> nonceInv;     ///< Sign nonces, inverted in batch
+    std::vector<Fe> nonceInv;          ///< Sign nonces, inverted in batch
     items.reserve(reqs.size());
     scalars.reserve(reqs.size());
     points.reserve(reqs.size());
@@ -656,7 +656,7 @@ EccService::processSignBatch(WorkerContext &ctx,
     for (ServiceRequest *rp : reqs) {
         ServiceRequest &r = *rp;
         BigUInt k;
-        Item it{rp, BigUInt(0), SIZE_MAX};
+        Item it{rp, Fe{}, SIZE_MAX};
         if (r.op == ServiceOp::Sign) {
             if (!validScalar(r.privateKey, n)) {
                 fail(r, ServiceStatus::InvalidRequest,
@@ -671,9 +671,9 @@ EccService::processSignBatch(WorkerContext &ctx,
                 fail(r, ServiceStatus::InvalidRequest, "nonce out of range");
                 continue;
             }
-            it.e = S->hashToScalar(r.message);
+            it.e = fn.fromBig(S->hashToScalar(r.message));
             it.nonceSlot = nonceInv.size();
-            nonceInv.push_back(k);
+            nonceInv.push_back(fn.fromBig(k));
         } else { // Keygen
             if (r.privateKey.isZero()) {
                 k = randomScalar(ctx.rng, n);
@@ -714,15 +714,16 @@ EccService::processSignBatch(WorkerContext &ctx,
             continue;
         }
         bool degenerate = pt.inf;
-        BigUInt rr;
+        Fe rr;
         if (!degenerate) {
-            rr = pt.x % n;
+            rr = fn.fromBig(pt.x);
             degenerate = rr.isZero();
         }
-        BigUInt s;
+        Fe s;
         if (!degenerate) {
-            const BigUInt &kinv = nonceInv[items[i].nonceSlot];
-            s = fn.mul(kinv, fn.add(items[i].e, fn.mul(rr, r.privateKey)));
+            const Fe &kinv = nonceInv[items[i].nonceSlot];
+            s = fn.mul(kinv, fn.add(items[i].e,
+                                    fn.mul(rr, fn.fromBig(r.privateKey))));
             degenerate = s.isZero();
         }
         if (degenerate) {
@@ -735,7 +736,7 @@ EccService::processSignBatch(WorkerContext &ctx,
             r.status = ServiceStatus::Ok;
             continue;
         }
-        r.sigOut = EcdsaSignature{rr, s};
+        r.sigOut = EcdsaSignature{rr.toBig(), s.toBig()};
         r.status = ServiceStatus::Ok;
     }
 }
@@ -810,7 +811,7 @@ EccService::processDeriveMontgomeryBatch(WorkerContext &ctx,
 
     // One shared inversion for every ladder's final X/Z division;
     // invBatch's zero passthrough marks the infinity results.
-    std::vector<BigUInt> zs;
+    std::vector<Fe> zs;
     zs.reserve(xz.size());
     for (const XzPoint &p : xz)
         zs.push_back(p.z);
@@ -822,7 +823,7 @@ EccService::processDeriveMontgomeryBatch(WorkerContext &ctx,
                  "derived the point at infinity");
             continue;
         }
-        live[i]->xOut = f.mul(xz[i].x, zs[i]);
+        live[i]->xOut = f.mul(xz[i].x, zs[i]).toBig();
         live[i]->status = ServiceStatus::Ok;
     }
 }

@@ -22,7 +22,85 @@ secp160r1Ecdsa()
                  secp160r1Generator().order);
 }
 
+// Known-answer input shared by the signWithNonce pins below.
+const char *const kKatMessage = "known-answer message";
+const BigUInt kKatD =
+    BigUInt::fromHex("00c0ffee0123456789abcdef0123456789abcdef01");
+const BigUInt kKatK =
+    BigUInt::fromHex("0042424242deadbeefcafef00d1234567890abcdef");
+
+void
+expectOps(const FieldOpCounts &got, const FieldOpCounts &want)
+{
+    EXPECT_EQ(got.mul, want.mul);
+    EXPECT_EQ(got.sqr, want.sqr);
+    EXPECT_EQ(got.add, want.add);
+    EXPECT_EQ(got.sub, want.sub);
+    EXPECT_EQ(got.mulSmall, want.mulSmall);
+    EXPECT_EQ(got.inv, want.inv);
+}
+
+/**
+ * signWithNonce on (kKatMessage, kKatD, kKatK) against a pinned (r, s)
+ * and the pinned base-field op counts of the whole call. The pins come
+ * from the BigUInt reference arithmetic: the service and the
+ * benchmark's golden signer share the Fe kernel, so only known answers
+ * catch a kernel bug both would share, and equal op counts show every
+ * algorithm (and so every hybrid row of Tables II/III) unchanged.
+ */
+void
+expectSignPin(const Ecdsa &dsa, const char *r, const char *s,
+              const FieldOpCounts &ops)
+{
+    FieldOpCounts got;
+    dsa.curve().field().attachCounter(&got);
+    auto sig = dsa.signWithNonce(kKatMessage, kKatD, kKatK);
+    dsa.curve().field().attachCounter(nullptr);
+    ASSERT_TRUE(sig.has_value());
+    EXPECT_EQ(sig->r.toHex(), r);
+    EXPECT_EQ(sig->s.toHex(), s);
+    expectOps(got, ops);
+}
+
 } // anonymous namespace
+
+TEST(EcdsaKnownAnswer, Secp160r1Naf)
+{
+    expectSignPin(secp160r1Ecdsa(), "41b1c475e612d155e4e835aad9ed6e0f7438479",
+                  "89ef5bbcf4e4980b606f9936e305acb014fc570c",
+                  {.mul = 806, .sqr = 979, .add = 1862, .sub = 1325,
+                   .mulSmall = 0, .inv = 1});
+}
+
+TEST(EcdsaKnownAnswer, Secp160r1Comb)
+{
+    Ecdsa dsa = secp160r1Ecdsa();
+    FixedBaseComb comb(secp160r1Curve(), dsa.generator(),
+                       dsa.order().bitLength(), 5);
+    dsa.attachFixedBase(&comb);
+    expectSignPin(dsa, "41b1c475e612d155e4e835aad9ed6e0f7438479",
+                  "89ef5bbcf4e4980b606f9936e305acb014fc570c",
+                  {.mul = 323, .sqr = 289, .add = 512, .sub = 448,
+                   .mulSmall = 0, .inv = 1});
+}
+
+TEST(EcdsaKnownAnswer, Secp160k1Glv)
+{
+    expectSignPin(Ecdsa(secp160k1Curve()),
+                  "e2744db4a8527f449b6f4dbf24d61c18ab5fd830",
+                  "1121d06530e3ae967681c404320e2fb662af2ade",
+                  {.mul = 460, .sqr = 561, .add = 954, .sub = 750,
+                   .mulSmall = 0, .inv = 3});
+}
+
+TEST(EcdsaKnownAnswer, GlvOpf)
+{
+    expectSignPin(Ecdsa(glvOpfCurve()),
+                  "50701838758a3a77e09a4fe6f1b924e5ceaf880b",
+                  "2d8945c70e013ccb9f87e5b868ff6d2a9d71d66a",
+                  {.mul = 432, .sqr = 545, .add = 930, .sub = 714,
+                   .mulSmall = 0, .inv = 3});
+}
 
 TEST(Ecdsa, SignVerifyRoundTripSecp160r1)
 {
