@@ -22,7 +22,9 @@
 #define JAAVR_AVR_MAC_UNIT_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace jaavr
 {
@@ -57,22 +59,9 @@ class MacUnit
     void
     mac(std::array<uint8_t, 32> &regs, uint8_t nibble)
     {
-        uint32_t word = static_cast<uint32_t>(regs[16]) |
-                        static_cast<uint32_t>(regs[17]) << 8 |
-                        static_cast<uint32_t>(regs[18]) << 16 |
-                        static_cast<uint32_t>(regs[19]) << 24;
         // 36-bit product through the barrel shifter (<= 64 bits).
-        uint64_t shifted = (static_cast<uint64_t>(word) * (nibble & 0xf))
-                           << (4 * counter);
-        // 72-bit accumulate into R0..R8.
-        unsigned __int128 acc = 0;
-        for (int i = 8; i >= 0; i--)
-            acc = (acc << 8) | regs[i];
-        acc += shifted;
-        for (int i = 0; i <= 8; i++) {
-            regs[i] = static_cast<uint8_t>(acc);
-            acc >>= 8;
-        }
+        accumulate(regs, static_cast<uint64_t>(word(regs)) * (nibble & 0xf)
+                             << (4 * counter));
         counter = (counter + 1) & 7;
         macsPerformed++;
     }
@@ -92,13 +81,24 @@ class MacUnit
     /**
      * Algorithm-2 trigger: the byte loaded into R24 feeds both of its
      * nibbles (low first) through the MAC datapath in one cycle.
+     * Below counter 7 the two nibble MACs land at the adjacent shifts
+     * 4c and 4c + 4, so together they add one (32 x 8)-bit product
+     * shifted by 4c (at most 40 + 24 = 64 bits); at counter 7 the
+     * high nibble wraps to shift 0 and the MACs stay separate.
      */
     void
     macLoad(std::array<uint8_t, 32> &regs, uint8_t value)
     {
         alg2Count += 2;
-        mac(regs, value & 0x0f);
-        mac(regs, value >> 4);
+        if (counter == 7) [[unlikely]] {
+            mac(regs, value & 0x0f);
+            mac(regs, value >> 4);
+            return;
+        }
+        accumulate(regs, static_cast<uint64_t>(word(regs)) * value
+                             << (4 * counter));
+        counter = (counter + 2) & 7;
+        macsPerformed += 2;
     }
 
     /** Barrel-shifter counter (0..7). */
@@ -118,6 +118,34 @@ class MacUnit
     uint64_t alg2Macs() const { return alg2Count; }
 
   private:
+    /** The first operand: R16..R19 as a little-endian u32. */
+    static uint32_t
+    word(const std::array<uint8_t, 32> &regs)
+    {
+        return static_cast<uint32_t>(regs[16]) |
+               static_cast<uint32_t>(regs[17]) << 8 |
+               static_cast<uint32_t>(regs[18]) << 16 |
+               static_cast<uint32_t>(regs[19]) << 24;
+    }
+
+    /**
+     * The 72-bit adder: R0..R7 as one little-endian 64-bit add, its
+     * carry into R8 (the accumulator wraps mod 2^72).
+     */
+    static void
+    accumulate(std::array<uint8_t, 32> &regs, uint64_t addend)
+    {
+        uint64_t lo;
+        std::memcpy(&lo, regs.data(), sizeof lo);
+        if constexpr (std::endian::native == std::endian::big)
+            lo = __builtin_bswap64(lo);
+        uint64_t sum = lo + addend;
+        regs[8] = static_cast<uint8_t>(regs[8] + (sum < lo));
+        if constexpr (std::endian::native == std::endian::big)
+            sum = __builtin_bswap64(sum);
+        std::memcpy(regs.data(), &sum, sizeof sum);
+    }
+
     uint8_t counter = 0;
     uint8_t pending = 0;
     uint64_t macsPerformed = 0;

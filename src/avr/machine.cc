@@ -174,12 +174,7 @@ Machine::makeDecoded(uint16_t w0, uint16_t w1) const
     d.inst = decode(w0, w1);
     d.cycles = baseCycleTable(cpuMode)[static_cast<size_t>(d.inst.op)];
     d.touchesMac = touchesMacRegs(d.inst);
-    d.macLoadForm =
-        d.inst.rd == 24 &&
-        (d.inst.op == Op::LDD_Y || d.inst.op == Op::LDD_Z ||
-         d.inst.op == Op::LD_X || d.inst.op == Op::LD_X_INC ||
-         d.inst.op == Op::LD_Y_INC || d.inst.op == Op::LD_Z_INC ||
-         d.inst.op == Op::LDS);
+    d.macLoadForm = isMacLoadForm(d.inst);
     // Canonicalization: classify synonym encodings (LSL=ADD Rd,Rd,
     // ROL=ADC, TST=AND, CLR=EOR) once at predecode so the superblock
     // translator can emit specialized single-operand handlers.
@@ -451,12 +446,7 @@ Machine::step()
     bool load_mac = ise && (io[ioMaccr] & MacUnit::ctrlLoadMode);
     bool swap_mac = ise && (io[ioMaccr] & MacUnit::ctrlSwapMode);
     const uint8_t shadow = macUnit.pendingShadow();
-    bool is_r24_load =
-        load_mac && inst.rd == 24 &&
-        (inst.op == Op::LDD_Y || inst.op == Op::LDD_Z ||
-         inst.op == Op::LD_X || inst.op == Op::LD_X_INC ||
-         inst.op == Op::LD_Y_INC || inst.op == Op::LD_Z_INC ||
-         inst.op == Op::LDS);
+    const bool is_r24_load = load_mac && isMacLoadForm(inst);
     if (shadow > 0 && touchesMacRegs(inst) && !is_r24_load) {
         pendingTrap = Trap{TrapKind::MacHazard, pc0, 0};
         return 0;
@@ -470,8 +460,8 @@ Machine::step()
     unsigned cycles = baseCycles(inst.op, cpuMode);
     bool mac_triggered = false;
 
-    auto ld_trigger = [&](uint8_t v, uint8_t rd) {
-        if (load_mac && rd == 24) {
+    auto ld_trigger = [&](uint8_t v) {
+        if (is_r24_load) {
             triggerLoadMac(v);
             mac_triggered = true;
         }
@@ -806,7 +796,7 @@ Machine::step()
         regs[inst.rd] = v;
         if (inst.op == Op::LD_X_INC)
             setX(a + 1);
-        ld_trigger(v, inst.rd);
+        ld_trigger(v);
         break;
       }
       case Op::LD_Y_INC: case Op::LD_Y_DEC: case Op::LDD_Y: {
@@ -819,7 +809,7 @@ Machine::step()
         regs[inst.rd] = v;
         if (inst.op == Op::LD_Y_INC)
             setY(a + 1);
-        ld_trigger(v, inst.rd);
+        ld_trigger(v);
         break;
       }
       case Op::LD_Z_INC: case Op::LD_Z_DEC: case Op::LDD_Z: {
@@ -832,13 +822,13 @@ Machine::step()
         regs[inst.rd] = v;
         if (inst.op == Op::LD_Z_INC)
             setZ(a + 1);
-        ld_trigger(v, inst.rd);
+        ld_trigger(v);
         break;
       }
       case Op::LDS: {
         uint8_t v = ldG(static_cast<uint16_t>(inst.k));
         regs[inst.rd] = v;
-        ld_trigger(v, inst.rd);
+        ld_trigger(v);
         break;
       }
       case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC: {
@@ -964,12 +954,15 @@ Machine::step()
     }
 
     // Retire pending MAC shadow cycles; a fresh trigger's two
-    // micro-ops occupy the two cycles after this instruction.
+    // micro-ops occupy the two cycles after this instruction. The
+    // live count is aged, not the one read before the instruction: a
+    // store into MACCR has already reset it to zero.
+    const uint8_t live = macUnit.pendingShadow();
     if (mac_triggered)
         macUnit.setPendingShadow(2);
     else
         macUnit.setPendingShadow(
-            shadow > cycles ? shadow - static_cast<uint8_t>(cycles) : 0);
+            live > cycles ? live - static_cast<uint8_t>(cycles) : 0);
 
     pcWord = next_pc & 0xffff;
     execStats.opCount[static_cast<size_t>(inst.op)]++;
@@ -1304,12 +1297,11 @@ Machine::runFast(uint64_t max_cycles)
             return;
         }
 
-        [[maybe_unused]] bool load_mac = false;
         [[maybe_unused]] bool swap_mac = false;
+        [[maybe_unused]] bool is_r24_load = false;
         if constexpr (Ise) {
-            load_mac = maccr & MacUnit::ctrlLoadMode;
             swap_mac = maccr & MacUnit::ctrlSwapMode;
-            bool is_r24_load = load_mac && dc.macLoadForm;
+            is_r24_load = (maccr & MacUnit::ctrlLoadMode) && dc.macLoadForm;
             if (shadow > 0 && dc.touchesMac && !is_r24_load) {
                 pendingTrap = Trap{TrapKind::MacHazard, pc, 0};
                 flush();
@@ -1331,10 +1323,9 @@ Machine::runFast(uint64_t max_cycles)
         [[maybe_unused]] bool mac_triggered = false;
         [[maybe_unused]] const uint8_t shadow_pre = shadow;
 
-        auto ld_trigger = [&]([[maybe_unused]] uint8_t v,
-                              [[maybe_unused]] uint8_t rd) {
+        auto ld_trigger = [&]([[maybe_unused]] uint8_t v) {
             if constexpr (Ise) {
-                if (load_mac && rd == 24) {
+                if (is_r24_load) {
                     // triggerLoadMac() on the local register file
                     macUnit.macLoad(r8, v);
                     mac_triggered = true;
@@ -1599,7 +1590,7 @@ Machine::runFast(uint64_t max_cycles)
             r8[inst.rd] = v;
             if (inst.op == Op::LD_X_INC)
                 setPair(26, a + 1);
-            ld_trigger(v, inst.rd);
+            ld_trigger(v);
             break;
           }
           case Op::LD_Y_INC: case Op::LD_Y_DEC: case Op::LDD_Y: {
@@ -1612,7 +1603,7 @@ Machine::runFast(uint64_t max_cycles)
             r8[inst.rd] = v;
             if (inst.op == Op::LD_Y_INC)
                 setPair(28, a + 1);
-            ld_trigger(v, inst.rd);
+            ld_trigger(v);
             break;
           }
           case Op::LD_Z_INC: case Op::LD_Z_DEC: case Op::LDD_Z: {
@@ -1625,13 +1616,13 @@ Machine::runFast(uint64_t max_cycles)
             r8[inst.rd] = v;
             if (inst.op == Op::LD_Z_INC)
                 setPair(30, a + 1);
-            ld_trigger(v, inst.rd);
+            ld_trigger(v);
             break;
           }
           case Op::LDS: {
             uint8_t v = loadMem(static_cast<uint16_t>(inst.k));
             r8[inst.rd] = v;
-            ld_trigger(v, inst.rd);
+            ld_trigger(v);
             break;
           }
           case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC: {

@@ -253,9 +253,22 @@ struct DecodedInst
     Inst inst;
     uint8_t cycles = 1;       ///< baseCycles(inst.op, mode)
     bool touchesMac = false;  ///< reads/writes {R0..R8, R16..R19}
-    bool macLoadForm = false; ///< Algorithm-2 trigger shape (load to R24)
+    bool macLoadForm = false; ///< isMacLoadForm(inst)
     Synonym synonym = Synonym::None; ///< canonicalized alias encoding
 };
+
+/**
+ * The Algorithm-2 trigger shape: a data-space load into R24 in any
+ * addressing form (LD X/Y/Z with post-increment or pre-decrement,
+ * LDD, LDS). In MAC load mode exactly these instructions fire the two
+ * shadow MACs and obey the back-to-back rule; step(), the fast loop
+ * and the superblock translator all use this one predicate.
+ */
+inline bool
+isMacLoadForm(const Inst &inst)
+{
+    return inst.rd == 24 && isLoadOp(inst.op);
+}
 
 class Machine
 {
@@ -552,18 +565,18 @@ class Machine
     void runFast(uint64_t max_cycles);
 
     /**
-     * Plain (no-hook) fast-path dispatch by mode; the side-exit
-     * target of the superblock backend (superblock.cc cannot see the
-     * runFast template definition).
+     * Plain (no-hook) fast-path dispatch by mode; the superblock
+     * backend's target for budget-critical passes (superblock.cc
+     * cannot see the runFast template definition).
      */
     void runFastPlain(uint64_t max_cycles);
 
     /**
      * Superblock-threaded run loop (superblock.cc): translated
-     * traces over the decode cache, executed via computed-goto
-     * threaded dispatch with block-level statistics accumulation.
-     * Falls back to runFastPlain() on side exits (traps, MAC-shadow
-     * activity, budget-critical blocks); see DESIGN.md §11.
+     * traces over the decode cache, keyed in ISE mode by the MAC
+     * state at entry, executed via computed-goto threaded dispatch
+     * with block-level statistics accumulation. Only budget-critical
+     * passes fall back to runFastPlain(); see DESIGN.md §11.
      */
     void runSuperblock(uint64_t max_cycles);
 

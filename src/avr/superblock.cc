@@ -7,28 +7,34 @@
  * instruction for instruction — the semantics of every handler below
  * are copied from the corresponding runFast case, and
  * tests/test_superblock.cc pins the two (and step()) to bit- and
- * cycle-identical state over all 65536 opcode words and the OPF
- * workloads. What changes is the execution structure:
+ * cycle-identical state over all 65536 opcode words, seeded MAC-unit
+ * program soups and the OPF workloads. What changes is the execution
+ * structure:
  *
  *  - dispatch is computed-goto threaded over pre-translated traces
- *    (SbInst carries the handler label and pre-extracted operands),
- *    falling back to a switch on non-GNU compilers;
+ *    (SbInst carries the handler label and pre-extracted operands;
+ *    labels-as-values is a GNU extension, like the unsigned __int128
+ *    the rest of the tree already relies on);
  *  - statistics accumulate block-at-a-time: per-exit cycle prefixes
  *    replace the per-instruction `consumed/insts` updates, and the
  *    cycle budget is pre-checked against the block's worst case so
  *    the hot path carries no per-instruction budget test;
  *  - the PC is not materialized between instructions at all — only
- *    exits compute it, from translate-time constants.
+ *    exits compute it, from translate-time constants;
+ *  - in ISE mode the MAC shadow, hazard and stall checks are resolved
+ *    at translate time: blocks are keyed by the MAC state at entry
+ *    (sbMacKey) and the trace carries trigger, stall and hazard
+ *    elements, so only the barrel counter and the accumulator stay
+ *    dynamic.
  *
  * Side-exit contract (everything here funnels back to the fast
  * path / reference loop, never the other way around):
  *  - traps: the trapping instruction does not retire; the exit
- *    charges the retired prefix and publishes the trap exactly as
- *    runFast does;
- *  - MAC activity: the backend only executes while MACCR == 0 and no
- *    shadow micro-ops are pending (checked at every block entry); a
- *    store that turns the MAC unit on side-exits after retiring and
- *    the rest of the run executes in runFastPlain();
+ *    charges the retired prefix and publishes the trap (and the
+ *    pending shadow) exactly as runFast does;
+ *  - MACCR stores: every store into MACCR resets the MAC unit, so it
+ *    retires and the trace side-exits into the block keyed by the
+ *    new MAC state with no shadow pending;
  *  - budget-critical blocks delegate to runFastPlain(), which places
  *    the CycleBudget trap with per-instruction precision;
  *  - attached observers (profiler, debug hook, wave sink, fault
@@ -44,15 +50,6 @@
 #include "avr/mac_unit.hh"
 #include "avr/machine.hh"
 #include "avr/timing.hh"
-#include "support/logging.hh"
-
-// Computed-goto threading needs the GNU labels-as-values extension;
-// define JAAVR_SB_NO_THREADED to force the portable switch dispatch
-// (exercised by tests to keep both paths honest).
-#if !defined(JAAVR_SB_NO_THREADED) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define JAAVR_SB_THREADED 1
-#endif
 
 namespace jaavr
 {
@@ -70,7 +67,7 @@ SuperblockCache::invalidateAll()
 }
 
 SbBlock *
-SuperblockCache::translate(const Machine &m, uint32_t entry,
+SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
                            void *const *labels)
 {
     // A runaway working set (e.g. a fault campaign re-corrupting
@@ -82,6 +79,18 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
     auto owned = std::make_unique<SbBlock>();
     SbBlock *blk = owned.get();
     blk->entry = entry & 0xffff;
+    blk->macKey = key;
+
+    // The MAC state the trace is specialized to (runFast<Ise>'s
+    // run-time checks, resolved here): the mode bits hold for the
+    // whole trace, since a MACCR store side-exits after retiring,
+    // and the shadow is followed statically — 2 after a trigger,
+    // otherwise aged by each retired element's base cycles. Outside
+    // ISE the key is always 0, so none of this fires.
+    const bool ise = m.mode() == CpuMode::ISE;
+    const bool load_mac = ise && (key & MacUnit::ctrlLoadMode);
+    const bool swap_mac = ise && (key & MacUnit::ctrlSwapMode);
+    uint8_t sh = blk->entryShadow();
 
     std::unordered_set<uint32_t> visited;
     uint32_t pc = blk->entry;
@@ -89,8 +98,7 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
     bool open = true;
 
     auto emit = [&](SbOp h, SbInst &si) {
-        si.h = static_cast<uint8_t>(h);
-        si.lbl = labels ? labels[static_cast<size_t>(h)] : nullptr;
+        si.lbl = labels[static_cast<size_t>(h)];
         blk->code.push_back(si);
     };
 
@@ -98,11 +106,13 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
         if (pc == Machine::exitAddress || blk->code.size() >= kMaxInsts ||
             !visited.insert(pc).second) {
             // Exit sentinel, length cap, or a loop back-edge: close
-            // the trace with a non-retiring continuation.
+            // the trace with a non-retiring continuation, which keys
+            // the next block by the shadow still pending here.
             SbInst si;
             si.pc = pc;
             si.prefixCycles = total;
-            emit(SbOp::EXIT_STATIC, si);
+            si.sh = sh;
+            emit(sh ? SbOp::EXIT_SHADOW : SbOp::EXIT_STATIC, si);
             break;
         }
         const DecodedInst &dc = m.decoded(pc);
@@ -115,14 +125,31 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
         si.imm = inst.imm;
         si.cycles = dc.cycles;
         si.prefixCycles = total;
+        si.sh = sh;
         const uint32_t next = (pc + inst.words) & 0xffff;
+        const bool trigger = load_mac && dc.macLoadForm;
 
-        // Fall-through emission: the element retires and the trace
-        // continues at the static successor.
-        auto simple = [&](SbOp h) {
+        // The hazard rule: under a live shadow the 13 MAC registers
+        // are off limits, and a retrigger must wait until at most
+        // one MAC is pending (detail 1). The instruction does not
+        // retire.
+        if (sh > 0 && (trigger ? sh >= 2 : dc.touchesMac)) {
+            si.addr = trigger;
+            emit(SbOp::MAC_HAZARD, si);
+            break;
+        }
+
+        // A retiring element; translation continues at @p succ.
+        auto retire = [&](SbOp h, uint32_t succ) {
             emit(h, si);
             total += dc.cycles;
-            pc = next;
+            sh = trigger ? 2 : sh > dc.cycles ? sh - dc.cycles : 0;
+            pc = succ;
+        };
+        auto simple = [&](SbOp h) { retire(h, next); };
+        // Loads become Algorithm-2 trigger elements in load mode.
+        auto load = [&](SbOp plain, SbOp mac) {
+            simple(trigger ? mac : plain);
         };
         // Skip instructions: the taken leg's target and extra cycles
         // depend only on the skipped word's length, which the decode
@@ -144,8 +171,7 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
 
         switch (inst.op) {
           // Canonicalized synonym encodings get specialized
-          // single-operand handlers (satellite: decode
-          // canonicalization; see Synonym in avr/isa.hh).
+          // single-operand handlers (see Synonym in avr/isa.hh).
           case Op::ADD:
             simple(dc.synonym == Synonym::LSL ? SbOp::LSL : SbOp::ADD);
             break;
@@ -181,7 +207,9 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
           case Op::SBIW: simple(SbOp::SBIW); break;
           case Op::COM: simple(SbOp::COM); break;
           case Op::NEG: simple(SbOp::NEG); break;
-          case Op::SWAP: simple(SbOp::SWAP); break;
+          case Op::SWAP:
+            simple(swap_mac ? SbOp::SWAP_MAC : SbOp::SWAP);
+            break;
           case Op::INC: simple(SbOp::INC); break;
           case Op::DEC: simple(SbOp::DEC); break;
           case Op::ASR: simple(SbOp::ASR); break;
@@ -221,24 +249,24 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
             break;
           case Op::IN: simple(SbOp::IN); break;
           case Op::OUT: simple(SbOp::OUT); break;
-          case Op::LD_X: simple(SbOp::LD_X); break;
-          case Op::LD_X_INC: simple(SbOp::LD_X_INC); break;
-          case Op::LD_X_DEC: simple(SbOp::LD_X_DEC); break;
+          case Op::LD_X: load(SbOp::LD_X, SbOp::LD_X_MAC); break;
+          case Op::LD_X_INC: load(SbOp::LD_X_INC, SbOp::LD_X_INC_MAC); break;
+          case Op::LD_X_DEC: load(SbOp::LD_X_DEC, SbOp::LD_X_DEC_MAC); break;
           case Op::LDD_Y:
             si.imm = static_cast<uint16_t>(inst.disp);
-            simple(SbOp::LDD_Y);
+            load(SbOp::LDD_Y, SbOp::LDD_Y_MAC);
             break;
-          case Op::LD_Y_INC: simple(SbOp::LD_Y_INC); break;
-          case Op::LD_Y_DEC: simple(SbOp::LD_Y_DEC); break;
+          case Op::LD_Y_INC: load(SbOp::LD_Y_INC, SbOp::LD_Y_INC_MAC); break;
+          case Op::LD_Y_DEC: load(SbOp::LD_Y_DEC, SbOp::LD_Y_DEC_MAC); break;
           case Op::LDD_Z:
             si.imm = static_cast<uint16_t>(inst.disp);
-            simple(SbOp::LDD_Z);
+            load(SbOp::LDD_Z, SbOp::LDD_Z_MAC);
             break;
-          case Op::LD_Z_INC: simple(SbOp::LD_Z_INC); break;
-          case Op::LD_Z_DEC: simple(SbOp::LD_Z_DEC); break;
+          case Op::LD_Z_INC: load(SbOp::LD_Z_INC, SbOp::LD_Z_INC_MAC); break;
+          case Op::LD_Z_DEC: load(SbOp::LD_Z_DEC, SbOp::LD_Z_DEC_MAC); break;
           case Op::LDS:
             si.addr = static_cast<uint16_t>(inst.k);
-            simple(SbOp::LDS);
+            load(SbOp::LDS, SbOp::LDS_MAC);
             break;
           case Op::ST_X: simple(SbOp::ST_X); break;
           case Op::ST_X_INC: simple(SbOp::ST_X_INC); break;
@@ -264,7 +292,11 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
           case Op::LPM_R0: simple(SbOp::LPM_R0); break;
           case Op::LPM: simple(SbOp::LPM); break;
           case Op::LPM_INC: simple(SbOp::LPM_INC); break;
-          case Op::NOP: case Op::SLEEP: case Op::WDR: case Op::BREAK:
+          // A NOP retired under a live shadow is a counted MAC stall.
+          case Op::NOP:
+            simple(sh > 0 ? SbOp::NOP_STALL : SbOp::NOPLIKE);
+            break;
+          case Op::SLEEP: case Op::WDR: case Op::BREAK:
             simple(SbOp::NOPLIKE);
             break;
 
@@ -273,28 +305,20 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
           // and translation continues at the target. Revisits and
           // the length cap close the trace at the loop top.
           case Op::RJMP:
-            emit(SbOp::GHOST, si);
-            total += dc.cycles;
-            pc = (pc + 1 + inst.disp) & 0xffff;
+            retire(SbOp::GHOST, (pc + 1 + inst.disp) & 0xffff);
             break;
           case Op::JMP:
-            emit(SbOp::GHOST, si);
-            total += dc.cycles;
-            pc = inst.k & 0xffff;
+            retire(SbOp::GHOST, inst.k & 0xffff);
             break;
           // Direct calls stitch through into the callee; only the
           // return-address push happens at run time.
           case Op::RCALL:
             si.addr = static_cast<uint16_t>((pc + 1) & 0xffff);
-            emit(SbOp::CALL_THROUGH, si);
-            total += dc.cycles;
-            pc = (pc + 1 + inst.disp) & 0xffff;
+            retire(SbOp::CALL_THROUGH, (pc + 1 + inst.disp) & 0xffff);
             break;
           case Op::CALL:
             si.addr = static_cast<uint16_t>((pc + 2) & 0xffff);
-            emit(SbOp::CALL_THROUGH, si);
-            total += dc.cycles;
-            pc = inst.k & 0xffff;
+            retire(SbOp::CALL_THROUGH, inst.k & 0xffff);
             break;
 
           case Op::BRBS:
@@ -340,6 +364,7 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
     // the largest single taken-branch/skip extra (an exit leaves the
     // trace, so at most one extra applies per pass).
     blk->maxCycles = total + 2;
+    blk->next = table[blk->entry];
     table[blk->entry] = blk;
     blocks.push_back(std::move(owned));
     return blk;
@@ -358,20 +383,14 @@ Machine::runSuperblock(uint64_t max_cycles)
     if (!sbCache)
         sbCache = std::make_unique<SuperblockCache>();
 
-#ifdef JAAVR_SB_THREADED
     // Labels-as-values dispatch table, indexed by SbOp in declaration
     // order (the same X-macro builds both, so they cannot skew).
-    static void *const label_tab[kNumSbOps] = {
+    static void *const labels[kNumSbOps] = {
 #define X(n) &&lbl_##n,
         JAAVR_SB_OPS(X)
 #undef X
     };
-    void *const *const labels = label_tab;
 #define SB_NEXT() goto *ip->lbl
-#else
-    void *const *const labels = nullptr;
-#define SB_NEXT() goto sb_dispatch
-#endif
 
     uint64_t consumed = 0;
     uint64_t insts = 0;
@@ -383,9 +402,15 @@ Machine::runSuperblock(uint64_t max_cycles)
     // instruction. Never reset: the loop exits on the first trap.
     TrapKind trap_kind = TrapKind::None;
     uint16_t trap_addr = 0;
-    // Set by a slow-path (I/O space) store; rechecked at retirement
-    // so a store that enables the MAC unit side-exits the trace.
-    bool io_dirty = false;
+    // Set by a store into MACCR (which resets the MAC unit); checked
+    // at retirement, where the trace side-exits to re-key.
+    bool maccr_written = false;
+    // ISE: the MAC shadow pending at the current block boundary. Block
+    // entry keys on it and clears it; only a non-retiring continuation
+    // (EXIT_SHADOW) or a trap sets it again, since every retiring exit
+    // outlasts the shadow.
+    uint8_t mac_sh = macUnit.pendingShadow();
+    uint64_t mac_stall = 0;
 
     uint8_t sreg = sregBits;
     std::array<uint8_t, 32> r8 = regs;
@@ -406,16 +431,19 @@ Machine::runSuperblock(uint64_t max_cycles)
 
     // Delta-based so the periodic flush cannot double-count; per-op
     // cycle totals are reconstructed as op_count * base + op_extra
-    // (the same invariant runFast maintains).
+    // (the same invariant runFast maintains). Forced inline, with
+    // SREG passed by value: an out-of-line closure would pin every
+    // local it captures in memory, and SREG sits on the dependency
+    // chain of nearly every handler.
     uint64_t flushed_insts = 0;
     uint64_t flushed_cycles = 0;
-    auto flush = [&] {
+    auto flush = [&](uint8_t sreg_now) __attribute__((always_inline)) {
         execStats.instructions += insts - flushed_insts;
         execStats.cycles += consumed - flushed_cycles;
         flushed_insts = insts;
         flushed_cycles = consumed;
         pcWord = pc & 0xffff;
-        sregBits = sreg;
+        sregBits = sreg_now;
         regs = r8;
         const std::array<uint8_t, kNumOps> &base_tab =
             baseCycleTable(cpuMode);
@@ -426,12 +454,16 @@ Machine::runSuperblock(uint64_t max_cycles)
         }
         op_count.fill(0);
         op_extra.fill(0);
+        execStats.macStallNops += mac_stall;
+        mac_stall = 0;
+        if (ise)
+            macUnit.setPendingShadow(mac_sh);
     };
 
     // Guarded data-space access, copied from runFast (no debug hooks
-    // here, and no MAC shadow tracking: the backend never runs while
-    // the MAC unit is live). The register/IO fallback syncs the local
-    // SREG around readData/writeData, which can touch SREG at 0x5f.
+    // here; the MAC shadow is static per trace element). The
+    // register/IO fallback syncs the local SREG around
+    // readData/writeData, which can touch SREG at 0x5f.
     auto loadMem = [&](uint16_t a) -> uint8_t {
         if (a >= sramBase) [[likely]] {
             if (a > data_limit) [[unlikely]] {
@@ -463,7 +495,8 @@ Machine::runSuperblock(uint64_t max_cycles)
         writeData(a, v);
         sreg = sregBits;
         r8 = regs;
-        io_dirty = true;
+        if (a == ioBase + ioMaccr)
+            maccr_written = true;
     };
     auto ioRead = [&](uint8_t ioaddr) -> uint8_t {
         sregBits = sreg;
@@ -479,30 +512,36 @@ Machine::runSuperblock(uint64_t max_cycles)
         writeData(ioBase + ioaddr, v);
         sreg = sregBits;
         r8 = regs;
-        io_dirty = true;
+        if (ioaddr == ioMaccr)
+            maccr_written = true;
     };
-    auto pushB = [&](uint8_t v) {
+    // Stack accessors. The data-space accessor is an argument, not a
+    // capture: in a function this large, a closure holding another
+    // closure's address keeps every local the inner one captures
+    // (SREG among them) in memory.
+    auto pushB = [&](auto &store, uint8_t v) {
         uint16_t a = sp();
         if (a < stack_guard) [[unlikely]] {
             trap_kind = TrapKind::StackOverflow;
             trap_addr = a;
             return;
         }
-        storeMem(a, v);
+        store(a, v);
         if (trap_kind == TrapKind::None) [[likely]]
             setSp(a - 1);
     };
-    auto popB = [&]() -> uint8_t {
+    auto popB = [&](auto &load) -> uint8_t {
         setSp(sp() + 1);
-        return loadMem(sp());
+        return load(sp());
     };
-    auto pushRet = [&](uint32_t ret) {
-        pushB(static_cast<uint8_t>(ret));
-        pushB(static_cast<uint8_t>(ret >> 8));
+    // Return addresses: low byte pushed first, high byte second.
+    auto pushRet = [&](auto &store, uint32_t ret) {
+        pushB(store, static_cast<uint8_t>(ret));
+        pushB(store, static_cast<uint8_t>(ret >> 8));
     };
-    auto popRet = [&]() -> uint32_t {
-        uint32_t hi = popB();
-        uint32_t lo = popB();
+    auto popRet = [&](auto &load) -> uint32_t {
+        uint32_t hi = popB(load);
+        uint32_t lo = popB(load);
         return (hi << 8) | lo;
     };
 
@@ -511,8 +550,7 @@ Machine::runSuperblock(uint64_t max_cycles)
 
 // Retirement tails. Plain ALU work cannot trap; memory handlers
 // check the trap flag (the trapping instruction must not retire);
-// store handlers additionally side-exit when a slow-path store may
-// have enabled the MAC unit mid-trace.
+// store handlers additionally side-exit after a store into MACCR.
 #define SB_RETIRE()                                                     \
     do {                                                                \
         op_count[ip->op]++;                                             \
@@ -532,43 +570,42 @@ Machine::runSuperblock(uint64_t max_cycles)
         if (trap_kind != TrapKind::None) [[unlikely]]                   \
             goto trap_exit;                                             \
         op_count[ip->op]++;                                             \
-        if (io_dirty) [[unlikely]] {                                    \
-            io_dirty = false;                                           \
-            if (ise && io[ioMaccr] != 0)                                \
-                goto maccr_side_exit;                                   \
-        }                                                               \
+        if (maccr_written) [[unlikely]]                                 \
+            goto maccr_side_exit;                                       \
         ip++;                                                           \
         SB_NEXT();                                                      \
     } while (0)
 
   next_block:
-    if (pc == exitAddress) {
-        flush();
-        return;
-    }
+    if (pc == exitAddress)
+        goto finish;
     // Keep the 32-bit op_count entries from saturating (runFast
     // flushes on the same period).
     if (insts - flushed_insts >= 0x1000000) [[unlikely]]
-        flush();
-    // ISE legality: traces assume no MAC activity. Pending shadow
-    // micro-ops or an enabled MACCR delegate the rest of the run to
-    // the fast path, which carries the full hazard machinery.
-    if (ise && (io[ioMaccr] != 0 || macUnit.pendingShadow() != 0)) {
-        flush();
-        runFastPlain(max_cycles - consumed);
-        return;
-    }
-    io_dirty = false;
+        flush(sreg);
+    maccr_written = false;
     {
-        SbBlock *b = cache->lookup(pc);
-        if (!b) [[unlikely]]
-            b = cache->translate(*this, pc, labels);
+        SbBlock *b;
+        if (ise) {
+            // ISE legality: the trace is specialized to the MAC state
+            // at entry, so that state is part of the key.
+            const uint8_t key = sbMacKey(io[ioMaccr], mac_sh);
+            mac_sh = 0;
+            b = cache->lookup(pc, key);
+            if (!b) [[unlikely]]
+                b = cache->translate(*this, pc, key, labels);
+        } else {
+            b = cache->lookup(pc);
+            if (!b) [[unlikely]]
+                b = cache->translate(*this, pc, 0, labels);
+        }
         // Budget pre-check: if this pass could cross the budget,
         // delegate to the fast path for per-instruction precision.
         // Passing it guarantees consumed stays below max_cycles for
         // the whole pass, so handlers carry no budget test.
         if (consumed + b->maxCycles >= max_cycles) [[unlikely]] {
-            flush();
+            mac_sh = b->entryShadow();
+            flush(sreg);
             runFastPlain(max_cycles - consumed);
             return;
         }
@@ -576,16 +613,6 @@ Machine::runSuperblock(uint64_t max_cycles)
         ip = code0;
     }
     SB_NEXT();
-
-#ifndef JAAVR_SB_THREADED
-  sb_dispatch:
-    switch (static_cast<SbOp>(ip->h)) {
-#define X(n) case SbOp::n: goto lbl_##n;
-        JAAVR_SB_OPS(X)
-#undef X
-    }
-    fatal("superblock: corrupt dispatch code %u", ip->h);
-#endif
 
   lbl_ADD: {
     uint8_t d = r8[ip->a], s = r8[ip->b];
@@ -804,9 +831,15 @@ Machine::runSuperblock(uint64_t max_cycles)
     SB_RETIRE();
   }
   lbl_SWAP: {
-    // No MAC swap trigger here: the backend never runs with MACCR
-    // enabled (checked at every block entry).
     uint8_t d = r8[ip->a];
+    r8[ip->a] = static_cast<uint8_t>((d << 4) | (d >> 4));
+    SB_RETIRE();
+  }
+  lbl_SWAP_MAC: {
+    // Algorithm 1 (MACCR swap mode): the pre-swap low nibble is the
+    // MAC digit.
+    uint8_t d = r8[ip->a];
+    macUnit.macSwap(r8, d & 0x0f);
     r8[ip->a] = static_cast<uint8_t>((d << 4) | (d >> 4));
     SB_RETIRE();
   }
@@ -907,68 +940,42 @@ Machine::runSuperblock(uint64_t max_cycles)
         goto take_skip;
     SB_RETIRE();
   }
-  lbl_LD_X: {
-    uint8_t v = loadMem(pair(26));
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
+// Each load form is written once and instantiated twice: the plain
+// handler and its Algorithm-2 trigger (rd is R24), which goes on to
+// apply the two shadow MACs (trigger_tail below).
+#define SB_LOAD(NAME, BODY)                                             \
+  lbl_##NAME: {                                                         \
+    BODY;                                                               \
+    SB_RETIRE_MEM();                                                    \
+  }                                                                     \
+  lbl_##NAME##_MAC: {                                                   \
+    BODY;                                                               \
+    goto trigger_tail;                                                  \
   }
-  lbl_LD_X_INC: {
-    uint16_t ea = pair(26);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    setPair(26, ea + 1);
+  SB_LOAD(LD_X, r8[ip->a] = loadMem(pair(26)))
+  SB_LOAD(LD_X_INC, uint16_t ea = pair(26); r8[ip->a] = loadMem(ea);
+                    setPair(26, ea + 1))
+  SB_LOAD(LD_X_DEC, uint16_t ea = pair(26) - 1; setPair(26, ea);
+                    r8[ip->a] = loadMem(ea))
+  SB_LOAD(LDD_Y, r8[ip->a] = loadMem(static_cast<uint16_t>(pair(28) +
+                                                            ip->imm)))
+  SB_LOAD(LD_Y_INC, uint16_t ea = pair(28); r8[ip->a] = loadMem(ea);
+                    setPair(28, ea + 1))
+  SB_LOAD(LD_Y_DEC, uint16_t ea = pair(28) - 1; setPair(28, ea);
+                    r8[ip->a] = loadMem(ea))
+  SB_LOAD(LDD_Z, r8[ip->a] = loadMem(static_cast<uint16_t>(pair(30) +
+                                                            ip->imm)))
+  SB_LOAD(LD_Z_INC, uint16_t ea = pair(30); r8[ip->a] = loadMem(ea);
+                    setPair(30, ea + 1))
+  SB_LOAD(LD_Z_DEC, uint16_t ea = pair(30) - 1; setPair(30, ea);
+                    r8[ip->a] = loadMem(ea))
+  SB_LOAD(LDS, r8[ip->a] = loadMem(ip->addr))
+#undef SB_LOAD
+  trigger_tail:
+    // The MACs apply before the trap check, as in runFast, so a
+    // trapping trigger leaves the same accumulator.
+    macUnit.macLoad(r8, r8[24]);
     SB_RETIRE_MEM();
-  }
-  lbl_LD_X_DEC: {
-    uint16_t ea = pair(26);
-    setPair(26, --ea);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LDD_Y: {
-    uint8_t v = loadMem(static_cast<uint16_t>(pair(28) + ip->imm));
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_Y_INC: {
-    uint16_t ea = pair(28);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    setPair(28, ea + 1);
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_Y_DEC: {
-    uint16_t ea = pair(28);
-    setPair(28, --ea);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LDD_Z: {
-    uint8_t v = loadMem(static_cast<uint16_t>(pair(30) + ip->imm));
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_Z_INC: {
-    uint16_t ea = pair(30);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    setPair(30, ea + 1);
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_Z_DEC: {
-    uint16_t ea = pair(30);
-    setPair(30, --ea);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LDS: {
-    uint8_t v = loadMem(ip->addr);
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
   lbl_ST_X: {
     storeMem(pair(26), r8[ip->a]);
     SB_RETIRE_STORE();
@@ -1022,11 +1029,11 @@ Machine::runSuperblock(uint64_t max_cycles)
     SB_RETIRE_STORE();
   }
   lbl_PUSH: {
-    pushB(r8[ip->a]);
+    pushB(storeMem, r8[ip->a]);
     SB_RETIRE_STORE();
   }
   lbl_POP: {
-    r8[ip->a] = popB();
+    r8[ip->a] = popB(loadMem);
     SB_RETIRE_MEM();
   }
   lbl_LPM_R0: {
@@ -1052,8 +1059,12 @@ Machine::runSuperblock(uint64_t max_cycles)
     SB_RETIRE();
   }
   lbl_NOPLIKE: {
-    // NOP/SLEEP/WDR/BREAK. No MAC-stall accounting: the backend
-    // never executes with shadow micro-ops pending.
+    // NOP/SLEEP/WDR/BREAK.
+    SB_RETIRE();
+  }
+  lbl_NOP_STALL: {
+    // A NOP retired while MAC micro-ops are pending (hazard stall).
+    mac_stall++;
     SB_RETIRE();
   }
   lbl_GHOST: {
@@ -1064,7 +1075,7 @@ Machine::runSuperblock(uint64_t max_cycles)
   lbl_CALL_THROUGH: {
     // Stitched RCALL/CALL: push the return address, keep executing
     // the trace straight into the callee.
-    pushRet(ip->addr);
+    pushRet(storeMem, ip->addr);
     SB_RETIRE_STORE();
   }
   lbl_BRBS: {
@@ -1078,7 +1089,7 @@ Machine::runSuperblock(uint64_t max_cycles)
     SB_RETIRE();
   }
   lbl_EXIT_RET: {
-    uint32_t ret = popRet();
+    uint32_t ret = popRet(loadMem);
     if (trap_kind != TrapKind::None) [[unlikely]]
         goto trap_exit;
     op_count[ip->op]++;
@@ -1088,7 +1099,7 @@ Machine::runSuperblock(uint64_t max_cycles)
     goto next_block;
   }
   lbl_EXIT_RETI: {
-    uint32_t ret = popRet();
+    uint32_t ret = popRet(loadMem);
     sreg |= sregI;
     if (trap_kind != TrapKind::None) [[unlikely]]
         goto trap_exit;
@@ -1109,18 +1120,21 @@ Machine::runSuperblock(uint64_t max_cycles)
     // Push first, then read Z: a push that lands in the register
     // file (SP below 0x20) must be visible to the target read,
     // exactly as on the reference path.
-    pushRet(ip->addr);
+    pushRet(storeMem, ip->addr);
     if (trap_kind != TrapKind::None) [[unlikely]]
         goto trap_exit;
     op_count[ip->op]++;
     consumed += ip->prefixCycles + ip->cycles;
     insts += static_cast<uint64_t>(ip - code0) + 1;
     pc = pair(30);
-    // A push into I/O space could have enabled the MAC unit; the
-    // block-entry check at next_block re-validates, so only the
-    // flag needs clearing (done at next_block).
+    // A push into MACCR needs no side exit here: the next block is
+    // keyed by the MACCR it left behind.
     goto next_block;
   }
+  lbl_EXIT_SHADOW:
+    // EXIT_STATIC inside a live MAC shadow: the next block is keyed
+    // by the shadow still pending.
+    mac_sh = ip->sh;
   lbl_EXIT_STATIC: {
     // Non-retiring continuation (loop back-edge / cap / sentinel).
     consumed += ip->prefixCycles;
@@ -1135,11 +1149,22 @@ Machine::runSuperblock(uint64_t max_cycles)
     consumed += ip->prefixCycles;
     insts += static_cast<uint64_t>(ip - code0);
     pc = ip->pc;
+    mac_sh = ip->sh;
     pendingTrap = Trap{w == 0xffff ? TrapKind::FlashOutOfBounds
                                    : TrapKind::IllegalOpcode,
                        ip->pc, w};
-    flush();
-    return;
+    goto finish;
+  }
+  lbl_MAC_HAZARD: {
+    // runFast's shadow check, resolved at translate time: the
+    // instruction touches the MAC registers under a live shadow (or
+    // retriggers with two MACs pending) and does not retire.
+    consumed += ip->prefixCycles;
+    insts += static_cast<uint64_t>(ip - code0);
+    pc = ip->pc;
+    mac_sh = ip->sh;
+    pendingTrap = Trap{TrapKind::MacHazard, ip->pc, ip->addr};
+    goto finish;
   }
 
   take_branch: {
@@ -1159,29 +1184,32 @@ Machine::runSuperblock(uint64_t max_cycles)
     goto next_block;
   }
   maccr_side_exit: {
-    // A store just enabled the MAC unit mid-trace: the instruction
-    // retired, the rest of the trace must run with hazard checks.
-    // Translation guarantees ip[1].pc is this instruction's static
-    // fall-through successor.
+    // A store into MACCR retired and reset the MAC unit (counter and
+    // shadow): the rest of the trace assumed the old MAC state, so
+    // continue in the block keyed by the new one, with no shadow
+    // pending. Translation guarantees ip[1].pc is this instruction's
+    // static fall-through successor.
     consumed += ip->prefixCycles + ip->cycles;
     insts += static_cast<uint64_t>(ip - code0) + 1;
     pc = ip[1].pc;
-    flush();
-    runFastPlain(max_cycles - consumed);
-    return;
+    goto next_block;
   }
   trap_exit: {
     // The trapping instruction does not retire: charge the retired
     // prefix only and leave PC at the instruction, exactly as
     // runFast/step() do. Partial side effects (pre-decremented
-    // pointers, SP moves) persist identically.
+    // pointers, SP moves, a MAC reset by a first pushed byte) persist
+    // identically.
     consumed += ip->prefixCycles;
     insts += static_cast<uint64_t>(ip - code0);
     pc = ip->pc;
+    mac_sh = maccr_written ? 0 : ip->sh;
     pendingTrap = Trap{trap_kind, ip->pc, trap_addr};
-    flush();
-    return;
+    goto finish;
   }
+  finish:
+    flush(sreg);
+    return;
 
 #undef SB_RETIRE
 #undef SB_RETIRE_MEM

@@ -4,13 +4,16 @@
  * (DESIGN.md §11).
  *
  * A superblock is a straight-line trace of predecoded instructions
- * keyed by its entry PC. Translation walks the decode cache from the
- * entry, stitching across direct control transfers (RJMP/JMP become
- * zero-work "ghost" retirements, RCALL/CALL continue into the
- * callee), turning conditional branches and skips into side exits,
- * and terminating on indirect control flow (RET/RETI/IJMP/ICALL),
- * undecodable words, the exit sentinel, a revisited PC (loop
- * back-edge) or the length cap.
+ * keyed by its entry PC and, in ISE mode, by the MAC state at entry
+ * (MACCR's two mode bits and the pending Algorithm-2 shadow).
+ * Translation walks the decode cache from the entry, stitching across
+ * direct control transfers (RJMP/JMP become zero-work "ghost"
+ * retirements, RCALL/CALL continue into the callee), turning
+ * conditional branches and skips into side exits, and terminating on
+ * indirect control flow (RET/RETI/IJMP/ICALL), undecodable words, the
+ * exit sentinel, a revisited PC (loop back-edge), a MAC hazard or the
+ * length cap. In ISE mode it follows the shadow along the trace, so
+ * MAC triggers, stall NOPs and hazard traps are trace elements.
  *
  * Execution (Machine::runSuperblock in superblock.cc) dispatches the
  * trace through computed-goto threading; each SbInst carries its
@@ -45,8 +48,12 @@ class Machine;
  * handlers; SKIP_* and BRBS/BRBC carry precomputed taken-exit
  * metadata; GHOST is a stitched RJMP/JMP (retires, costs only its
  * predecoded cycles, no runtime control transfer); CALL_THROUGH is a
- * stitched RCALL/CALL; EXIT_* terminate the trace. EXIT_STATIC and
- * EXIT_TRAP are pseudo-instructions that do not retire.
+ * stitched RCALL/CALL; EXIT_* terminate the trace. The ISE-only
+ * elements are the Algorithm-2 trigger loads (*_MAC: the load plus
+ * its two MACs), the Algorithm-1 SWAP_MAC, NOP_STALL (a NOP retired
+ * under a live shadow) and MAC_HAZARD. EXIT_STATIC, EXIT_SHADOW
+ * (EXIT_STATIC with a pending shadow), EXIT_TRAP and MAC_HAZARD are
+ * pseudo-instructions that do not retire.
  */
 #define JAAVR_SB_OPS(X)                                                  \
     X(ADD) X(ADC) X(SUB) X(SBC) X(AND) X(OR) X(EOR) X(MOV)               \
@@ -72,7 +79,12 @@ class Machine;
     X(GHOST) X(CALL_THROUGH)                                             \
     X(BRBS) X(BRBC)                                                      \
     X(EXIT_RET) X(EXIT_RETI) X(EXIT_IJMP) X(EXIT_ICALL)                  \
-    X(EXIT_STATIC) X(EXIT_TRAP)
+    X(EXIT_STATIC) X(EXIT_TRAP)                                          \
+    X(LD_X_MAC) X(LD_X_INC_MAC) X(LD_X_DEC_MAC)                          \
+    X(LDD_Y_MAC) X(LD_Y_INC_MAC) X(LD_Y_DEC_MAC)                         \
+    X(LDD_Z_MAC) X(LD_Z_INC_MAC) X(LD_Z_DEC_MAC)                         \
+    X(LDS_MAC)                                                           \
+    X(SWAP_MAC) X(NOP_STALL) X(EXIT_SHADOW) X(MAC_HAZARD)
 
 enum class SbOp : uint8_t
 {
@@ -83,7 +95,17 @@ enum class SbOp : uint8_t
 
 /** Number of SbOp values; sizes the dispatch label table. */
 constexpr std::size_t kNumSbOps =
-    static_cast<std::size_t>(SbOp::EXIT_TRAP) + 1;
+    static_cast<std::size_t>(SbOp::MAC_HAZARD) + 1;
+
+/**
+ * ISE block key: MACCR's two mode bits plus the Algorithm-2 shadow
+ * (0..2 cycles) pending at block entry. Every CA/FAST block has key 0.
+ */
+constexpr uint8_t
+sbMacKey(uint8_t maccr, uint8_t shadow)
+{
+    return static_cast<uint8_t>((maccr & 3) | shadow << 2);
+}
 
 /**
  * One translated trace element (32 bytes): the dispatch label,
@@ -94,33 +116,41 @@ constexpr std::size_t kNumSbOps =
  * add their own `cycles` (plus `extra` when a branch or skip is
  * taken) on top.
  *
- * `pc` is the program counter of the instruction; for the EXIT_STATIC
- * and EXIT_TRAP pseudo-instructions it is the continuation / faulting
+ * `pc` is the program counter of the instruction; for the
+ * non-retiring pseudo-instructions it is the continuation / faulting
  * PC. Translation guarantees that for every retiring non-terminal
  * element, the next element's `pc` equals this instruction's static
- * fall-through successor — which is what the MACCR side exit uses to
- * resume in the fast path after a store enables the MAC unit.
+ * fall-through successor — which is where the MACCR side exit resumes
+ * after a store rewrites the MAC control register.
+ *
+ * `sh` is the MAC shadow pending before the element, known at
+ * translate time (always 0 outside ISE). Non-retiring exits publish
+ * it; a retiring exit always publishes 0, because every retiring exit
+ * (RET/RETI/IJMP/ICALL, a taken branch or skip) costs at least 2
+ * cycles, the longest shadow.
  */
 struct SbInst
 {
-    void *lbl = nullptr;      ///< computed-goto handler (threaded mode)
+    void *lbl = nullptr;      ///< computed-goto handler
     uint32_t pc = 0;          ///< program PC (pseudos: continuation PC)
     uint32_t target = 0;      ///< taken-branch / skip target PC
     uint32_t prefixCycles = 0;///< base cycles retired before this element
     uint16_t imm = 0;         ///< immediate / I/O address / LDD disp
-    uint16_t addr = 0;        ///< LDS/STS data address; call return PC
+    uint16_t addr = 0;        ///< LDS/STS address; return PC; hazard detail
     uint8_t op = 0;           ///< architectural Op (for op_count[])
     uint8_t a = 0;            ///< rd / SREG bit
     uint8_t b = 0;            ///< rr / bit number
     uint8_t cycles = 0;       ///< predecoded base cycle cost
     uint8_t extra = 0;        ///< taken-skip extra cycles (skipExtra)
-    uint8_t h = 0;            ///< SbOp (switch-dispatch fallback)
+    uint8_t sh = 0;           ///< MAC shadow pending before this element
 };
 
 /** A translated superblock: the trace plus its budget envelope. */
 struct SbBlock
 {
     uint32_t entry = 0;
+    /** sbMacKey() of the MAC state the trace was translated for. */
+    uint8_t macKey = 0;
     /**
      * Upper bound on the cycles one pass through the trace can
      * consume (total base cost + the largest single exit extra).
@@ -130,13 +160,19 @@ struct SbBlock
      * precision.
      */
     uint32_t maxCycles = 0;
+    /** Next block with the same entry PC and another MAC key (ISE). */
+    SbBlock *next = nullptr;
     std::vector<SbInst> code;
+
+    /** MAC shadow pending at entry. */
+    uint8_t entryShadow() const { return macKey >> 2; }
 };
 
 /**
- * Entry-PC-keyed cache of translated superblocks. Lookup is a flat
- * table indexed by PC word (one pointer per flash word) so the hot
- * path is a single dependent load; ownership lives in a side vector.
+ * Entry-keyed cache of translated superblocks. Lookup is a flat table
+ * indexed by PC word (one pointer per flash word) so the hot path is
+ * a single dependent load; the ISE blocks of one PC chain through
+ * SbBlock::next by MAC key. Ownership lives in a side vector.
  */
 class SuperblockCache
 {
@@ -148,16 +184,25 @@ class SuperblockCache
 
     SuperblockCache();
 
-    /** Translated block entered at @p pc, or nullptr. */
+    /** First block entered at @p pc (the only one outside ISE). */
     SbBlock *lookup(uint32_t pc) const { return table[pc & 0xffff]; }
 
+    /** Block entered at @p pc under MAC key @p key, or nullptr. */
+    SbBlock *
+    lookup(uint32_t pc, uint8_t key) const
+    {
+        SbBlock *b = table[pc & 0xffff];
+        while (b && b->macKey != key)
+            b = b->next;
+        return b;
+    }
+
     /**
-     * Translate (and cache) the superblock entered at @p pc from
-     * @p m's decode cache. @p labels maps SbOp to the computed-goto
-     * handler addresses of the executing run loop (null in
-     * switch-dispatch builds).
+     * Translate (and cache) the superblock entered at @p pc under MAC
+     * key @p key from @p m's decode cache. @p labels maps SbOp to the
+     * computed-goto handler addresses of the executing run loop.
      */
-    SbBlock *translate(const Machine &m, uint32_t pc,
+    SbBlock *translate(const Machine &m, uint32_t pc, uint8_t key,
                        void *const *labels);
 
     /** Drop every translated block (flash changed). */

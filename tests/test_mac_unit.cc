@@ -10,6 +10,7 @@
 
 #include "avr/machine.hh"
 #include "avrasm/assembler.hh"
+#include "support/logging.hh"
 #include "support/random.hh"
 
 using namespace jaavr;
@@ -308,6 +309,90 @@ TEST(MacUnit, BackToBackTriggersTrap)
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.trap.kind, TrapKind::MacHazard);
     EXPECT_EQ(r.trap.addr, 1u);  // back-to-back retrigger flavor
+
+    // The pre-decrement forms fire the MAC like every other load
+    // into R24, so they obey the same rule, on every backend.
+    for (const char *ptr : {"X", "Y", "Z"}) {
+        const Program p = assemble(csprintf(R"(
+            .equ MACCR = 0x3c
+            ldi r20, 0x02
+            out MACCR, r20
+            ld r24, %s+
+            ld r24, -%s     ; retrigger with two MACs pending: illegal
+            ret
+        )", ptr, ptr), "mac");
+        for (IssBackend backend : {IssBackend::Reference, IssBackend::Fast,
+                                   IssBackend::Superblock}) {
+            Machine mb(CpuMode::ISE);
+            mb.setBackend(backend);
+            mb.forceReference = backend == IssBackend::Reference;
+            mb.loadProgram(p.words);
+            mb.setX(kA);
+            mb.setY(kA);
+            mb.setZ(kA);
+            RunResult rb = mb.call(0);
+            EXPECT_EQ(rb.trap.kind, TrapKind::MacHazard)
+                << "-" << ptr << " on " << issBackendName(backend);
+            EXPECT_EQ(rb.trap.addr, 1u);
+            EXPECT_EQ(mb.mac().totalMacs(), 2u);
+        }
+    }
+}
+
+/*
+ * The fused Algorithm-2 trigger: below counter 7, macLoad() adds one
+ * (32 x 8)-bit product instead of two nibble MACs. It must agree with
+ * two mac() calls and with a 128-bit model of the 72-bit accumulator
+ * at every counter position (7 takes the split path), including
+ * accumulators next to 2^72 where the R8 carry wraps.
+ */
+TEST(MacUnit, FusedTriggerMatchesTwoNibbleMacs)
+{
+    const unsigned __int128 mask72 =
+        (static_cast<unsigned __int128>(1) << 72) - 1;
+    auto acc = [](const std::array<uint8_t, 32> &regs) {
+        unsigned __int128 v = 0;
+        for (int i = 8; i >= 0; i--)
+            v = (v << 8) | regs[i];
+        return v;
+    };
+    Rng rng(102);
+    for (int iter = 0; iter < 4000; iter++) {
+        const unsigned c = iter % 8;
+        std::array<uint8_t, 32> fused{};
+        for (auto &byte : fused)
+            byte = static_cast<uint8_t>(rng.next32());
+        if (iter % 3 == 0)  // within 2^40 of 2^72
+            for (int i = 5; i <= 8; i++)
+                fused[i] = 0xff;
+        std::array<uint8_t, 32> split = fused;
+        const uint8_t value = static_cast<uint8_t>(rng.next32());
+        const unsigned __int128 word = static_cast<uint32_t>(
+            fused[16] | fused[17] << 8 | fused[18] << 16 |
+            static_cast<uint32_t>(fused[19]) << 24);
+        const unsigned __int128 expect =
+            (acc(fused) + (word * (value & 0xf) << (4 * c)) +
+             (word * (value >> 4) << (4 * ((c + 1) % 8)))) & mask72;
+
+        // Zero-nibble MACs move both counters to c without touching
+        // the accumulators under test.
+        MacUnit a, b;
+        std::array<uint8_t, 32> spare{};
+        for (unsigned i = 0; i < c; i++) {
+            a.mac(spare, 0);
+            b.mac(spare, 0);
+        }
+        a.macLoad(fused, value);
+        b.mac(split, value & 0x0f);
+        b.mac(split, value >> 4);
+
+        ASSERT_EQ(fused, split) << "counter " << c;
+        ASSERT_TRUE(acc(fused) == expect) << "counter " << c;
+        EXPECT_EQ(a.shiftCounter(), (c + 2) % 8);
+        EXPECT_EQ(a.shiftCounter(), b.shiftCounter());
+        EXPECT_EQ(a.totalMacs(), c + 2);
+        EXPECT_EQ(a.alg2Macs(), 2u);
+    }
 }
 
 TEST(MacUnit, IndependentWorkInShadowIsLegal)

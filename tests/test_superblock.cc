@@ -2,11 +2,12 @@
  * @file
  * Tests pinning the superblock-threaded backend (DESIGN.md §11) to
  * the step() reference implementation and the predecoded fast path:
- * exhaustive all-opcode-word replay in all three CPU modes, random
- * program soup across all three backends, trap-in-mid-trace side
- * exits, the MACCR store side exit, trace invalidation through the
- * GDB flash-patch path, the JAAVR_ISS_BACKEND selection switch, and
- * the decode-canonicalization (synonym) satellite.
+ * exhaustive all-opcode-word replay in all three CPU modes (and in
+ * ISE with the MAC unit live and a shadow pending at entry), random
+ * program soup across all three backends, seeded MAC-unit soup,
+ * trap-in-mid-trace side exits, MACCR stores, trace invalidation
+ * through the GDB flash-patch path, the JAAVR_ISS_BACKEND selection
+ * switch, and the decode-canonicalization (synonym) satellite.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "avr/isa.hh"
 #include "avr/mac_unit.hh"
 #include "avr/machine.hh"
+#include "avr/superblock.hh"
 #include "avr/timing.hh"
 #include "avrasm/assembler.hh"
 #include "avrgen/secp160_harness.hh"
@@ -50,8 +52,12 @@ sameState(const Machine &a, const Machine &b)
         return false;
     if (!(a.trap() == b.trap()))
         return false;
-    if (a.mac().pendingShadow() != b.mac().pendingShadow() ||
-        a.mac().totalMacs() != b.mac().totalMacs())
+    if (a.maccr() != b.maccr() ||
+        a.mac().pendingShadow() != b.mac().pendingShadow() ||
+        a.mac().shiftCounter() != b.mac().shiftCounter() ||
+        a.mac().totalMacs() != b.mac().totalMacs() ||
+        a.mac().alg1Macs() != b.mac().alg1Macs() ||
+        a.mac().alg2Macs() != b.mac().alg2Macs())
         return false;
     return a.readBytes(Machine::sramBase, 0x1000) ==
            b.readBytes(Machine::sramBase, 0x1000);
@@ -77,6 +83,13 @@ explainState(const Machine &a, const Machine &b, const char *a_name,
             << "opCycles " << opName(static_cast<Op>(op));
     }
     EXPECT_EQ(a.stats().macStallNops, b.stats().macStallNops);
+    EXPECT_EQ(a.maccr(), b.maccr()) << "maccr";
+    EXPECT_EQ(a.mac().pendingShadow(), b.mac().pendingShadow())
+        << "mac shadow";
+    EXPECT_EQ(a.mac().shiftCounter(), b.mac().shiftCounter())
+        << "mac counter";
+    EXPECT_EQ(a.mac().alg1Macs(), b.mac().alg1Macs()) << "alg1 macs";
+    EXPECT_EQ(a.mac().alg2Macs(), b.mac().alg2Macs()) << "alg2 macs";
     EXPECT_TRUE(a.trap() == b.trap())
         << "trap kind " << static_cast<int>(a.trap().kind) << " vs "
         << static_cast<int>(b.trap().kind) << " pc 0x" << std::hex
@@ -100,6 +113,51 @@ seed(Machine &m, uint32_t salt)
     m.setZ(0x0280);
 }
 
+/** One machine per backend, run side by side. */
+struct ThreeBackends
+{
+    Machine ref, fast, sb;
+
+    explicit ThreeBackends(CpuMode mode) : ref(mode), fast(mode), sb(mode)
+    {
+        ref.forceReference = true;
+        fast.forceReference = false;
+        fast.setBackend(IssBackend::Fast);
+        sb.forceReference = false;
+        sb.setBackend(IssBackend::Superblock);
+    }
+
+    /**
+     * Load @p prog into freshly reset machines, seed them identically,
+     * call it @p calls times with @p budget each, and verify bit- and
+     * cycle-identical outcomes (reference is truth). Returns false on
+     * a mismatch.
+     */
+    bool
+    run(const Program &prog, uint64_t budget, uint32_t salt, int calls)
+    {
+        for (Machine *m : {&ref, &fast, &sb}) {
+            m->reset();
+            m->loadProgram(prog.words, 0);
+            seed(*m, salt);
+            for (uint16_t a = 0x200; a < 0x2c0; a++)
+                m->writeData(a, static_cast<uint8_t>(a * 7 + salt));
+            for (int c = 0; c < calls; c++)
+                m->call(0, budget);
+        }
+        bool same = true;
+        if (!sameState(ref, sb)) {
+            explainState(ref, sb, "reference", "superblock");
+            same = false;
+        }
+        if (!sameState(ref, fast)) {
+            explainState(ref, fast, "reference", "fast");
+            same = false;
+        }
+        return same;
+    }
+};
+
 /**
  * Run @p prog on all three backends from identical state and verify
  * bit- and cycle-identical outcomes (reference is truth).
@@ -109,23 +167,137 @@ expectThreeWayEquivalence(const Program &prog, CpuMode mode,
                           uint64_t budget = Machine::defaultCycleBudget,
                           uint32_t salt = 0x1a2b)
 {
-    Machine ref(mode), fast(mode), sb(mode);
-    ref.forceReference = true;
-    fast.forceReference = false;
-    fast.setBackend(IssBackend::Fast);
-    sb.forceReference = false;
-    sb.setBackend(IssBackend::Superblock);
-    for (Machine *m : {&ref, &fast, &sb}) {
-        m->loadProgram(prog.words, 0);
-        seed(*m, salt);
-        for (uint16_t a = 0x200; a < 0x2c0; a++)
-            m->writeData(a, static_cast<uint8_t>(a * 7 + salt));
-        m->call(0, budget);
+    ThreeBackends(mode).run(prog, budget, salt, 1);
+}
+
+/**
+ * One seeded "MAC soup" program: random ISE code built to stress the
+ * MAC unit. It sets a random MACCR mode, then mixes R24 loads in every
+ * addressing form, SWAPs, NOPs, legal work outside the 13 MAC
+ * registers, illegal work on them, MACCR rewrites (OUT/STS/PUSH),
+ * counted loops and calls around triggers. The pointers start inside
+ * the seeded window 0x200..0x2bf; a MOVW item may repoint them
+ * anywhere, which every backend turns into the same I/O access or
+ * trap.
+ */
+std::string
+macSoup(Rng &rng, unsigned items)
+{
+    auto r = [&](unsigned bound) {
+        return static_cast<unsigned>(rng.below(bound));
+    };
+    // Registers outside {R0..R8, R16..R19}, and inside it.
+    static const unsigned kFree[] = {9, 10, 11, 12, 13, 14, 15,
+                                     20, 21, 22, 23, 25};
+    static const unsigned kMac[] = {0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                    16, 17, 18, 19};
+    auto free_reg = [&] { return kFree[r(std::size(kFree))]; };
+    auto mac_reg = [&] { return kMac[r(std::size(kMac))]; };
+    auto any_reg = [&] { return r(2) ? free_reg() : mac_reg(); };
+
+    std::string src;
+    src += "ldi r26, 0x40\nldi r27, 0x02\n";  // X = 0x0240
+    src += "ldi r28, 0x40\nldi r29, 0x02\n";  // Y = 0x0240
+    src += "ldi r30, 0x80\nldi r31, 0x02\n";  // Z = 0x0280
+    src += csprintf("ldi r20, %u\nout 0x3c, r20\n", r(4));
+    bool has_sub = false;
+    for (unsigned i = 0; i < items; i++) {
+        switch (r(24)) {
+          case 0: case 1: case 2: case 3: case 4: case 5: {
+            static const char *const kLoad24[] = {
+                "ld r24, X", "ld r24, X+", "ld r24, -X",
+                "ldd r24, Y+%u", "ld r24, Y+", "ld r24, -Y",
+                "ldd r24, Z+%u", "ld r24, Z+", "ld r24, -Z",
+            };
+            const unsigned form = r(std::size(kLoad24) + 1);
+            if (form == std::size(kLoad24))
+                src += csprintf("lds r24, 0x%x", 0x200 + r(0xc0));
+            else
+                src += csprintf(kLoad24[form], r(64));
+            break;
+          }
+          case 6: case 7: case 8:
+            src += "nop";
+            break;
+          case 9: case 10:
+            src += csprintf("swap r%u", r(2) ? 24 : any_reg());
+            break;
+          case 11: case 12: case 13: {
+            // Legal in a shadow: nothing here touches the MAC set.
+            const unsigned a = free_reg(), b = free_reg();
+            switch (r(6)) {
+              case 0: src += csprintf("add r%u, r%u", a, b); break;
+              case 1: src += csprintf("eor r%u, r%u", a, b); break;
+              case 2: src += csprintf("inc r%u", a); break;
+              case 3: src += csprintf("mov r%u, r%u", a, b); break;
+              case 4: src += csprintf("ldi r%u, %u", 20 + r(4), r(256));
+                      break;
+              default: src += csprintf("ld r%u, Y+", a); break;
+            }
+            break;
+          }
+          case 14: case 15: {
+            // Illegal while a shadow is live.
+            const unsigned a = mac_reg(), b = any_reg();
+            switch (r(5)) {
+              case 0: src += csprintf("add r%u, r%u", a, b); break;
+              case 1: src += csprintf("ldi r%u, %u", 16 + r(4), r(256));
+                      break;
+              case 2: src += csprintf("mul r%u, r%u", 20 + r(4), b);
+                      break;
+              case 3: src += csprintf("std Z+%u, r%u", r(64), a); break;
+              default: src += csprintf("mov r%u, r%u", b, a); break;
+            }
+            break;
+          }
+          case 16: case 17: {
+            // MACCR rewrites; each one resets the MAC unit. (MACCR is
+            // beyond SBI/CBI's reach.) The PUSH form needs the stack
+            // guard below 0x5c.
+            const unsigned mode = r(8);
+            switch (r(4)) {
+              case 0: src += csprintf("ldi r21, %u\nout 0x3c, r21", mode);
+                      break;
+              case 1: src += csprintf("ldi r21, %u\nsts 0x5c, r21", mode);
+                      break;
+              case 2:
+                src += csprintf("ldi r21, %u\nin r9, 0x3d\nin r10, 0x3e\n"
+                                "ldi r22, 0x5c\nout 0x3d, r22\n"
+                                "ldi r22, 0\nout 0x3e, r22\npush r21\n"
+                                "out 0x3d, r9\nout 0x3e, r10",
+                                mode);
+                break;
+              default: src += csprintf("out 0x3c, r%u", any_reg()); break;
+            }
+            break;
+          }
+          case 18: case 19:
+            // A counted loop around a trigger: the back-edge re-enters
+            // the loop block with whatever shadow its exit left.
+            src += csprintf("ldi r25, %u\nsl%u:\nld r24, Z+\n%s\n"
+                            "dec r25\nbrne sl%u",
+                            1 + r(4), i, r(2) ? "nop" : "inc r22", i);
+            break;
+          case 20:
+            src += csprintf("sbrc r%u, %u\nld r24, Y+", free_reg(), r(8));
+            break;
+          case 21:
+            src += "rcall soup_sub";
+            has_sub = true;
+            break;
+          case 22:
+            src += csprintf("ldd r%u, Y+%u", any_reg(), r(64));
+            break;
+          default:
+            src += csprintf("movw r%u, r%u", 2 * r(16), 2 * r(16));
+            break;
+        }
+        src += "\n";
     }
-    if (!sameState(ref, sb))
-        explainState(ref, sb, "reference", "superblock");
-    if (!sameState(ref, fast))
-        explainState(ref, fast, "reference", "fast");
+    src += "ret\n";
+    if (has_sub)
+        src += "soup_sub:\nld r24, X+\nnop\nret\n";
+    return src;
 }
 
 } // anonymous namespace
@@ -134,10 +306,10 @@ expectThreeWayEquivalence(const Program &prog, CpuMode mode,
  * Exhaustive replay: every one of the 65536 primary opcode words,
  * executed as the entry of a translated trace, must leave all three
  * backends in bit- and cycle-identical state — registers, SREG, SP,
- * PC, SRAM, per-op statistics and the stopping trap. Because the
- * synonym encodings (LSL/ROL/TST/CLR = ADD/ADC/AND/EOR with rd==rr)
- * are among these words, this is also the behavioral proof that
- * decode canonicalization changed nothing.
+ * PC, SRAM, per-op statistics, the MAC unit and the stopping trap.
+ * Because the synonym encodings (LSL/ROL/TST/CLR = ADD/ADC/AND/EOR
+ * with rd==rr) are among these words, this is also the behavioral
+ * proof that decode canonicalization changed nothing.
  *
  * The word under test sits at 0 followed by a varying operand word
  * and erased flash, so two-word forms get a live operand and straight
@@ -145,34 +317,61 @@ expectThreeWayEquivalence(const Program &prog, CpuMode mode,
  * bounds runaway loops (rjmp .-2 and friends). Architectural state
  * carries over from word to word — it stays identical across the
  * machines by induction, and serves as varied seeding.
+ *
+ * The last pass is ISE with the MAC unit live: MACCR = 3 (SWAP and
+ * R24-load triggers both on), and a budget-stopped `ld r24, X` (plus
+ * a NOP for a one-cycle shadow) ahead of the word, so the superblock
+ * enters the word with 2 or 1 shadow cycles pending, under a keyed
+ * block whose first element is a trigger, a stall NOP, a hazard trap
+ * or plain work.
  */
 TEST(Superblock, AllOpcodeWordsMatchReferenceAllModes)
 {
-    for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
-        Machine ref(mode), fast(mode), sb(mode);
+    const uint16_t trigger = assemble("ld r24, X", "t").words[0];
+    const uint16_t nop = assemble("nop", "n").words[0];
+    struct Pass
+    {
+        CpuMode mode;
+        bool macLive;
+    };
+    for (Pass pass : {Pass{CpuMode::CA, false}, Pass{CpuMode::FAST, false},
+                      Pass{CpuMode::ISE, false}, Pass{CpuMode::ISE, true}}) {
+        Machine ref(pass.mode), fast(pass.mode), sb(pass.mode);
         ref.forceReference = true;
         fast.setBackend(IssBackend::Fast);
         sb.setBackend(IssBackend::Superblock);
         for (uint32_t w = 0; w <= 0xffff; w++) {
             const uint16_t operand =
                 static_cast<uint16_t>(w * 0x9e37u + 0x1234u);
-            const std::vector<uint16_t> words = {
-                static_cast<uint16_t>(w), operand, 0xffff, 0xffff};
+            const bool one_cycle = w & 1;
+            std::vector<uint16_t> words;
+            if (pass.macLive) {
+                words.push_back(trigger);
+                if (one_cycle)
+                    words.push_back(nop);
+            }
+            words.insert(words.end(), {static_cast<uint16_t>(w), operand,
+                                       0xffff, 0xffff});
             for (Machine *m : {&ref, &fast, &sb}) {
                 m->loadProgram(words, 0);
                 seed(*m, w);
                 m->setPc(0);
+                if (pass.macLive) {
+                    m->setMaccr(3);
+                    m->run(one_cycle ? 2 : 1);
+                }
                 m->run(64);
             }
+            const char *label = pass.macLive ? " (MAC live)" : "";
             if (!sameState(ref, sb)) {
                 explainState(ref, sb, "reference", "superblock");
                 FAIL() << "word 0x" << std::hex << w << " mode "
-                       << cpuModeName(mode);
+                       << cpuModeName(pass.mode) << label;
             }
             if (!sameState(ref, fast)) {
                 explainState(ref, fast, "reference", "fast");
                 FAIL() << "word 0x" << std::hex << w << " mode "
-                       << cpuModeName(mode);
+                       << cpuModeName(pass.mode) << label;
             }
         }
     }
@@ -381,11 +580,14 @@ TEST(Superblock, CycleBudgetMidTraceMatchesReference)
 
 /*
  * MACCR side exit: an OUT/ST that enables the MAC unit mid-trace
- * retires in the superblock, then the rest of the run executes on
- * the fast path with the full hazard machinery — Algorithm 2 load-mac
- * triggers, shadow micro-ops and stall accounting must be identical
- * to the reference. In non-ISE modes the same store is inert and the
- * trace keeps running.
+ * retires in the superblock, then the run continues in the block
+ * keyed by the new MAC state — Algorithm 2 load-mac triggers, shadow
+ * micro-ops and stall accounting must be identical to the reference.
+ * In non-ISE modes the same store is inert.
+ *
+ * A MACCR write inside a shadow resets the MAC unit, pending shadow
+ * included, on every backend: the next instruction may touch the MAC
+ * registers, and a NOP after it is no stall.
  */
 TEST(Superblock, MaccrStoreSideExitsMidTrace)
 {
@@ -404,6 +606,109 @@ TEST(Superblock, MaccrStoreSideExitsMidTrace)
     Program p = assemble(src, "maccr");
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE})
         expectThreeWayEquivalence(p, mode);
+
+    const Program touch = assemble("ldi r20, 2\nout 0x3c, r20\n"
+                                   "ld r24, X+\nout 0x3c, r20\n"
+                                   "add r0, r0\nret\n",
+                                   "touch");
+    const Program stall = assemble("ldi r20, 2\nldi r21, 0\n"
+                                   "out 0x3c, r20\nld r24, X+\n"
+                                   "out 0x3c, r21\nnop\nret\n",
+                                   "stall");
+    ThreeBackends t(CpuMode::ISE);
+    for (const Program *q : {&touch, &stall}) {
+        ASSERT_TRUE(t.run(*q, Machine::defaultCycleBudget, 0x77, 1));
+        for (const Machine *m : {&t.ref, &t.fast, &t.sb}) {
+            EXPECT_TRUE(m->trap().kind == TrapKind::None)
+                << m->trap().describe();
+            EXPECT_EQ(m->stats().macStallNops, 0u);
+            EXPECT_EQ(m->mac().pendingShadow(), 0u);
+        }
+    }
+
+    // The reset survives a trap later in the same instruction: an
+    // RCALL in the shadow pushes its first return byte into MACCR and
+    // overflows the stack guard with the second.
+    const Program call = assemble("ldi r20, 2\nout 0x3c, r20\n"
+                                  "ldi r22, 0x5c\nout 0x3d, r22\n"
+                                  "ldi r22, 0\nout 0x3e, r22\n"
+                                  "ld r24, X+\nrcall f\nf:\nret\n",
+                                  "call");
+    for (Machine *m : {&t.ref, &t.fast, &t.sb})
+        m->setStackGuard(0x5c);
+    ASSERT_TRUE(t.run(call, Machine::defaultCycleBudget, 0x78, 1));
+    for (const Machine *m : {&t.ref, &t.fast, &t.sb}) {
+        EXPECT_EQ(m->trap().kind, TrapKind::StackOverflow);
+        EXPECT_EQ(m->mac().pendingShadow(), 0u);
+    }
+}
+
+/*
+ * A trace that reaches the length cap right after a trigger closes
+ * with the shadow still pending; the next block is keyed by it, so
+ * its NOPs count as stalls and the MAC registers stay off limits.
+ */
+TEST(Superblock, TraceCapInsideShadowKeysNextBlock)
+{
+    std::string src = "ldi r20, 2\nout 0x3c, r20\n";
+    // The trigger is trace element 1023 of the block entered after
+    // the MACCR store side exit; the cap closes the trace after it.
+    for (size_t i = 0; i < SuperblockCache::kMaxInsts - 1; i++)
+        src += "inc r25\n";
+    src += "ld r24, X+\nnop\nnop\nadd r0, r1\nret\n";
+    const Program prog = assemble(src, "cap");
+    ThreeBackends t(CpuMode::ISE);
+    ASSERT_TRUE(t.run(prog, Machine::defaultCycleBudget, 0x99, 2));
+    EXPECT_TRUE(t.sb.trap().kind == TrapKind::None);
+    EXPECT_EQ(t.sb.stats().macStallNops, 4u);  // two per call
+
+    // The shadow-1 block: one NOP, then a hazard.
+    src = "ldi r20, 2\nout 0x3c, r20\n";
+    for (size_t i = 0; i < SuperblockCache::kMaxInsts - 2; i++)
+        src += "inc r25\n";
+    src += "ld r24, X+\nnop\nadd r0, r1\nret\n";
+    ASSERT_TRUE(t.run(assemble(src, "cap1"), Machine::defaultCycleBudget,
+                      0x98, 1));
+    EXPECT_EQ(t.sb.trap().kind, TrapKind::MacHazard);
+    EXPECT_EQ(t.sb.stats().macStallNops, 1u);
+}
+
+/*
+ * Seeded MAC soup (see macSoup()): ~2,000 random ISE programs, each
+ * called twice so keyed blocks are re-entered with whatever MAC state
+ * the first call left (a MACCR mode, a pending shadow after a budget
+ * stop or hazard). A quarter run under small budgets that expire
+ * mid-trace and often mid-shadow. All three backends must agree on
+ * everything, MAC unit included.
+ */
+TEST(Superblock, MacSoupThreeBackendEquivalence)
+{
+    Rng rng(0x3ac50);
+    ThreeBackends t(CpuMode::ISE);
+    for (Machine *m : {&t.ref, &t.fast, &t.sb})
+        m->setStackGuard(0x20);  // lets a PUSH reach MACCR
+    unsigned hazards = 0, retriggers = 0, stalls = 0, budget_stops = 0;
+    for (unsigned n = 0; n < 2000; n++) {
+        const std::string src = macSoup(rng, 4 + rng.below(40));
+        const uint64_t budget = rng.below(4) == 0
+                                    ? 1 + rng.below(80)
+                                    : Machine::defaultCycleBudget;
+        if (!t.run(assemble(src, "macsoup"), budget,
+                   static_cast<uint32_t>(n), 2)) {
+            FAIL() << "program " << n << " (budget " << budget
+                   << "):\n" << src;
+        }
+        const Trap &trap = t.ref.trap();
+        hazards += trap.kind == TrapKind::MacHazard;
+        retriggers += trap.kind == TrapKind::MacHazard && trap.addr == 1;
+        budget_stops += trap.kind == TrapKind::CycleBudget;
+        stalls += t.ref.stats().macStallNops > 0;
+    }
+    // The generator reaches what it claims to.
+    EXPECT_GT(hazards, 300u);
+    EXPECT_GT(retriggers, 30u);
+    EXPECT_GT(budget_stops, 100u);
+    EXPECT_GT(stalls, 300u);
 }
 
 /** The full MAC-ISE multiplication kernel, superblock vs reference. */
