@@ -125,8 +125,8 @@ main(int argc, char **argv)
                            /*histograms=*/true, /*record_trace=*/true);
     ise.machine().resetStats();
     // Optional waveform capture of the 552-cycle multiplication; the
-    // recording run routes through the reference loop, whose timing
-    // is pinned to the fast path, so the numbers below are unchanged.
+    // recording run routes through the reference loop, as the
+    // profiled run already does, so the numbers below are unchanged.
     VcdWriter vcd;
     if (!vcdPath.empty()) {
         ise.machine().setWaveSink(&vcd);

@@ -2,13 +2,11 @@
  * @file
  * Host-side ISS throughput benchmark: simulated instructions per
  * wall-second and simulated cycles per wall-second on representative
- * ECC workloads, measured through every ISS backend — the per-step
- * decode reference loop (step()), the predecoded fast path, and the
- * superblock-threaded trace backend. The reference loop is measured
- * exactly ONCE per workload and that one sample anchors every
- * speedup, so the fast and superblock rows of a run are directly
- * comparable (no reference jitter between legs). Emits one JSON line
- * per (workload, backend) to BENCH_iss.json for trajectory tracking
+ * ECC workloads, measured through both ISS backends — the per-step
+ * decode reference loop (step()) and the superblock-threaded trace
+ * backend. The reference loop is measured exactly ONCE per workload
+ * and that one sample anchors the speedup. Emits one JSON line per
+ * (workload, backend) to BENCH_iss.json for trajectory tracking
  * across PRs.
  *
  * Workloads:
@@ -19,9 +17,9 @@
  *
  * Environment:
  *  - JAAVR_BENCH_SECONDS: min wall seconds per measurement (def 0.2)
- *  - JAAVR_ISS_BACKEND / JAAVR_ISS_REFERENCE select the backend for
- *    ordinary runs elsewhere; this bench measures all three legs
- *    explicitly and restores the environment's selection afterwards.
+ *  - JAAVR_ISS_BACKEND selects the backend for ordinary runs
+ *    elsewhere; this bench measures both legs explicitly and restores
+ *    the environment's selection afterwards.
  */
 
 #include <chrono>
@@ -92,43 +90,33 @@ measure(Machine &m, const std::function<void()> &one_op)
 }
 
 /**
- * Measure all three backends against ONE shared reference sample,
- * report, and emit one JSON line per backend. Returns the superblock
- * speedup (the acceptance metric).
+ * Measure both backends against ONE shared reference sample, report,
+ * and emit one JSON line per backend. Returns the superblock speedup
+ * (the acceptance metric).
  */
 double
 compare(const std::string &workload, CpuMode mode, Machine &m,
         const std::function<void()> &one_op)
 {
-    const bool initial_force = m.forceReference;
     const IssBackend initial_backend = m.backend();
 
-    // The single anchoring reference measurement; both speedups below
-    // divide by this same sample.
-    m.forceReference = true;
+    // The single anchoring reference measurement; the speedup below
+    // divides by this sample.
+    m.setBackend(IssBackend::Reference);
     Sample ref = measure(m, one_op);
-    m.forceReference = false;
-
-    m.setBackend(IssBackend::Fast);
-    Sample fast = measure(m, one_op);
     m.setBackend(IssBackend::Superblock);
     Sample sb = measure(m, one_op);
-
-    m.forceReference = initial_force;
     m.setBackend(initial_backend);
 
-    double fast_speedup = ref.ips() > 0 ? fast.ips() / ref.ips() : 0.0;
     double sb_speedup = ref.ips() > 0 ? sb.ips() / ref.ips() : 0.0;
-    std::printf("  %-22s %-4s  ref %7.2f  fast %8.2f (x%.2f)  "
-                "superblock %8.2f Minstr/s (x%.2f)\n",
+    std::printf("  %-22s %-4s  ref %7.2f  superblock %8.2f Minstr/s "
+                "(x%.2f)\n",
                 workload.c_str(), cpuModeName(mode), ref.ips() / 1e6,
-                fast.ips() / 1e6, fast_speedup, sb.ips() / 1e6,
-                sb_speedup);
+                sb.ips() / 1e6, sb_speedup);
 
     for (const auto &[path, s, speedup] :
          {std::tuple<const char *, const Sample &, double>{
               "reference", ref, 1.0},
-          {"fast", fast, fast_speedup},
           {"superblock", sb, sb_speedup}}) {
         appendJsonLine(kJsonPath,
                        benchLine("iss_throughput")
@@ -177,7 +165,7 @@ randomSecpWords(Rng &rng)
 int
 main()
 {
-    heading("ISS throughput: reference vs fast vs superblock backends");
+    heading("ISS throughput: reference vs superblock backends");
     note(csprintf("min %.2f wall seconds per measurement "
                   "(JAAVR_BENCH_SECONDS)", minSeconds()));
     std::printf("\n");

@@ -52,19 +52,14 @@ gitSha()
 
 /**
  * The ISS backend the environment selects for this run:
- * JAAVR_ISS_REFERENCE=1 wins (legacy force-reference switch), then
- * JAAVR_ISS_BACKEND (reference|fast|superblock), else the default
+ * JAAVR_ISS_BACKEND (reference|superblock), else the default
  * superblock backend. Mirrors the Machine's own env handling.
  */
 inline std::string
 issPathFromEnv()
 {
-    if (const char *ref = std::getenv("JAAVR_ISS_REFERENCE");
-        ref && *ref && *ref != '0')
-        return "reference";
     if (const char *be = std::getenv("JAAVR_ISS_BACKEND");
         be && (!std::strcmp(be, "reference") ||
-               !std::strcmp(be, "fast") ||
                !std::strcmp(be, "superblock")))
         return be;
     return "superblock";

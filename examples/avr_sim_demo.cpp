@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "avr/machine.hh"
+#include "avr/profiler.hh"
 #include "avrasm/assembler.hh"
 
 using namespace jaavr;
@@ -78,9 +79,10 @@ main()
     m.writeBytes(0x0210, {0xf0, 0xde, 0xbc, 0x9a});
     m.setY(0x0200);
     m.setZ(0x0210);
-    m.trace = true;  // watch it run
+    TraceSink trace(stderr, "info: ");  // watch it run
+    m.setProfiler(&trace);
     uint64_t cycles = m.call(0);
-    m.trace = false;
+    m.setProfiler(nullptr);
 
     unsigned long long acc = 0;
     for (int i = 7; i >= 0; i--)

@@ -7,15 +7,15 @@
  * trigger delay in cycles, optionally counted from the first arrival
  * at a routine-entry PC resolved through the SymbolTable).
  *
- * The injector is polled by both execution paths at every boundary,
- * through a dedicated runFast<..., Faulted> instantiation so the
- * unarmed fast path carries zero overhead (same pattern as the
- * ProfileSink). A plan fires exactly once; re-running the machine
- * with the injector still attached executes cleanly, which is what
- * lets time-redundant (run-twice-and-compare) countermeasures detect
- * transient faults. Opcode corruption persists in flash like a real
- * program-memory fault; revertFlash() undoes it between campaign
- * trials.
+ * A pending plan makes the run observed: run() takes the step()
+ * reference loop, which polls the injector at every boundary, while
+ * an unarmed (or already fired) injector leaves the superblock loop
+ * untouched at zero overhead. A plan fires exactly once; re-running
+ * the machine with the injector still attached executes cleanly,
+ * which is what lets time-redundant (run-twice-and-compare)
+ * countermeasures detect transient faults. Opcode corruption persists
+ * in flash like a real program-memory fault; revertFlash() undoes it
+ * between campaign trials.
  *
  * Beyond the classic single transient, armSchedule() queues a whole
  * deterministic sequence of plans — each subsequent plan's trigger

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "avr/fault.hh"
-#include "avr/flags.hh"
 #include "avr/profiler.hh"
 #include "avr/superblock.hh"
 #include "support/logging.hh"
@@ -16,17 +15,9 @@ namespace jaavr
 namespace
 {
 
-bool
-envForceReference()
-{
-    const char *v = std::getenv("JAAVR_ISS_REFERENCE");
-    return v && *v && *v != '0';
-}
-
 /**
- * JAAVR_ISS_BACKEND=reference|fast|superblock. Unset or unknown
- * values keep the default (Superblock); the separate
- * JAAVR_ISS_REFERENCE=1 switch still wins in run().
+ * JAAVR_ISS_BACKEND=reference|superblock. Unset or unknown values
+ * keep the default (Superblock).
  */
 IssBackend
 envBackend()
@@ -36,20 +27,12 @@ envBackend()
         return IssBackend::Superblock;
     if (!std::strcmp(v, "reference"))
         return IssBackend::Reference;
-    if (!std::strcmp(v, "fast"))
-        return IssBackend::Fast;
     if (!std::strcmp(v, "superblock"))
         return IssBackend::Superblock;
-    warn("ignoring unknown JAAVR_ISS_BACKEND=%s "
-         "(reference|fast|superblock)", v);
+    warn("ignoring unknown JAAVR_ISS_BACKEND=%s (reference|superblock)",
+         v);
     return IssBackend::Superblock;
 }
-
-// Short local aliases for the shared SREG masks (avr/flags.hh); the
-// branchless *FlagsB helpers themselves now live there so the
-// superblock backend can share them.
-constexpr uint8_t mC = sregC, mZ = sregZ, mN = sregN, mV = sregV,
-                  mS = sregS;
 
 } // anonymous namespace
 
@@ -58,7 +41,6 @@ issBackendName(IssBackend backend)
 {
     switch (backend) {
       case IssBackend::Reference: return "reference";
-      case IssBackend::Fast: return "fast";
       case IssBackend::Superblock: return "superblock";
     }
     return "?";
@@ -110,8 +92,7 @@ Trap::describe() const
 }
 
 Machine::Machine(CpuMode mode)
-    : forceReference(envForceReference()),
-      cpuMode(mode),
+    : cpuMode(mode),
       sram(dataSpace - sramBase, 0),
       flash(flashWords, 0xffff),
       backendV(envBackend())
@@ -429,14 +410,6 @@ Machine::step()
         return 0;
     }
 
-    if (trace) {
-        // The legacy stderr dump, now routed through a TraceSink
-        // (pre-execution, so a panicking instruction still prints).
-        if (!ownedTrace)
-            ownedTrace = std::make_unique<TraceSink>(stderr, "info: ");
-        ownedTrace->onInst(pc0, inst, 0, execStats.cycles);
-    }
-
     // MAC shadow hazard check (Algorithm 2's 13-register rule): the
     // instructions executing while MAC micro-ops are pending must not
     // touch {R0..R8, R16..R19}. A new R24 load is allowed (pipelined
@@ -467,10 +440,10 @@ Machine::step()
         }
     };
 
-    // Guarded data-space access: the fast path mirrors these checks
-    // byte for byte in its loadMem/storeMem/pushB lambdas so a
+    // Guarded data-space access: the superblock loop mirrors these
+    // checks byte for byte in its loadMem/storeMem/pushB lambdas so a
     // trapping instruction leaves identical partial state (e.g. a
-    // pre-decremented X pointer) on both paths. I/O-space accesses
+    // pre-decremented X pointer) on both loops. I/O-space accesses
     // (IN/OUT/SBI/CBI, addresses < sramBase) stay unguarded.
     TrapKind trap_kind = TrapKind::None;
     uint16_t trap_addr = 0;
@@ -946,8 +919,8 @@ Machine::step()
 
     // A trapping instruction does not retire: PC, shadow and
     // statistics stay as of just before it (partial side effects
-    // like a pre-decremented pointer remain, identically on the
-    // fast path).
+    // like a pre-decremented pointer remain, identically in the
+    // superblock loop).
     if (trap_kind != TrapKind::None) {
         pendingTrap = Trap{trap_kind, pc0, trap_addr};
         return 0;
@@ -1061,796 +1034,27 @@ Machine::runReference(uint64_t max_cycles)
     }
 }
 
-/**
- * The predecoded fast path: executes from the decode cache with the
- * trace branch removed, the MAC shadow logic compiled out unless
- * @p Ise, and the instruction/cycle counters batched in locals that
- * are flushed on every exit (including the trap exits, so observed
- * state is always consistent with the reference path).
- *
- * The instruction semantics below mirror step() case for case;
- * tests/test_decode_cache.cc pins the two paths to identical
- * architectural state and cycle counts, and
- * tests/test_machine_traps.cc pins identical trap raising.
- */
-template <bool Ise, bool Profiled, bool Faulted, bool Debugged>
-void
-Machine::runFast(uint64_t max_cycles)
-{
-    uint64_t consumed = 0;
-    uint64_t insts = 0;
-    uint32_t pc = pcWord;
-    // Sink state, hoisted out of the loop (dead when !Profiled); the
-    // cycle base makes cycles0 + consumed the absolute cycle count
-    // regardless of the periodic mid-loop flushes.
-    [[maybe_unused]] ProfileSink *const sink = profSink;
-    [[maybe_unused]] const bool wants_inst = profWantsInst;
-    [[maybe_unused]] const uint64_t cycles0 = execStats.cycles;
-    [[maybe_unused]] FaultInjector *const inj = faultInj;
-    [[maybe_unused]] DebugHook *const hook = dbgHook;
-    const uint16_t data_limit = dataLimitV;
-    const uint16_t stack_guard = stackGuardV;
-    // Set by the guarded access lambdas; checked once per retired
-    // instruction. Never reset: the loop exits on the first trap.
-    TrapKind trap_kind = TrapKind::None;
-    uint16_t trap_addr = 0;
-
-    /*
-     * Hot state lives in locals: byte stores into the simulated SRAM
-     * may alias any member through the uint8_t* (char aliasing), so
-     * member accesses cannot be cached across them by the compiler.
-     * SREG in particular is read and written by nearly every ALU
-     * instruction; the local copy keeps it in a host register.
-     */
-    uint8_t sreg = sregBits;
-    std::array<uint8_t, 32> r8 = regs;
-    std::array<uint32_t, kNumOps> op_count{};
-    // The predecoded base cost is a pure function of (op, mode), so
-    // per-op cycle totals are reconstructed at flush time as
-    // op_count * base; only the dynamic extras (taken branches,
-    // skips) accrue here, keeping the common case out of the loop.
-    std::array<uint32_t, kNumOps> op_extra{};
-    uint64_t mac_stall = 0;
-    // ISE-only hot state; dead (and optimized out) when !Ise.
-    [[maybe_unused]] uint8_t maccr = io[ioMaccr];
-    [[maybe_unused]] uint8_t shadow = macUnit.pendingShadow();
-    const DecodedInst *const cache = decodeCache.data();
-    uint8_t *const sram_data = sram.data();
-
-    auto pair = [&](unsigned i) -> uint16_t {
-        return static_cast<uint16_t>(r8[i]) |
-               (static_cast<uint16_t>(r8[i + 1]) << 8);
-    };
-    auto setPair = [&](unsigned i, uint16_t v) {
-        r8[i] = static_cast<uint8_t>(v);
-        r8[i + 1] = static_cast<uint8_t>(v >> 8);
-    };
-
-    // Delta-based so the periodic mid-loop flush cannot double-count.
-    uint64_t flushed_insts = 0;
-    uint64_t flushed_cycles = 0;
-    auto flush = [&] {
-        execStats.instructions += insts - flushed_insts;
-        execStats.cycles += consumed - flushed_cycles;
-        flushed_insts = insts;
-        flushed_cycles = consumed;
-        pcWord = pc & 0xffff;
-        sregBits = sreg;
-        regs = r8;
-        const std::array<uint8_t, kNumOps> &base_tab =
-            baseCycleTable(cpuMode);
-        for (size_t i = 0; i < kNumOps; i++) {
-            execStats.opCount[i] += op_count[i];
-            execStats.opCycles[i] +=
-                uint64_t(op_count[i]) * base_tab[i] + op_extra[i];
-        }
-        op_count.fill(0);
-        op_extra.fill(0);
-        execStats.macStallNops += mac_stall;
-        mac_stall = 0;
-        if constexpr (Ise)
-            macUnit.setPendingShadow(shadow);
-    };
-
-    // Data-space access with the SRAM case inlined; the register/IO
-    // fallback syncs the local SREG around readData/writeData, which
-    // can read or write SREG at data address 0x5f.
-    auto loadMem = [&](uint16_t a) -> uint8_t {
-        if constexpr (Debugged)
-            hook->onLoad(a);
-        if (a >= sramBase) [[likely]] {
-            if (a > data_limit) [[unlikely]] {
-                trap_kind = TrapKind::SramOutOfBounds;
-                trap_addr = a;
-                return 0xff;
-            }
-            return sram_data[a - sramBase];
-        }
-        sregBits = sreg;
-        regs = r8;
-        uint8_t v = readData(a);
-        sreg = sregBits;
-        r8 = regs;
-        return v;
-    };
-    auto storeMem = [&](uint16_t a, uint8_t v) {
-        if constexpr (Debugged)
-            hook->onStore(a);
-        if (a >= sramBase) [[likely]] {
-            if (a > data_limit) [[unlikely]] {
-                trap_kind = TrapKind::SramOutOfBounds;
-                trap_addr = a;
-                return;
-            }
-            sram_data[a - sramBase] = v;
-            return;
-        }
-        sregBits = sreg;
-        regs = r8;
-        if constexpr (Ise)
-            macUnit.setPendingShadow(shadow);
-        writeData(a, v);
-        sreg = sregBits;
-        r8 = regs;
-        if constexpr (Ise) {
-            maccr = io[ioMaccr];
-            shadow = macUnit.pendingShadow();
-        }
-    };
-    auto ioRead = [&](uint8_t ioaddr) -> uint8_t {
-        sregBits = sreg;
-        regs = r8;
-        uint8_t v = readData(ioBase + ioaddr);
-        sreg = sregBits;
-        r8 = regs;
-        return v;
-    };
-    auto ioWrite = [&](uint8_t ioaddr, uint8_t v) {
-        sregBits = sreg;
-        regs = r8;
-        if constexpr (Ise)
-            macUnit.setPendingShadow(shadow);
-        writeData(ioBase + ioaddr, v);
-        sreg = sregBits;
-        r8 = regs;
-        if constexpr (Ise) {
-            maccr = io[ioMaccr];
-            shadow = macUnit.pendingShadow();
-        }
-    };
-    auto pushB = [&](uint8_t v) {
-        uint16_t a = sp();
-        if (a < stack_guard) [[unlikely]] {
-            trap_kind = TrapKind::StackOverflow;
-            trap_addr = a;
-            return;
-        }
-        storeMem(a, v);
-        if (trap_kind == TrapKind::None) [[likely]]
-            setSp(a - 1);
-    };
-    auto popB = [&]() -> uint8_t {
-        setSp(sp() + 1);
-        return loadMem(sp());
-    };
-    auto pushRet = [&](uint32_t ret) {
-        pushB(static_cast<uint8_t>(ret));
-        pushB(static_cast<uint8_t>(ret >> 8));
-    };
-    auto popRet = [&]() -> uint32_t {
-        uint32_t hi = popB();
-        uint32_t lo = popB();
-        return (hi << 8) | lo;
-    };
-
-    while (pc != exitAddress) {
-        if constexpr (Debugged) {
-            if (hook->onBoundary(pc, cycles0 + consumed)) [[unlikely]] {
-                pendingTrap = Trap{TrapKind::DebugBreak, pc, 0};
-                flush();
-                return;
-            }
-        }
-        if constexpr (Faulted) {
-            if (inj->checkFire(pc, cycles0 + consumed)) [[unlikely]] {
-                // Mirror of applyBoundaryFault() on the local hot
-                // state (the reference path uses the member copy).
-                const FaultPlan &fp = inj->plan();
-                switch (fp.target) {
-                  case FaultTarget::Gpr:
-                  case FaultTarget::MacAcc:
-                    r8[fp.reg & 31] ^= static_cast<uint8_t>(fp.mask);
-                    break;
-                  case FaultTarget::Sreg:
-                    sreg ^= static_cast<uint8_t>(fp.mask);
-                    break;
-                  case FaultTarget::Sram:
-                    if (fp.sramAddr >= sramBase)
-                        sram_data[fp.sramAddr - sramBase] ^=
-                            static_cast<uint8_t>(fp.mask);
-                    break;
-                  case FaultTarget::InstSkip:
-                    pc = (pc + cache[pc & (flashWords - 1)].inst.words) &
-                         0xffff;
-                    continue;  // the skip consumed this boundary
-                  case FaultTarget::OpcodeCorrupt:
-                    // Touches flash + decode cache only, no hot state.
-                    corruptFlashWord(fp.flashAddr == FaultPlan::kCurrentPc
-                                         ? pc
-                                         : fp.flashAddr,
-                                     fp.mask);
-                    break;
-                }
-            }
-        }
-
-        const DecodedInst &dc = cache[pc & (flashWords - 1)];
-        const Inst &inst = dc.inst;
-        [[maybe_unused]] const uint32_t ipc = pc;
-
-        if (inst.op == Op::INVALID) {
-            uint16_t w = flash[pc & (flashWords - 1)];
-            pendingTrap = Trap{w == 0xffff ? TrapKind::FlashOutOfBounds
-                                           : TrapKind::IllegalOpcode,
-                               pc, w};
-            flush();
-            return;
-        }
-
-        [[maybe_unused]] bool swap_mac = false;
-        [[maybe_unused]] bool is_r24_load = false;
-        if constexpr (Ise) {
-            swap_mac = maccr & MacUnit::ctrlSwapMode;
-            is_r24_load = (maccr & MacUnit::ctrlLoadMode) && dc.macLoadForm;
-            if (shadow > 0 && dc.touchesMac && !is_r24_load) {
-                pendingTrap = Trap{TrapKind::MacHazard, pc, 0};
-                flush();
-                return;
-            }
-            if (shadow >= 2 && is_r24_load) {
-                pendingTrap = Trap{TrapKind::MacHazard, pc, 1};
-                flush();
-                return;
-            }
-        }
-
-        uint32_t next_pc = pc + inst.words;
-        // Local copy: byte stores through the SRAM pointer may alias
-        // the decode cache, so dc.cycles cannot be re-read cheaply
-        // after the execute switch.
-        const unsigned base_cycles = dc.cycles;
-        unsigned cycles = base_cycles;
-        [[maybe_unused]] bool mac_triggered = false;
-        [[maybe_unused]] const uint8_t shadow_pre = shadow;
-
-        auto ld_trigger = [&]([[maybe_unused]] uint8_t v) {
-            if constexpr (Ise) {
-                if (is_r24_load) {
-                    // triggerLoadMac() on the local register file
-                    macUnit.macLoad(r8, v);
-                    mac_triggered = true;
-                }
-            }
-        };
-
-        switch (inst.op) {
-          case Op::ADD: {
-            uint8_t d = r8[inst.rd], s = r8[inst.rr];
-            uint8_t r = d + s;
-            r8[inst.rd] = r;
-            addFlagsB(sreg, d, s, r);
-            break;
-          }
-          case Op::ADC: {
-            uint8_t d = r8[inst.rd], s = r8[inst.rr];
-            uint8_t r = d + s + (sreg & mC);
-            r8[inst.rd] = r;
-            addFlagsB(sreg, d, s, r);
-            break;
-          }
-          case Op::SUB: {
-            uint8_t d = r8[inst.rd], s = r8[inst.rr];
-            uint8_t r = d - s;
-            r8[inst.rd] = r;
-            subFlagsB(sreg, d, s, r, false);
-            break;
-          }
-          case Op::SBC: {
-            uint8_t d = r8[inst.rd], s = r8[inst.rr];
-            uint8_t r = d - s - (sreg & mC);
-            r8[inst.rd] = r;
-            subFlagsB(sreg, d, s, r, true);
-            break;
-          }
-          case Op::SUBI: {
-            uint8_t d = r8[inst.rd];
-            uint8_t r = d - inst.imm;
-            r8[inst.rd] = r;
-            subFlagsB(sreg, d, inst.imm, r, false);
-            break;
-          }
-          case Op::SBCI: {
-            uint8_t d = r8[inst.rd];
-            uint8_t r = d - inst.imm - (sreg & mC);
-            r8[inst.rd] = r;
-            subFlagsB(sreg, d, inst.imm, r, true);
-            break;
-          }
-          case Op::CP: {
-            uint8_t d = r8[inst.rd], s = r8[inst.rr];
-            subFlagsB(sreg, d, s, d - s, false);
-            break;
-          }
-          case Op::CPC: {
-            uint8_t d = r8[inst.rd], s = r8[inst.rr];
-            uint8_t r = d - s - (sreg & mC);
-            subFlagsB(sreg, d, s, r, true);
-            break;
-          }
-          case Op::CPI: {
-            uint8_t d = r8[inst.rd];
-            subFlagsB(sreg, d, inst.imm, d - inst.imm, false);
-            break;
-          }
-          case Op::AND: case Op::ANDI: {
-            uint8_t s = inst.op == Op::AND ? r8[inst.rr] : inst.imm;
-            uint8_t r = r8[inst.rd] & s;
-            r8[inst.rd] = r;
-            logicFlagsB(sreg, r);
-            break;
-          }
-          case Op::OR: case Op::ORI: {
-            uint8_t s = inst.op == Op::OR ? r8[inst.rr] : inst.imm;
-            uint8_t r = r8[inst.rd] | s;
-            r8[inst.rd] = r;
-            logicFlagsB(sreg, r);
-            break;
-          }
-          case Op::EOR: {
-            uint8_t r = r8[inst.rd] ^ r8[inst.rr];
-            r8[inst.rd] = r;
-            logicFlagsB(sreg, r);
-            break;
-          }
-          case Op::MOV:
-            r8[inst.rd] = r8[inst.rr];
-            break;
-          case Op::MOVW:
-            r8[inst.rd] = r8[inst.rr];
-            r8[inst.rd + 1] = r8[inst.rr + 1];
-            break;
-          case Op::LDI:
-            r8[inst.rd] = inst.imm;
-            break;
-          case Op::ADIW: {
-            uint16_t d = pair(inst.rd);
-            uint16_t r = d + inst.imm;
-            setPair(inst.rd, r);
-            wideFlagsB(sreg, r, !(d & 0x8000) && (r & 0x8000),
-                       !(r & 0x8000) && (d & 0x8000));
-            break;
-          }
-          case Op::SBIW: {
-            uint16_t d = pair(inst.rd);
-            uint16_t r = d - inst.imm;
-            setPair(inst.rd, r);
-            wideFlagsB(sreg, r, (d & 0x8000) && !(r & 0x8000),
-                       (r & 0x8000) && !(d & 0x8000));
-            break;
-          }
-          case Op::MUL: {
-            uint16_t p =
-                static_cast<uint16_t>(r8[inst.rd]) * r8[inst.rr];
-            r8[0] = static_cast<uint8_t>(p);
-            r8[1] = static_cast<uint8_t>(p >> 8);
-            mulFlagsB(sreg, p, p & 0x8000);
-            break;
-          }
-          case Op::MULS: {
-            int16_t p =
-                static_cast<int16_t>(static_cast<int8_t>(r8[inst.rd])) *
-                static_cast<int8_t>(r8[inst.rr]);
-            uint16_t u = static_cast<uint16_t>(p);
-            r8[0] = static_cast<uint8_t>(u);
-            r8[1] = static_cast<uint8_t>(u >> 8);
-            mulFlagsB(sreg, u, u & 0x8000);
-            break;
-          }
-          case Op::MULSU: {
-            int16_t p =
-                static_cast<int16_t>(static_cast<int8_t>(r8[inst.rd])) *
-                static_cast<uint8_t>(r8[inst.rr]);
-            uint16_t u = static_cast<uint16_t>(p);
-            r8[0] = static_cast<uint8_t>(u);
-            r8[1] = static_cast<uint8_t>(u >> 8);
-            mulFlagsB(sreg, u, u & 0x8000);
-            break;
-          }
-          case Op::FMUL: case Op::FMULS: case Op::FMULSU: {
-            int32_t p;
-            if (inst.op == Op::FMUL)
-                p = static_cast<uint16_t>(r8[inst.rd]) * r8[inst.rr];
-            else if (inst.op == Op::FMULS)
-                p = static_cast<int8_t>(r8[inst.rd]) *
-                    static_cast<int8_t>(r8[inst.rr]);
-            else
-                p = static_cast<int8_t>(r8[inst.rd]) * r8[inst.rr];
-            uint16_t u = static_cast<uint16_t>(p);
-            bool c = u & 0x8000;
-            u <<= 1;
-            r8[0] = static_cast<uint8_t>(u);
-            r8[1] = static_cast<uint8_t>(u >> 8);
-            mulFlagsB(sreg, u, c);
-            break;
-          }
-          case Op::COM: {
-            uint8_t r = ~r8[inst.rd];
-            r8[inst.rd] = r;
-            uint8_t n = (r >> 7) & 1;
-            sreg = (sreg & ~(mC | mZ | mN | mV | mS)) | mC |
-                   static_cast<uint8_t>(r == 0) << 1 | n << 2 | n << 4;
-            break;
-          }
-          case Op::NEG: {
-            uint8_t d = r8[inst.rd];
-            uint8_t r = -d;
-            r8[inst.rd] = r;
-            subFlagsB(sreg, 0, d, r, false);
-            break;
-          }
-          case Op::SWAP: {
-            uint8_t d = r8[inst.rd];
-            if constexpr (Ise) {
-                if (swap_mac)
-                    macUnit.macSwap(r8, d & 0x0f);
-            }
-            r8[inst.rd] = static_cast<uint8_t>((d << 4) | (d >> 4));
-            break;
-          }
-          case Op::INC: {
-            uint8_t r = r8[inst.rd] + 1;
-            r8[inst.rd] = r;
-            incDecFlagsB(sreg, r, r == 0x80);
-            break;
-          }
-          case Op::DEC: {
-            uint8_t r = r8[inst.rd] - 1;
-            r8[inst.rd] = r;
-            incDecFlagsB(sreg, r, r == 0x7f);
-            break;
-          }
-          case Op::ASR: {
-            uint8_t d = r8[inst.rd];
-            uint8_t r = static_cast<uint8_t>((d >> 1) | (d & 0x80));
-            r8[inst.rd] = r;
-            shiftFlagsB(sreg, r, d & 1);
-            break;
-          }
-          case Op::LSR: {
-            uint8_t d = r8[inst.rd];
-            uint8_t r = d >> 1;
-            r8[inst.rd] = r;
-            shiftFlagsB(sreg, r, d & 1);
-            break;
-          }
-          case Op::ROR: {
-            uint8_t d = r8[inst.rd];
-            uint8_t r = static_cast<uint8_t>(
-                (d >> 1) | (static_cast<unsigned>(sreg & mC) << 7));
-            r8[inst.rd] = r;
-            shiftFlagsB(sreg, r, d & 1);
-            break;
-          }
-          case Op::BSET:
-            sreg |= static_cast<uint8_t>(1u << inst.bit);
-            break;
-          case Op::BCLR:
-            sreg &= static_cast<uint8_t>(~(1u << inst.bit));
-            break;
-          case Op::BLD:
-            if (sreg & (1u << fT))
-                r8[inst.rd] |= 1u << inst.bit;
-            else
-                r8[inst.rd] &= ~(1u << inst.bit);
-            break;
-          case Op::BST:
-            sreg = static_cast<uint8_t>(
-                (sreg & ~(1u << fT)) |
-                (((r8[inst.rd] >> inst.bit) & 1u) << fT));
-            break;
-          case Op::SBI:
-            ioWrite(inst.imm, ioRead(inst.imm) | (1u << inst.bit));
-            break;
-          case Op::CBI:
-            ioWrite(inst.imm, ioRead(inst.imm) & ~(1u << inst.bit));
-            break;
-          case Op::SBIC: case Op::SBIS: {
-            bool bit = ioRead(inst.imm) & (1u << inst.bit);
-            bool skip = inst.op == Op::SBIS ? bit : !bit;
-            if (skip) {
-                bool two =
-                    cache[next_pc & (flashWords - 1)].inst.words == 2;
-                cycles += skipExtra(two);
-                next_pc += two ? 2 : 1;
-            }
-            break;
-          }
-          case Op::IN:
-            r8[inst.rd] = ioRead(inst.imm);
-            break;
-          case Op::OUT:
-            ioWrite(inst.imm, r8[inst.rd]);
-            break;
-
-          case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC: {
-            uint16_t a = pair(26);
-            if (inst.op == Op::LD_X_DEC)
-                setPair(26, --a);
-            uint8_t v = loadMem(a);
-            r8[inst.rd] = v;
-            if (inst.op == Op::LD_X_INC)
-                setPair(26, a + 1);
-            ld_trigger(v);
-            break;
-          }
-          case Op::LD_Y_INC: case Op::LD_Y_DEC: case Op::LDD_Y: {
-            uint16_t a = pair(28);
-            if (inst.op == Op::LD_Y_DEC)
-                setPair(28, --a);
-            else if (inst.op == Op::LDD_Y)
-                a += inst.disp;
-            uint8_t v = loadMem(a);
-            r8[inst.rd] = v;
-            if (inst.op == Op::LD_Y_INC)
-                setPair(28, a + 1);
-            ld_trigger(v);
-            break;
-          }
-          case Op::LD_Z_INC: case Op::LD_Z_DEC: case Op::LDD_Z: {
-            uint16_t a = pair(30);
-            if (inst.op == Op::LD_Z_DEC)
-                setPair(30, --a);
-            else if (inst.op == Op::LDD_Z)
-                a += inst.disp;
-            uint8_t v = loadMem(a);
-            r8[inst.rd] = v;
-            if (inst.op == Op::LD_Z_INC)
-                setPair(30, a + 1);
-            ld_trigger(v);
-            break;
-          }
-          case Op::LDS: {
-            uint8_t v = loadMem(static_cast<uint16_t>(inst.k));
-            r8[inst.rd] = v;
-            ld_trigger(v);
-            break;
-          }
-          case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC: {
-            uint16_t a = pair(26);
-            if (inst.op == Op::ST_X_DEC)
-                setPair(26, --a);
-            storeMem(a, r8[inst.rd]);
-            if (inst.op == Op::ST_X_INC)
-                setPair(26, a + 1);
-            break;
-          }
-          case Op::ST_Y_INC: case Op::ST_Y_DEC: case Op::STD_Y: {
-            uint16_t a = pair(28);
-            if (inst.op == Op::ST_Y_DEC)
-                setPair(28, --a);
-            else if (inst.op == Op::STD_Y)
-                a += inst.disp;
-            storeMem(a, r8[inst.rd]);
-            if (inst.op == Op::ST_Y_INC)
-                setPair(28, a + 1);
-            break;
-          }
-          case Op::ST_Z_INC: case Op::ST_Z_DEC: case Op::STD_Z: {
-            uint16_t a = pair(30);
-            if (inst.op == Op::ST_Z_DEC)
-                setPair(30, --a);
-            else if (inst.op == Op::STD_Z)
-                a += inst.disp;
-            storeMem(a, r8[inst.rd]);
-            if (inst.op == Op::ST_Z_INC)
-                setPair(30, a + 1);
-            break;
-          }
-          case Op::STS:
-            storeMem(static_cast<uint16_t>(inst.k), r8[inst.rd]);
-            break;
-          case Op::PUSH:
-            pushB(r8[inst.rd]);
-            break;
-          case Op::POP:
-            r8[inst.rd] = popB();
-            break;
-          case Op::LPM_R0: case Op::LPM: case Op::LPM_INC: {
-            uint16_t a = pair(30);
-            uint16_t w = flash[(a >> 1) & (flashWords - 1)];
-            uint8_t v = (a & 1) ? static_cast<uint8_t>(w >> 8)
-                                : static_cast<uint8_t>(w);
-            uint8_t rd = inst.op == Op::LPM_R0 ? 0 : inst.rd;
-            r8[rd] = v;
-            if (inst.op == Op::LPM_INC)
-                setPair(30, a + 1);
-            break;
-          }
-
-          case Op::RJMP:
-            next_pc = pc + 1 + inst.disp;
-            break;
-          case Op::RCALL:
-            pushRet(pc + 1);
-            next_pc = pc + 1 + inst.disp;
-            break;
-          case Op::JMP:
-            next_pc = inst.k;
-            break;
-          case Op::CALL:
-            pushRet(pc + 2);
-            next_pc = inst.k;
-            break;
-          case Op::IJMP:
-            next_pc = pair(30);
-            break;
-          case Op::ICALL:
-            pushRet(pc + 1);
-            next_pc = pair(30);
-            break;
-          case Op::RET: case Op::RETI:
-            next_pc = popRet();
-            if (inst.op == Op::RETI)
-                sreg |= static_cast<uint8_t>(1u << fI);
-            break;
-          case Op::BRBS:
-            if ((sreg >> inst.bit) & 1) {
-                next_pc = pc + 1 + inst.disp;
-                cycles += branchTakenExtra;
-            }
-            break;
-          case Op::BRBC:
-            if (!((sreg >> inst.bit) & 1)) {
-                next_pc = pc + 1 + inst.disp;
-                cycles += branchTakenExtra;
-            }
-            break;
-          case Op::CPSE: case Op::SBRC: case Op::SBRS: {
-            bool skip;
-            if (inst.op == Op::CPSE)
-                skip = r8[inst.rd] == r8[inst.rr];
-            else if (inst.op == Op::SBRC)
-                skip = !(r8[inst.rd] & (1u << inst.bit));
-            else
-                skip = r8[inst.rd] & (1u << inst.bit);
-            if (skip) {
-                bool two =
-                    cache[next_pc & (flashWords - 1)].inst.words == 2;
-                cycles += skipExtra(two);
-                next_pc += two ? 2 : 1;
-            }
-            break;
-          }
-
-          case Op::NOP: case Op::SLEEP: case Op::WDR: case Op::BREAK:
-            break;
-
-          case Op::INVALID:
-            break;
-        }
-
-        // Trapping instructions do not retire (see step()): PC,
-        // shadow and the batched counters stay as of just before the
-        // instruction; flush() publishes the partial side effects.
-        if (trap_kind != TrapKind::None) [[unlikely]] {
-            pendingTrap = Trap{trap_kind, pc, trap_addr};
-            flush();
-            return;
-        }
-
-        if constexpr (Ise) {
-            if (mac_triggered)
-                shadow = 2;
-            else
-                shadow = shadow > cycles
-                             ? shadow - static_cast<uint8_t>(cycles)
-                             : 0;
-        }
-
-        pc = next_pc & 0xffff;
-        op_count[static_cast<size_t>(inst.op)]++;
-        if (cycles != base_cycles)
-            op_extra[static_cast<size_t>(inst.op)] +=
-                cycles - base_cycles;
-        if constexpr (Ise) {
-            if (shadow_pre > 0 && inst.op == Op::NOP)
-                mac_stall++;
-        }
-        insts++;
-        consumed += cycles;
-
-        if constexpr (Profiled) {
-            // Sinks observe registers/SREG/stats through the event
-            // arguments only (hot state lives in locals here); SP is
-            // a member and therefore current.
-            if (wants_inst)
-                sink->onInst(ipc, inst, cycles,
-                             cycles0 + consumed - cycles);
-            if (inst.op == Op::CALL || inst.op == Op::RCALL ||
-                inst.op == Op::ICALL)
-                sink->onCall(ipc, pc, cycles0 + consumed);
-            else if (inst.op == Op::RET || inst.op == Op::RETI)
-                sink->onRet(ipc, pc, cycles0 + consumed);
-        }
-
-        if ((insts & 0xffffffu) == 0)
-            flush();  // keep the 32-bit op_count entries from saturating
-        if (consumed >= max_cycles) {
-            pendingTrap = Trap{TrapKind::CycleBudget, pc, 0};
-            flush();
-            return;
-        }
-    }
-    flush();
-}
-
-void
-Machine::runFastPlain(uint64_t max_cycles)
-{
-    if (cpuMode == CpuMode::ISE)
-        runFast<true, false, false, false>(max_cycles);
-    else
-        runFast<false, false, false, false>(max_cycles);
-}
-
 RunResult
 Machine::run(uint64_t max_cycles)
 {
     pendingTrap = Trap();
     uint64_t start = execStats.cycles;
-    // An active wave or leakage sink needs the machine's
-    // architectural state current after every retirement, which only
-    // the reference loop provides; idle sinks leave the fast path
-    // untouched (WaveSink).
-    if (trace || forceReference || (waveSnk && waveSnk->active()) ||
-        (leakSnk && leakSnk->active())) {
+    // An observed run needs every observer served at every
+    // instruction boundary with the machine's state current, which
+    // only the step() loop provides; idle observers leave the
+    // superblock loop untouched.
+    const bool observed = profSink || (dbgHook && dbgHook->wantsStops()) ||
+                          (faultInj && faultInj->pending()) ||
+                          (waveSnk && waveSnk->active()) ||
+                          (leakSnk && leakSnk->active());
+    if (observed || backendV == IssBackend::Reference)
         runReference(max_cycles);
-    } else {
-        const bool prof = profSink != nullptr;
-        if (dbgHook && dbgHook->wantsStops()) {
-            if (cpuMode == CpuMode::ISE)
-                prof ? runFast<true, true, false, true>(max_cycles)
-                     : runFast<true, false, false, true>(max_cycles);
-            else
-                prof ? runFast<false, true, false, true>(max_cycles)
-                     : runFast<false, false, false, true>(max_cycles);
-        } else if (faultInj && faultInj->pending()) {
-            if (cpuMode == CpuMode::ISE)
-                prof ? runFast<true, true, true, false>(max_cycles)
-                     : runFast<true, false, true, false>(max_cycles);
-            else
-                prof ? runFast<false, true, true, false>(max_cycles)
-                     : runFast<false, false, true, false>(max_cycles);
-        } else if (prof) {
-            if (cpuMode == CpuMode::ISE)
-                runFast<true, true, false, false>(max_cycles);
-            else
-                runFast<false, true, false, false>(max_cycles);
-        } else if (backendV == IssBackend::Superblock) {
-            // The fully unobserved case: no sink, hook or pending
-            // fault — the only shape the superblock backend handles.
-            runSuperblock(max_cycles);
-        } else if (backendV == IssBackend::Reference) {
-            runReference(max_cycles);
-        } else {
-            runFastPlain(max_cycles);
-        }
-    }
-    // Single count point for trap telemetry: every path (fast or
-    // reference) funnels through here, so kinds are never counted
-    // twice. The flight-recorder trap sink shares the funnel — it
-    // observes the already-accounted machine, so it can never skew
-    // cycles or state.
+    else
+        runSuperblock(max_cycles);
+    // Single count point for trap telemetry: both loops funnel
+    // through here, so kinds are never counted twice. The
+    // flight-recorder trap sink shares the funnel — it observes the
+    // already-accounted machine, so it can never skew cycles or state.
     if (pendingTrap) {
         execStats.trapCount[static_cast<size_t>(pendingTrap.kind)]++;
         if (trapSnk)

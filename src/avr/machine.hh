@@ -35,20 +35,17 @@ class SuperblockCache;
 struct Trap;
 
 /**
- * Execution backend selected for run()/call() (see DESIGN.md §11):
- * Reference is the per-step decode loop, Fast the predecoded
- * mode-specialized loop of PR 1, Superblock the trace-translating
- * threaded-dispatch backend built on top of the decode cache.
- * Superblock is the default where legal; runs with attached sinks,
- * hooks, pending faults or tracing fall back exactly as before
- * (sinks → reference, hooks/faults → specialized fast loops).
- * Overridable via JAAVR_ISS_BACKEND=reference|fast|superblock;
- * JAAVR_ISS_REFERENCE=1 still forces the reference loop and wins.
+ * Execution backend selected for run()/call() (see DESIGN.md §6 and
+ * §11): Reference is the step() loop, one decode per instruction;
+ * Superblock the trace-translating threaded-dispatch loop built on
+ * top of the decode cache. Superblock is the default. An observed
+ * run (profiler, stopping debug hook, pending fault, active wave or
+ * leakage sink) always takes the reference loop. Overridable via
+ * JAAVR_ISS_BACKEND=reference|superblock.
  */
 enum class IssBackend : uint8_t
 {
     Reference,
-    Fast,
     Superblock,
 };
 
@@ -57,14 +54,12 @@ const char *issBackendName(IssBackend backend);
 
 /**
  * Cycle-accurate waveform observer (src/avr/vcd.hh implements it as
- * a VCD writer). Unlike ProfileSink/DebugHook — whose events carry
- * their own arguments so the fast path can keep hot state in loop
- * locals — a wave sink samples the *machine itself* after every
- * retirement, which only the reference path keeps current per
+ * a VCD writer). A wave sink samples the *machine itself* after
+ * every retirement, which only the reference loop keeps current per
  * instruction. run() therefore routes through the reference loop
- * while active() is true and through the normal zero-overhead fast
- * path while it is false: an attached-but-idle sink costs exactly
- * zero cycles, pinned by tests/test_vcd.cc the same way
+ * while active() is true and through the superblock loop while it is
+ * false: an attached-but-idle sink costs exactly zero cycles, pinned
+ * by tests/test_vcd.cc the same way
  * DebugHookAddsZeroCyclesWhenNotStopping pins the debug hook.
  * active() is sampled once at run() entry; the sink must outlive the
  * machine or detach before destruction.
@@ -90,14 +85,14 @@ class WaveSink
 
 /**
  * Cold-path trap observer (src/obs/ flight recorder): every
- * run()/call() that stops on a trap — on any backend, fast or
- * reference — reports it here exactly once, from the same funnel
- * that bumps ExecStats::trapCount. The hook fires strictly *after*
- * the executed region has been accounted, so attaching a sink can
- * never perturb simulated cycles or architectural state (pinned by
- * tests/test_obs.cc on all three backends); with no trap raised it
- * is never consulted at all. The sink must outlive the machine or
- * detach before destruction.
+ * run()/call() that stops on a trap — in either loop — reports it
+ * here exactly once, from the same funnel that bumps
+ * ExecStats::trapCount. The hook fires strictly *after* the executed
+ * region has been accounted, so attaching a sink can never perturb
+ * simulated cycles or architectural state (pinned by
+ * tests/test_obs.cc on both backends); with no trap raised it is
+ * never consulted at all. A trap sink does not make a run observed.
+ * The sink must outlive the machine or detach before destruction.
  */
 class TrapSink
 {
@@ -114,14 +109,13 @@ class TrapSink
  * instruction boundary and reports every data-space access, which is
  * what software breakpoints and data watchpoints are built from.
  *
- * The hook follows the ProfileSink pinning discipline: the predecoded
- * fast path compiles a separate hooked loop instantiation, selected
- * only when wantsStops() is true at run() entry, so with no debugger
- * attached (or a debugger with nothing to watch) the plain loop runs
- * with zero overhead (pinned by tests/test_decode_cache.cc). During
- * the fast path the machine's register file, SREG, PC and ExecStats
- * members are batched in loop locals, so hook implementations must
- * rely on the event arguments only and must not mutate the machine.
+ * A hook whose wantsStops() is true at run() entry makes the run
+ * observed, so it executes in the reference loop, which consults the
+ * hook at every boundary and data access; with no debugger attached
+ * (or a debugger with nothing to watch) the superblock loop runs
+ * untouched (pinned by tests/test_decode_cache.cc). Hook
+ * implementations must rely on the event arguments only and must not
+ * mutate the machine.
  */
 class DebugHook
 {
@@ -129,9 +123,9 @@ class DebugHook
     virtual ~DebugHook() = default;
 
     /**
-     * Sampled once at run() entry to select the hooked loop
-     * instantiation; return false while there is nothing to stop for
-     * and the plain (zero-overhead) loop may run.
+     * Sampled once at run() entry to select the reference loop;
+     * return false while there is nothing to stop for and the
+     * superblock loop may run.
      */
     virtual bool wantsStops() const = 0;
 
@@ -177,8 +171,8 @@ const char *trapKindName(TrapKind kind);
  * SramOutOfBounds/StackOverflow, the opcode word for
  * IllegalOpcode/FlashOutOfBounds, 1 for a back-to-back MacHazard.
  * The trapping instruction does not retire: PC, registers and
- * statistics are left as of just before it, identically on the
- * reference and fast paths.
+ * statistics are left as of just before it, identically in both
+ * loops.
  */
 struct Trap
 {
@@ -261,8 +255,8 @@ struct DecodedInst
  * The Algorithm-2 trigger shape: a data-space load into R24 in any
  * addressing form (LD X/Y/Z with post-increment or pre-decrement,
  * LDD, LDS). In MAC load mode exactly these instructions fire the two
- * shadow MACs and obey the back-to-back rule; step(), the fast loop
- * and the superblock translator all use this one predicate.
+ * shadow MACs and obey the back-to-back rule; step() and the
+ * superblock translator both use this one predicate.
  */
 inline bool
 isMacLoadForm(const Inst &inst)
@@ -339,10 +333,9 @@ class Machine
      * this step.
      *
      * This is the *reference* path: it re-fetches and re-decodes the
-     * flash words on every call and evaluates the mode/trace/MAC
-     * branches at run time. run() normally executes through the
-     * predecoded fast path instead and is validated against this
-     * implementation (tests/test_decode_cache.cc).
+     * flash words on every call and evaluates the mode/MAC branches at
+     * run time. It is the independent oracle the superblock loop is
+     * validated against (tests/test_superblock.cc).
      */
     unsigned step();
 
@@ -351,11 +344,10 @@ class Machine
      * the consumed cycles plus the trap that stopped execution, if
      * any; a CycleBudget trap is raised once @p max_cycles cycles
      * have been consumed (>= semantics: consuming exactly the budget
-     * traps, identically on the fast and reference paths).
+     * traps, identically in both loops).
      *
-     * Dispatches to a mode-specialized predecoded loop unless trace
-     * or forceReference is set, which select the step()-based
-     * reference loop.
+     * An observed run (see IssBackend) or the Reference backend runs
+     * the step() loop; every other run runs the superblock loop.
      */
     RunResult run(uint64_t max_cycles = defaultCycleBudget);
 
@@ -391,7 +383,7 @@ class Machine
     uint16_t stackGuard() const { return stackGuardV; }
     void setStackGuard(uint16_t v) { stackGuardV = v; }
 
-    /** Predecoded view of flash word @p word_addr (fast-path source). */
+    /** Predecoded view of flash word @p word_addr (translator source). */
     const DecodedInst &decoded(uint32_t word_addr) const
     {
         return decodeCache[word_addr & (flashWords - 1)];
@@ -403,19 +395,21 @@ class Machine
     const MacUnit &mac() const { return macUnit; }
 
     /**
-     * Attach an execution observer (nullptr detaches). Both paths
-     * fire its events; with no sink attached the fast path carries
-     * zero profiling overhead (a separate loop instantiation). The
-     * sink must outlive the machine or detach before destruction.
+     * Attach an execution observer (nullptr detaches). An attached
+     * sink makes every run observed, so it runs in the reference
+     * loop; with no sink attached the superblock loop carries zero
+     * profiling overhead. The sink must outlive the machine or detach
+     * before destruction.
      */
     void setProfiler(ProfileSink *sink);
     ProfileSink *profiler() const { return profSink; }
 
     /**
-     * Attach a fault injector (nullptr detaches). With no armed plan
-     * the fast path carries zero injection overhead (a separate loop
-     * instantiation, as for ProfileSink). The injector must outlive
-     * the machine or detach before destruction.
+     * Attach a fault injector (nullptr detaches). A pending plan makes
+     * the run observed (reference loop, polled at every boundary);
+     * with no armed plan the superblock loop carries zero injection
+     * overhead. The injector must outlive the machine or detach before
+     * destruction.
      */
     void setFaultInjector(FaultInjector *inj) { faultInj = inj; }
     FaultInjector *faultInjector() const { return faultInj; }
@@ -424,11 +418,9 @@ class Machine
      * Attach a debug hook (nullptr detaches). wantsStops() is
      * re-sampled at every run() entry, so a hook may flip between
      * active and passive without re-attaching; while it answers
-     * false the plain (zero-overhead) fast-path instantiation runs
-     * and only step()/runReference consult the hook. The hook must
-     * outlive the machine or detach before destruction. When both a
-     * debug hook and a pending FaultInjector are attached, the fast
-     * path honours the debug hook (the reference path honours both).
+     * false the superblock loop runs and only step()/runReference
+     * consult the hook. The hook must outlive the machine or detach
+     * before destruction.
      */
     void setDebugHook(DebugHook *hook) { dbgHook = hook; }
     DebugHook *debugHook() const { return dbgHook; }
@@ -437,7 +429,7 @@ class Machine
      * Attach a waveform sink (nullptr detaches). active() is sampled
      * at run() entry: true routes execution through the reference
      * loop (per-instruction architectural sampling), false leaves the
-     * zero-overhead fast path untouched — see WaveSink.
+     * superblock loop untouched — see WaveSink.
      */
     void setWaveSink(WaveSink *sink) { waveSnk = sink; }
     WaveSink *waveSink() const { return waveSnk; }
@@ -449,8 +441,7 @@ class Machine
      * observe the same run. Identical contract to setWaveSink():
      * active() is sampled at run() entry, an active sink routes
      * through the reference loop, an idle one costs exactly zero
-     * cycles on every fast-path/superblock instantiation (pinned by
-     * tests/test_leakage.cc).
+     * cycles in the superblock loop (pinned by tests/test_leakage.cc).
      */
     void setLeakSink(WaveSink *sink) { leakSnk = sink; }
     WaveSink *leakSink() const { return leakSnk; }
@@ -489,26 +480,11 @@ class Machine
     void corruptFlashWord(uint32_t word_addr, uint16_t mask);
 
     /**
-     * Enable per-instruction tracing to stderr (routed through an
-     * internal TraceSink in the legacy `info:`-prefixed format).
-     * Tracing forces run() onto the reference path.
-     */
-    bool trace = false;
-
-    /**
-     * Force run()/call() onto the per-step decode reference path
-     * (benchmark baseline; also settable via JAAVR_ISS_REFERENCE=1
-     * in the environment).
-     */
-    bool forceReference;
-
-    /**
      * Execution backend for run()/call() (default Superblock unless
-     * overridden by JAAVR_ISS_BACKEND or JAAVR_ISS_REFERENCE in the
-     * environment). The backend only selects among *legal* loops:
-     * tracing, wave sinks, profilers, debug hooks and pending faults
-     * force the reference/specialized paths regardless, so attaching
-     * an observer never changes observed architectural state.
+     * overridden by JAAVR_ISS_BACKEND in the environment). It governs
+     * unobserved runs only: an observed run takes the reference loop
+     * on either backend, so attaching an observer never changes
+     * architectural state.
      */
     IssBackend backend() const { return backendV; }
     void setBackend(IssBackend b) { backendV = b; }
@@ -541,42 +517,30 @@ class Machine
     /** Predecode the flash word pair at @p w0/@p w1 (cache fill). */
     DecodedInst makeDecoded(uint16_t w0, uint16_t w1) const;
 
-    /** Reference run loop: step() per instruction. */
+    /**
+     * Reference run loop: step() per instruction. Serves every
+     * observer — debug hook and fault injector before each
+     * instruction, wave and leakage sinks after it — and the
+     * budget-critical tail of a superblock run.
+     */
     void runReference(uint64_t max_cycles);
 
     /**
      * Apply the armed fault plan to architectural state at an
-     * instruction boundary (reference path). Returns true when the
-     * fault consumed the boundary itself (instruction skip advanced
-     * the PC), false when execution should continue into the
-     * (possibly perturbed) instruction.
+     * instruction boundary. Returns true when the fault consumed the
+     * boundary itself (instruction skip advanced the PC), false when
+     * execution should continue into the (possibly perturbed)
+     * instruction.
      */
     bool applyBoundaryFault();
-
-    /**
-     * Predecoded, mode-specialized run loop (the fast path). The
-     * @p Profiled instantiation fires ProfileSink events, the
-     * @p Faulted one polls the armed FaultInjector per instruction,
-     * the @p Debugged one consults the DebugHook at every boundary
-     * and data access; the plain instantiation compiles all hooks
-     * out. Faulted and Debugged are never instantiated together.
-     */
-    template <bool Ise, bool Profiled, bool Faulted, bool Debugged>
-    void runFast(uint64_t max_cycles);
-
-    /**
-     * Plain (no-hook) fast-path dispatch by mode; the superblock
-     * backend's target for budget-critical passes (superblock.cc
-     * cannot see the runFast template definition).
-     */
-    void runFastPlain(uint64_t max_cycles);
 
     /**
      * Superblock-threaded run loop (superblock.cc): translated
      * traces over the decode cache, keyed in ISE mode by the MAC
      * state at entry, executed via computed-goto threaded dispatch
-     * with block-level statistics accumulation. Only budget-critical
-     * passes fall back to runFastPlain(); see DESIGN.md §11.
+     * with block-level statistics accumulation. A pass that could
+     * cross the cycle budget hands the rest of the run to
+     * runReference(); see DESIGN.md §11.
      */
     void runSuperblock(uint64_t max_cycles);
 
@@ -594,7 +558,6 @@ class Machine
     ExecStats execStats;
     ProfileSink *profSink = nullptr;
     bool profWantsInst = false;          ///< cached sink capability
-    std::unique_ptr<ProfileSink> ownedTrace; ///< lazy `trace` sink
     FaultInjector *faultInj = nullptr;
     DebugHook *dbgHook = nullptr;
     WaveSink *waveSnk = nullptr;

@@ -3,12 +3,12 @@
  * Superblock translation and the trace-threaded run loop
  * (DESIGN.md §11).
  *
- * Machine::runSuperblock() mirrors the plain runFast<> instantiation
- * instruction for instruction — the semantics of every handler below
- * are copied from the corresponding runFast case, and
- * tests/test_superblock.cc pins the two (and step()) to bit- and
- * cycle-identical state over all 65536 opcode words, seeded MAC-unit
- * program soups and the OPF workloads. What changes is the execution
+ * Machine::runSuperblock() mirrors Machine::step() instruction for
+ * instruction, and tests/test_superblock.cc pins the two loops to
+ * bit- and cycle-identical state over all 65536 opcode words, seeded
+ * MAC-unit program soups and the OPF workloads. step() stays the
+ * independent oracle: the handlers below are a second, separately
+ * written copy of its semantics. What changes is the execution
  * structure:
  *
  *  - dispatch is computed-goto threaded over pre-translated traces
@@ -27,19 +27,23 @@
  *    elements, so only the barrel counter and the accumulator stay
  *    dynamic.
  *
- * Side-exit contract (everything here funnels back to the fast
- * path / reference loop, never the other way around):
+ * Side-exit contract (everything here funnels back to run() or the
+ * reference loop, never the other way around):
  *  - traps: the trapping instruction does not retire; the exit
  *    charges the retired prefix and publishes the trap (and the
- *    pending shadow) exactly as runFast does;
+ *    pending shadow) exactly as step() does;
  *  - MACCR stores: every store into MACCR resets the MAC unit, so it
  *    retires and the trace side-exits into the block keyed by the
  *    new MAC state with no shadow pending;
- *  - budget-critical blocks delegate to runFastPlain(), which places
- *    the CycleBudget trap with per-instruction precision;
- *  - attached observers (profiler, debug hook, wave sink, fault
- *    injector, tracing) are handled one level up: Machine::run()
- *    never selects this backend while any of them is live.
+ *  - budget-critical blocks hand the rest of the run to
+ *    runReference(), which places the CycleBudget trap with
+ *    per-instruction precision; the pre-check fires only when the
+ *    remaining budget is below the block's maxCycles, so the
+ *    reference loop runs at most about one block's worth of cycles;
+ *  - observed runs (profiler, stopping debug hook, pending fault,
+ *    active wave or leakage sink) are handled one level up:
+ *    Machine::run() never selects this loop while any of them is
+ *    live.
  */
 
 #include "avr/superblock.hh"
@@ -81,8 +85,8 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
     blk->entry = entry & 0xffff;
     blk->macKey = key;
 
-    // The MAC state the trace is specialized to (runFast<Ise>'s
-    // run-time checks, resolved here): the mode bits hold for the
+    // The MAC state the trace is specialized to (step()'s run-time
+    // checks, resolved here): the mode bits hold for the
     // whole trace, since a MACCR store side-exits after retiring,
     // and the shadow is followed statically — 2 after a trigger,
     // otherwise aged by each retired element's base cycles. Outside
@@ -353,7 +357,7 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
           case Op::INVALID:
             // Non-retiring: the handler re-reads the flash word to
             // discriminate FlashOutOfBounds from IllegalOpcode at
-            // run time, exactly like the fast path.
+            // run time, exactly like step().
             emit(SbOp::EXIT_TRAP, si);
             open = false;
             break;
@@ -372,10 +376,10 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
 
 /**
  * The superblock-threaded run loop. Hot state (SREG, the register
- * file, the statistics accumulators) lives in locals exactly as in
- * runFast — byte stores into the simulated SRAM may alias any member
- * through the uint8_t*, so member accesses cannot be cached across
- * them by the compiler — and is flushed on every exit.
+ * file, the statistics accumulators) lives in locals — byte stores
+ * into the simulated SRAM may alias any member through the uint8_t*,
+ * so member accesses cannot be cached across them by the compiler —
+ * and is flushed on every exit.
  */
 void
 Machine::runSuperblock(uint64_t max_cycles)
@@ -430,8 +434,8 @@ Machine::runSuperblock(uint64_t max_cycles)
     };
 
     // Delta-based so the periodic flush cannot double-count; per-op
-    // cycle totals are reconstructed as op_count * base + op_extra
-    // (the same invariant runFast maintains). Forced inline, with
+    // cycle totals are reconstructed as op_count * base + op_extra,
+    // base being the predecoded cost of (op, mode). Forced inline, with
     // SREG passed by value: an out-of-line closure would pin every
     // local it captures in memory, and SREG sits on the dependency
     // chain of nearly every handler.
@@ -460,8 +464,8 @@ Machine::runSuperblock(uint64_t max_cycles)
             macUnit.setPendingShadow(mac_sh);
     };
 
-    // Guarded data-space access, copied from runFast (no debug hooks
-    // here; the MAC shadow is static per trace element). The
+    // Guarded data-space access, mirroring step()'s checks (no debug
+    // hooks here; the MAC shadow is static per trace element). The
     // register/IO fallback syncs the local SREG around
     // readData/writeData, which can touch SREG at 0x5f.
     auto loadMem = [&](uint16_t a) -> uint8_t {
@@ -579,8 +583,8 @@ Machine::runSuperblock(uint64_t max_cycles)
   next_block:
     if (pc == exitAddress)
         goto finish;
-    // Keep the 32-bit op_count entries from saturating (runFast
-    // flushes on the same period).
+    // Keep the 32-bit op_count entries from saturating (flushed
+    // every 2^24 instructions).
     if (insts - flushed_insts >= 0x1000000) [[unlikely]]
         flush(sreg);
     maccr_written = false;
@@ -599,14 +603,15 @@ Machine::runSuperblock(uint64_t max_cycles)
             if (!b) [[unlikely]]
                 b = cache->translate(*this, pc, 0, labels);
         }
-        // Budget pre-check: if this pass could cross the budget,
-        // delegate to the fast path for per-instruction precision.
+        // Budget pre-check: if this pass could cross the budget, hand
+        // the rest of the run to the reference loop for
+        // per-instruction precision (at most about one block).
         // Passing it guarantees consumed stays below max_cycles for
         // the whole pass, so handlers carry no budget test.
         if (consumed + b->maxCycles >= max_cycles) [[unlikely]] {
             mac_sh = b->entryShadow();
             flush(sreg);
-            runFastPlain(max_cycles - consumed);
+            runReference(max_cycles - consumed);
             return;
         }
         code0 = b->code.data();
@@ -972,7 +977,7 @@ Machine::runSuperblock(uint64_t max_cycles)
   SB_LOAD(LDS, r8[ip->a] = loadMem(ip->addr))
 #undef SB_LOAD
   trigger_tail:
-    // The MACs apply before the trap check, as in runFast, so a
+    // The MACs apply before the trap check, as in step(), so a
     // trapping trigger leaves the same accumulator.
     macUnit.macLoad(r8, r8[24]);
     SB_RETIRE_MEM();
@@ -1144,7 +1149,7 @@ Machine::runSuperblock(uint64_t max_cycles)
   }
   lbl_EXIT_TRAP: {
     // Undecodable word: re-read flash to discriminate erased flash
-    // from a reserved encoding, as the fast path does.
+    // from a reserved encoding, as step() does.
     uint16_t w = flash_data[ip->pc & (flashWords - 1)];
     consumed += ip->prefixCycles;
     insts += static_cast<uint64_t>(ip - code0);
@@ -1156,7 +1161,7 @@ Machine::runSuperblock(uint64_t max_cycles)
     goto finish;
   }
   lbl_MAC_HAZARD: {
-    // runFast's shadow check, resolved at translate time: the
+    // step()'s shadow check, resolved at translate time: the
     // instruction touches the MAC registers under a live shadow (or
     // retriggers with two MACs pending) and does not retire.
     consumed += ip->prefixCycles;
@@ -1197,7 +1202,7 @@ Machine::runSuperblock(uint64_t max_cycles)
   trap_exit: {
     // The trapping instruction does not retire: charge the retired
     // prefix only and leave PC at the instruction, exactly as
-    // runFast/step() do. Partial side effects (pre-decremented
+    // step() does. Partial side effects (pre-decremented
     // pointers, SP moves, a MAC reset by a first pushed byte) persist
     // identically.
     consumed += ip->prefixCycles;

@@ -25,9 +25,10 @@
  * (Machine::loadProgram, Machine::corruptFlashWord — which is what
  * the GDB `M`/`X` flash-patch path and the fault injector's
  * OpcodeCorrupt use) drops every translated block. Flash cannot
- * change while the superblock loop itself is running (the backend
- * only runs with no hooks, sinks or pending faults attached), so
- * invalidation never races a trace in flight.
+ * change while the superblock loop itself is running (it only runs
+ * unobserved: no profiler, stopping debug hook, pending fault or
+ * active wave sink), so invalidation never races a trace in
+ * flight.
  */
 
 #ifndef JAAVR_AVR_SUPERBLOCK_HH
@@ -155,9 +156,9 @@ struct SbBlock
      * Upper bound on the cycles one pass through the trace can
      * consume (total base cost + the largest single exit extra).
      * runSuperblock() pre-checks `consumed + maxCycles` against the
-     * budget and delegates budget-critical passes to the fast path,
-     * which places the CycleBudget trap with per-instruction
-     * precision.
+     * budget and hands a budget-critical pass, and the rest of the
+     * run, to the reference loop, which places the CycleBudget trap
+     * with per-instruction precision.
      */
     uint32_t maxCycles = 0;
     /** Next block with the same entry PC and another MAC key (ISE). */

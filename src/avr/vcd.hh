@@ -23,8 +23,9 @@
  *
  * Sampling requires current architectural state after every retired
  * instruction, so an *active* writer routes run() through the
- * reference loop; while closed it is invisible — the fast path runs
- * with exactly zero added cycles (also pinned by tests/test_vcd.cc).
+ * reference loop; while closed it is invisible — the superblock loop
+ * runs with exactly zero added cycles (also pinned by
+ * tests/test_vcd.cc).
  */
 
 #ifndef JAAVR_AVR_VCD_HH

@@ -10,15 +10,16 @@
  *
  * Execution control:
  *  - stepOne() uses Machine::step(), the reference path, so a single
- *    step is exact even where the fast path batches state.
+ *    step is exact even where the superblock loop batches state.
  *  - resume() uses Machine::run() with a caller-chosen cycle slice;
  *    a CycleBudget trap inside a slice is reported as Kind::Running
  *    so the server can poll the transport for gdb's interrupt (0x03)
  *    between slices and call resume() again.
- *  - While wantsStops() is false (no breakpoints, no watchpoints),
- *    run() selects the plain fast-path instantiation: an attached but
- *    passive debugger costs zero cycles and zero time (pinned by
- *    tests/test_decode_cache.cc).
+ *  - While wantsStops() is true, run() takes the reference loop,
+ *    which consults the hook at every boundary. While it is false
+ *    (no breakpoints, no watchpoints), run() takes the superblock
+ *    loop: an attached but passive debugger costs zero cycles (pinned
+ *    by tests/test_decode_cache.cc).
  */
 
 #ifndef JAAVR_DEBUG_TARGET_HH

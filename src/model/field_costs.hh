@@ -45,8 +45,7 @@ struct FieldCycleCosts
  *  - mulSmall = 0.28 * mul (paper, Section II-B: 0.25-0.3 M);
  *  - inv = the mean measured cycles of several runs of the generated
  *    Kaliski-inverse routine (data-dependent loop; see
- *    avrgen/opf_routines.hh and, for the analytic cross-check,
- *    model/inverse_model.hh).
+ *    avrgen/opf_routines.hh).
  */
 const FieldCycleCosts &opfFieldCosts(const OpfPrime &prime, CpuMode mode);
 

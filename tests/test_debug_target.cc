@@ -171,14 +171,15 @@ TEST(DebugTarget, BreakpointHitsAndStepsOverOnResume)
 
 TEST(DebugTarget, WriteWatchpointStopsAfterTheStore)
 {
-    for (bool reference : {false, true}) {
+    for (IssBackend backend : {IssBackend::Superblock,
+                               IssBackend::Reference}) {
         Session s(R"(
             ldi r16, 0x99
             sts 0x0150, r16
             ldi r17, 1
             ret
         )");
-        s.m.forceReference = reference;
+        s.m.setBackend(backend);
         // gdb sends data-space watch addresses with the 0x800000 bias.
         ASSERT_TRUE(s.t.setWatchpoint(WatchKind::Write,
                                       kGdbDataBase + 0x0150, 2));
@@ -186,7 +187,7 @@ TEST(DebugTarget, WriteWatchpointStopsAfterTheStore)
         s.t.setupCall(0);
         StopInfo stop = s.t.resume();
         ASSERT_EQ(stop.kind, StopInfo::Kind::Watchpoint)
-            << "reference " << reference;
+            << issBackendName(backend);
         EXPECT_EQ(stop.watchAddr, 0x0150);
         EXPECT_EQ(stop.signal, 5);
         // PC is past the STS (gdb reports writes after the fact), but

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests pinning the predecoded fast path to the step() reference
- * implementation: cache contents versus fresh decode over the entire
- * primary opcode space, incremental cache refresh on loadProgram,
- * architectural-state equivalence on randomized programs and on the
+ * Tests of the decode cache and of the two run loops built on it:
+ * cache contents versus fresh decode over the entire primary opcode
+ * space, incremental cache refresh on loadProgram, superblock versus
+ * step() reference equivalence on randomized programs and on the
  * generated OPF field routines (including the wide 192/256-bit
- * variants), and the >= cycle-budget semantics on both paths.
+ * variants), the >= cycle-budget semantics on both backends, and the
+ * zero cost of a debug hook that does not stop.
  */
 
 #include <gtest/gtest.h>
@@ -129,9 +130,9 @@ TEST(DecodeCache, LoadProgramRefreshesNeighborEntry)
 }
 
 /*
- * Randomized ALU/memory/branch soup: the fast path and the step()
- * reference must agree on every piece of architectural state, the
- * statistics included. MACCR stays zero, so the program is valid in
+ * Randomized ALU/memory/branch soup: the superblock loop and the
+ * step() reference must agree on every piece of architectural state,
+ * the statistics included. MACCR stays zero, so the program is valid in
  * all three modes.
  */
 TEST(DecodeCache, RandomProgramStateEquivalence)
@@ -193,10 +194,10 @@ TEST(DecodeCache, RandomProgramStateEquivalence)
         src += "ret\n";
 
         Program prog = assemble(src, "soup");
-        Machine fast(mode), ref(mode);
-        ref.forceReference = true;
-        fast.forceReference = false;
-        for (Machine *m : {&fast, &ref}) {
+        Machine sb(mode), ref(mode);
+        ref.setBackend(IssBackend::Reference);
+        sb.setBackend(IssBackend::Superblock);
+        for (Machine *m : {&sb, &ref}) {
             m->loadProgram(prog.words, 0);
             // The soup's unbalanced pops may raise SP past the
             // ATmega128 SRAM top; open the whole 64 KiB data space so
@@ -207,14 +208,14 @@ TEST(DecodeCache, RandomProgramStateEquivalence)
                 m->writeData(a, static_cast<uint8_t>(seed.next32()));
             m->call(0);
         }
-        expectSameState(fast, ref);
-        EXPECT_EQ(fast.trap(), ref.trap());
+        expectSameState(sb, ref);
+        EXPECT_EQ(sb.trap(), ref.trap());
     }
 }
 
 /*
  * The generated OPF field routines must produce identical results,
- * cycle counts and statistics on both paths -- and match the host
+ * cycle counts and statistics on both backends -- and match the host
  * word-level model. 176/240 exercise the wide-field code generation
  * (two-word CALL subroutine linkage, long-branch final fold).
  */
@@ -232,29 +233,24 @@ TEST_P(OpfPathEquivalence, FieldOpsMatchReferenceAndModel)
         auto a = field.fromBig(BigUInt::randomBits(rng, prime.k));
         auto b = field.fromBig(BigUInt::randomBits(rng, prime.k));
 
-        lib.machine().forceReference = true;
+        lib.machine().setBackend(IssBackend::Reference);
         OpfRun rm = lib.mul(a, b);
         OpfRun ra = lib.add(a, b);
         OpfRun rs = lib.sub(a, b);
-        lib.machine().forceReference = false;
-        // Both predecoded backends; in ISE the superblock runs the
-        // multiply's MAC regions as keyed traces.
-        for (IssBackend backend : {IssBackend::Fast,
-                                   IssBackend::Superblock}) {
-            lib.machine().setBackend(backend);
-            OpfRun fm = lib.mul(a, b);
-            OpfRun fa = lib.add(a, b);
-            OpfRun fs = lib.sub(a, b);
-            SCOPED_TRACE(csprintf("%s on %s", cpuModeName(mode),
-                                  issBackendName(backend)));
-            EXPECT_EQ(fm.result, rm.result);
-            EXPECT_EQ(fm.cycles, rm.cycles);
-            EXPECT_EQ(fm.instructions, rm.instructions);
-            EXPECT_EQ(fa.result, ra.result);
-            EXPECT_EQ(fa.cycles, ra.cycles);
-            EXPECT_EQ(fs.result, rs.result);
-            EXPECT_EQ(fs.cycles, rs.cycles);
-        }
+        // In ISE the superblock runs the multiply's MAC regions as
+        // keyed traces.
+        lib.machine().setBackend(IssBackend::Superblock);
+        OpfRun fm = lib.mul(a, b);
+        OpfRun fa = lib.add(a, b);
+        OpfRun fs = lib.sub(a, b);
+        SCOPED_TRACE(cpuModeName(mode));
+        EXPECT_EQ(fm.result, rm.result);
+        EXPECT_EQ(fm.cycles, rm.cycles);
+        EXPECT_EQ(fm.instructions, rm.instructions);
+        EXPECT_EQ(fa.result, ra.result);
+        EXPECT_EQ(fa.cycles, ra.cycles);
+        EXPECT_EQ(fs.result, rs.result);
+        EXPECT_EQ(fs.cycles, rs.cycles);
 
         // Host model agreement (covers the wide-field assembly).
         EXPECT_EQ(rm.result, field.montMul(a, b));
@@ -262,13 +258,13 @@ TEST_P(OpfPathEquivalence, FieldOpsMatchReferenceAndModel)
         EXPECT_EQ(rs.result, field.sub(a, b));
     }
 
-    // Inversion on the native-mode library, fast vs reference.
+    // Inversion on the native-mode library, superblock vs reference.
     OpfAvrLibrary lib(prime, CpuMode::FAST);
     BigUInt x = BigUInt(2) + BigUInt::random(rng, prime.p - BigUInt(2));
     auto wx = field.fromBig(x);
-    lib.machine().forceReference = false;
+    lib.machine().setBackend(IssBackend::Superblock);
     OpfRun fi = lib.inv(wx);
-    lib.machine().forceReference = true;
+    lib.machine().setBackend(IssBackend::Reference);
     OpfRun ri = lib.inv(wx);
     EXPECT_EQ(fi.result, ri.result);
     EXPECT_EQ(fi.cycles, ri.cycles);
@@ -278,8 +274,8 @@ INSTANTIATE_TEST_SUITE_P(FieldSizes, OpfPathEquivalence,
                          ::testing::Values(144u, 176u, 240u));
 
 /*
- * Budget semantics: the run panics once consumed >= max_cycles,
- * identically on both paths. A program consuming exactly C cycles
+ * Budget semantics: the run traps once consumed >= max_cycles,
+ * identically on both backends. A program consuming exactly C cycles
  * dies under a budget of C and survives under C + 1 (the >= check
  * runs after each instruction, before the exit test).
  */
@@ -293,10 +289,8 @@ TEST(DecodeCache, CycleBudgetBoundaryIdenticalOnBothPaths)
 
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
         for (IssBackend backend : {IssBackend::Reference,
-                                   IssBackend::Fast,
                                    IssBackend::Superblock}) {
             auto configure = [&](Machine &m) {
-                m.forceReference = backend == IssBackend::Reference;
                 m.setBackend(backend);
                 m.loadProgram(prog.words, 0);
             };
@@ -320,11 +314,12 @@ TEST(DecodeCache, CycleBudgetBoundaryIdenticalOnBothPaths)
 /*
  * The debug hook must be free when no debugger wants stops: a
  * DebugTarget that is attached but has no breakpoints or watchpoints
- * selects the plain run loops, and even an armed (but unreachable)
- * breakpoint — which engages the Debugged loop variants — must add
- * exactly zero cycles and zero architectural drift. Covers every
- * runFast instantiation mode on both paths, plus the
- * Profiled+Debugged combination.
+ * leaves the run on its backend's loop, and even an armed (but
+ * unreachable) breakpoint — which makes the run observed, so it takes
+ * the reference loop — must add exactly zero cycles and zero
+ * architectural drift against an unobserved superblock run. Covers
+ * both backends in every mode, plus a profiler and a debugger
+ * attached together.
  */
 TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
 {
@@ -337,14 +332,16 @@ TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
     constexpr uint32_t unreachable = 2 * 0xf000;
 
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
-        for (bool reference : {false, true}) {
-            OpfAvrLibrary base(prime, mode);
-            base.machine().forceReference = reference;
-            OpfRun r0 = base.mul(a, b);
-
+        OpfAvrLibrary base(prime, mode);
+        base.machine().setBackend(IssBackend::Superblock);
+        OpfRun r0 = base.mul(a, b);
+        for (IssBackend backend : {IssBackend::Reference,
+                                   IssBackend::Superblock}) {
+            SCOPED_TRACE(csprintf("%s on %s", cpuModeName(mode),
+                                  issBackendName(backend)));
             // Attached but passive: no breakpoints, no watchpoints.
             OpfAvrLibrary passive(prime, mode);
-            passive.machine().forceReference = reference;
+            passive.machine().setBackend(backend);
             DebugTarget quiet(passive.machine());
             EXPECT_FALSE(quiet.wantsStops());
             OpfRun r1 = passive.mul(a, b);
@@ -352,10 +349,10 @@ TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
             EXPECT_EQ(r1.cycles, r0.cycles);
             expectSameState(passive.machine(), base.machine());
 
-            // Armed with a breakpoint that never hits: the Debugged
+            // Armed with a breakpoint that never hits: the reference
             // loop runs, but timing must be bit-identical.
             OpfAvrLibrary armed(prime, mode);
-            armed.machine().forceReference = reference;
+            armed.machine().setBackend(backend);
             DebugTarget watching(armed.machine());
             ASSERT_TRUE(watching.setBreakpoint(unreachable));
             EXPECT_TRUE(watching.wantsStops());
@@ -367,8 +364,9 @@ TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
         }
     }
 
-    // Profiled + Debugged fast-loop instantiation.
+    // A profiler and a stopping debugger on the same run.
     OpfAvrLibrary base(prime, CpuMode::ISE);
+    base.machine().setBackend(IssBackend::Superblock);
     OpfRun r0 = base.mul(a, b);
     OpfAvrLibrary both(prime, CpuMode::ISE);
     CallGraphProfiler prof(both.machine(), both.symbols());
@@ -378,16 +376,4 @@ TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
     EXPECT_EQ(r1.result, r0.result);
     EXPECT_EQ(r1.cycles, r0.cycles);
     expectSameState(both.machine(), base.machine());
-}
-
-/** The environment flag forces the reference path at construction. */
-TEST(DecodeCache, EnvironmentFlagSelectsReferencePath)
-{
-    setenv("JAAVR_ISS_REFERENCE", "1", 1);
-    Machine forced(CpuMode::CA);
-    EXPECT_TRUE(forced.forceReference);
-    setenv("JAAVR_ISS_REFERENCE", "0", 1);
-    Machine normal(CpuMode::CA);
-    EXPECT_FALSE(normal.forceReference);
-    unsetenv("JAAVR_ISS_REFERENCE");
 }

@@ -2,18 +2,23 @@
  * @file
  * FaultInjector semantics: deterministic firing, one-shot behavior
  * (the basis of time-redundant detection), identical perturbed
- * execution on the step() reference path and the runFast Faulted
- * instantiations, every fault target, routine-entry triggers through
- * the SymbolTable, and flash corruption revert.
+ * execution on both backends (a pending plan makes the run observed,
+ * so either backend runs it in the step() reference loop), every
+ * fault target, routine-entry triggers through the SymbolTable, a
+ * plan firing under a debugger that wants stops, and flash corruption
+ * revert.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "avr/fault.hh"
 #include "avr/machine.hh"
 #include "avrasm/assembler.hh"
 #include "avrasm/symbol_table.hh"
 #include "avrgen/opf_harness.hh"
+#include "debug/target.hh"
 #include "nt/opf_prime.hh"
 #include "support/random.hh"
 
@@ -21,6 +26,9 @@ using namespace jaavr;
 
 namespace
 {
+
+constexpr IssBackend kBackends[] = {IssBackend::Superblock,
+                                    IssBackend::Reference};
 
 /** A program long enough to give every cycle trigger a boundary:
  *  writes r16 = 1..16 into 0x0200.., then sums them back into r20. */
@@ -60,17 +68,8 @@ struct RunState
 };
 
 RunState
-runWithPlan(const FaultPlan *plan, bool reference,
-            CpuMode mode = CpuMode::CA)
+snapshot(const Machine &m)
 {
-    Machine m(mode);
-    m.forceReference = reference;
-    m.loadProgram(assemble(kWorkload, "w").words, 0);
-    FaultInjector inj;
-    m.setFaultInjector(&inj);
-    if (plan)
-        inj.arm(*plan, m.stats().cycles);
-    m.call(0);
     RunState st;
     for (unsigned i = 0; i < 32; i++)
         st.regs[i] = m.reg(i);
@@ -83,17 +82,44 @@ runWithPlan(const FaultPlan *plan, bool reference,
     return st;
 }
 
+RunState
+runWithPlan(const FaultPlan *plan, IssBackend backend,
+            CpuMode mode = CpuMode::CA)
+{
+    Machine m(mode);
+    m.setBackend(backend);
+    m.loadProgram(assemble(kWorkload, "w").words, 0);
+    FaultInjector inj;
+    m.setFaultInjector(&inj);
+    if (plan)
+        inj.arm(*plan, m.stats().cycles);
+    m.call(0);
+    return snapshot(m);
+}
+
 } // namespace
 
 TEST(FaultInjector, UnarmedInjectorPerturbsNothing)
 {
-    RunState with = runWithPlan(nullptr, false);
     Machine bare(CpuMode::CA);
+    bare.setBackend(IssBackend::Superblock);
     bare.loadProgram(assemble(kWorkload, "w").words, 0);
     bare.call(0);
-    EXPECT_EQ(with.regs[20], bare.reg(20));
-    EXPECT_EQ(with.cycles, bare.stats().cycles);
-    EXPECT_EQ(with.regs[20], 136);  // 1+2+...+16
+    EXPECT_EQ(bare.reg(20), 136);  // 1+2+...+16
+
+    // A plan whose trigger lies past the end of the run keeps the run
+    // observed (reference loop) but must not drift from the
+    // unobserved superblock run by a cycle or a bit.
+    FaultPlan late;
+    late.target = FaultTarget::Gpr;
+    late.reg = 20;
+    late.triggerCycle = 1000000;
+    for (IssBackend backend : kBackends) {
+        EXPECT_EQ(runWithPlan(nullptr, backend), snapshot(bare))
+            << issBackendName(backend);
+        EXPECT_EQ(runWithPlan(&late, backend), snapshot(bare))
+            << issBackendName(backend);
+    }
 }
 
 TEST(FaultInjector, GprFlipIsDeterministicAndOneShot)
@@ -104,8 +130,8 @@ TEST(FaultInjector, GprFlipIsDeterministicAndOneShot)
     plan.mask = 0x81;  // double bit flip
     plan.triggerCycle = 150;  // mid-summation, after "ldi r20, 0"
 
-    RunState a = runWithPlan(&plan, false);
-    RunState b = runWithPlan(&plan, false);
+    RunState a = runWithPlan(&plan, IssBackend::Superblock);
+    RunState b = runWithPlan(&plan, IssBackend::Superblock);
     EXPECT_EQ(a, b);  // same seed plan, same outcome
     EXPECT_NE(a.regs[20], 136);  // the flip corrupted the sum
 
@@ -144,12 +170,12 @@ TEST(FaultInjector, AllTargetsMatchOnBothPaths)
             if (t == FaultTarget::OpcodeCorrupt)
                 plan.mask = static_cast<uint16_t>(1u << rng.below(16));
 
-            RunState fast = runWithPlan(&plan, false);
-            RunState ref = runWithPlan(&plan, true);
-            EXPECT_EQ(fast, ref)
+            RunState sb = runWithPlan(&plan, IssBackend::Superblock);
+            RunState ref = runWithPlan(&plan, IssBackend::Reference);
+            EXPECT_EQ(sb, ref)
                 << faultTargetName(t) << " round " << round
-                << " trigger " << plan.triggerCycle << ": fast trap "
-                << fast.trap.describe() << " vs ref trap "
+                << " trigger " << plan.triggerCycle << ": superblock trap "
+                << sb.trap.describe() << " vs ref trap "
                 << ref.trap.describe();
         }
     }
@@ -160,9 +186,9 @@ TEST(FaultInjector, InstSkipSkipsExactlyOne)
     // Three LDIs at one cycle each: skipping the boundary at cycle 1
     // drops the second LDI only.
     Program prog = assemble("ldi r16, 1\nldi r17, 2\nldi r18, 3\nret", "t");
-    for (int reference = 0; reference < 2; reference++) {
+    for (IssBackend backend : kBackends) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         FaultInjector inj;
         m.setFaultInjector(&inj);
@@ -177,6 +203,48 @@ TEST(FaultInjector, InstSkipSkipsExactlyOne)
         EXPECT_EQ(m.reg(18), 3);
         EXPECT_TRUE(inj.fired());
         EXPECT_EQ(inj.firedAtPc(), 1u);
+    }
+}
+
+/*
+ * A pending plan and a debugger that wants stops make one observed
+ * run: the reference loop polls both at every boundary, so the plan
+ * fires exactly as it does with no debugger attached, on either
+ * backend. (The breakpoint sits on flash the program never reaches.)
+ */
+TEST(FaultInjector, PendingPlanFiresWhileDebuggerWantsStops)
+{
+    const Program prog =
+        assemble("ldi r16, 1\nnop\nnop\nnop\nnop\nnop\nnop\nret\n", "t");
+    FaultPlan plan;
+    plan.target = FaultTarget::Gpr;
+    plan.reg = 16;
+    plan.mask = 0x80;
+    plan.triggerCycle = 3;
+    auto run = [&](IssBackend backend, bool debugged) {
+        Machine m(CpuMode::CA);
+        m.setBackend(backend);
+        m.loadProgram(prog.words, 0);
+        FaultInjector inj;
+        m.setFaultInjector(&inj);
+        inj.arm(plan, 0);
+        std::optional<DebugTarget> dbg;
+        if (debugged) {
+            dbg.emplace(m);
+            EXPECT_TRUE(dbg->setBreakpoint(2 * 0xf000));
+            EXPECT_TRUE(dbg->wantsStops());
+        }
+        RunResult r = m.call(0);
+        EXPECT_TRUE(r.ok()) << r.trap.describe();
+        EXPECT_TRUE(inj.fired());
+        return snapshot(m);
+    };
+    for (IssBackend backend : kBackends) {
+        SCOPED_TRACE(issBackendName(backend));
+        RunState debugged = run(backend, true);
+        EXPECT_EQ(debugged.regs[16], 0x81);
+        EXPECT_EQ(debugged.cycles, 11u);
+        EXPECT_EQ(debugged, run(backend, false));
     }
 }
 
@@ -236,9 +304,9 @@ g:
     ASSERT_TRUE(prog.labels.count("g"));
     uint32_t g_entry = prog.labels.at("g");
 
-    for (int reference = 0; reference < 2; reference++) {
+    for (IssBackend backend : kBackends) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         FaultInjector inj;
         m.setFaultInjector(&inj);

@@ -66,9 +66,9 @@ tmpPath(const std::string &leaf)
 
 /*
  * The WaveSink pinning contract: a LeakTracer that is attached but
- * never armed must leave every run-loop instantiation (all modes,
- * fast and reference) with bit-identical results, cycles and
- * architectural state, and must synthesize no samples.
+ * never armed must leave both backends in every mode with
+ * bit-identical results, cycles and architectural state against an
+ * unobserved superblock run, and must synthesize no samples.
  */
 TEST(Leakage, AttachedButIdleAddsZeroCycles)
 {
@@ -79,13 +79,13 @@ TEST(Leakage, AttachedButIdleAddsZeroCycles)
     auto b = field.fromBig(BigUInt::randomBits(rng, prime.k));
 
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
-        for (bool reference : {false, true}) {
-            OpfAvrLibrary base(prime, mode);
-            base.machine().forceReference = reference;
-            OpfRun r0 = base.mul(a, b);
-
+        OpfAvrLibrary base(prime, mode);
+        base.machine().setBackend(IssBackend::Superblock);
+        OpfRun r0 = base.mul(a, b);
+        for (IssBackend backend : {IssBackend::Reference,
+                                   IssBackend::Superblock}) {
             OpfAvrLibrary idle(prime, mode);
-            idle.machine().forceReference = reference;
+            idle.machine().setBackend(backend);
             LeakTracer leak; // attached, never armed
             idle.machine().setLeakSink(&leak);
             EXPECT_FALSE(leak.active());
@@ -100,7 +100,8 @@ TEST(Leakage, AttachedButIdleAddsZeroCycles)
 }
 
 /** An armed tracer routes through the reference loop, whose timing is
- *  pinned to the fast path — recording is observation, not physics. */
+ *  pinned to the superblock loop — recording is observation, not
+ *  physics. */
 TEST(Leakage, RecordingDoesNotPerturbTimingOrResults)
 {
     OpfPrime prime = makeOpf(0xff4c, 144);
@@ -110,6 +111,7 @@ TEST(Leakage, RecordingDoesNotPerturbTimingOrResults)
     auto b = field.fromBig(BigUInt::randomBits(rng, prime.k));
 
     OpfAvrLibrary base(prime, CpuMode::ISE);
+    base.machine().setBackend(IssBackend::Superblock);
     OpfRun r0 = base.mul(a, b);
 
     OpfAvrLibrary rec(prime, CpuMode::ISE);

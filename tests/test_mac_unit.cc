@@ -321,11 +321,10 @@ TEST(MacUnit, BackToBackTriggersTrap)
             ld r24, -%s     ; retrigger with two MACs pending: illegal
             ret
         )", ptr, ptr), "mac");
-        for (IssBackend backend : {IssBackend::Reference, IssBackend::Fast,
+        for (IssBackend backend : {IssBackend::Reference,
                                    IssBackend::Superblock}) {
             Machine mb(CpuMode::ISE);
             mb.setBackend(backend);
-            mb.forceReference = backend == IssBackend::Reference;
             mb.loadProgram(p.words);
             mb.setX(kA);
             mb.setY(kA);

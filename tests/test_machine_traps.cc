@@ -2,11 +2,11 @@
  * @file
  * Trap semantics of the Machine: every anomaly that used to
  * panic()-abort must now raise a recoverable Trap through
- * run()/call(), with identical behavior on the step() reference path
- * and all runFast instantiations, and without retiring the faulting
+ * run()/call(), with identical behavior on the step() reference loop
+ * and the superblock loop, and without retiring the faulting
  * instruction. Covers each memory-protection boundary (SRAM data
  * limit, stack guard, erased flash), the exhaustive illegal-opcode
- * space, stack overflow from a recursive program, and fast-vs-
+ * space, stack overflow from a recursive program, and superblock-vs-
  * reference trap equality on random wild-access programs.
  */
 
@@ -21,7 +21,11 @@ using namespace jaavr;
 namespace
 {
 
-/** Run the same program on both paths; expect the same trap. */
+/** Both run loops: the superblock first, then the step() reference. */
+constexpr IssBackend kBackends[] = {IssBackend::Superblock,
+                                    IssBackend::Reference};
+
+/** Run the same program on both backends; expect the same trap. */
 Trap
 trapOnBothPaths(const std::string &src, CpuMode mode = CpuMode::CA,
                 uint64_t budget = Machine::defaultCycleBudget)
@@ -29,16 +33,16 @@ trapOnBothPaths(const std::string &src, CpuMode mode = CpuMode::CA,
     Program prog = assemble(src, "t");
     Trap traps[2];
     uint64_t cycles[2];
-    for (int reference = 0; reference < 2; reference++) {
+    for (int i = 0; i < 2; i++) {
         Machine m(mode);
-        m.forceReference = reference != 0;
+        m.setBackend(kBackends[i]);
         m.loadProgram(prog.words, 0);
         RunResult r = m.call(0, budget);
-        traps[reference] = r.trap;
-        cycles[reference] = r.cycles;
+        traps[i] = r.trap;
+        cycles[i] = r.cycles;
         EXPECT_EQ(r.trap, m.trap());
     }
-    EXPECT_EQ(traps[0], traps[1]) << "fast: " << traps[0].describe()
+    EXPECT_EQ(traps[0], traps[1]) << "superblock: " << traps[0].describe()
                                   << " vs ref: " << traps[1].describe();
     EXPECT_EQ(cycles[0], cycles[1]);
     return traps[0];
@@ -100,9 +104,9 @@ TEST(MachineTraps, StsLdsPastDataLimitTrap)
 TEST(MachineTraps, TrappingStoreDoesNotWrite)
 {
     Program prog = assemble("ldi r16, 0xaa\nsts 0x1100, r16\nret", "t");
-    for (int reference = 0; reference < 2; reference++) {
+    for (IssBackend backend : kBackends) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         // Raise the limit to plant a sentinel where the store lands,
         // then restore it for the run.
@@ -119,9 +123,9 @@ TEST(MachineTraps, TrappingStoreDoesNotWrite)
 TEST(MachineTraps, CustomDataLimitIsHonored)
 {
     Program prog = assemble("sts 0x0480, r16\nret", "t");
-    for (int reference = 0; reference < 2; reference++) {
+    for (IssBackend backend : kBackends) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         m.setDataLimit(0x047f);
         RunResult r = m.call(0);
@@ -142,9 +146,9 @@ TEST(MachineTraps, TrappedInstructionDoesNotRetire)
         ld r16, -X
         ret
     )", "t");
-    for (int reference = 0; reference < 2; reference++) {
+    for (IssBackend backend : kBackends) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         RunResult r = m.call(0);
         EXPECT_EQ(r.trap.kind, TrapKind::SramOutOfBounds);
@@ -164,9 +168,9 @@ TEST(MachineTraps, RecursiveProgramOverflowsIntoGuard)
     // marching SP down from 0x10ff until it hits the stack guard
     // before corrupting the data segment below it.
     Program prog = assemble("f: rcall f\nret", "t");
-    for (int reference = 0; reference < 2; reference++) {
+    for (IssBackend backend : kBackends) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         m.setStackGuard(0x1000);
         // Sentinel bytes just below the guard: the overflow must not
@@ -184,9 +188,9 @@ TEST(MachineTraps, RecursiveProgramOverflowsIntoGuard)
 TEST(MachineTraps, PushBelowGuardTrapsBeforeWrite)
 {
     Program prog = assemble("push r16\nret", "t");
-    for (int reference = 0; reference < 2; reference++) {
+    for (IssBackend backend : kBackends) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         m.setSp(0x00ff);  // below the default guard at sramBase
         m.setReg(16, 0xee);
@@ -202,9 +206,9 @@ TEST(MachineTraps, PopUnderflowPastSramTopTraps)
     // SP at the SRAM top: a pop increments to 0x1100, beyond the
     // data limit.
     Program prog = assemble("pop r16\nret", "t");
-    for (int reference = 0; reference < 2; reference++) {
+    for (IssBackend backend : kBackends) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         RunResult r = m.run();
         EXPECT_EQ(r.trap.kind, TrapKind::SramOutOfBounds);
@@ -262,16 +266,17 @@ TEST(MachineTraps, ExhaustiveIllegalOpcodesRaiseNotAbort)
 
 TEST(MachineTraps, IllegalOpcodeIdenticalOnBothPaths)
 {
-    Machine fast(CpuMode::CA), ref(CpuMode::CA);
-    ref.forceReference = true;
-    for (Machine *m : {&fast, &ref}) {
+    Machine sb(CpuMode::CA), ref(CpuMode::CA);
+    sb.setBackend(IssBackend::Superblock);
+    ref.setBackend(IssBackend::Reference);
+    for (Machine *m : {&sb, &ref}) {
         m->loadProgram({0x9404}, 0);
         RunResult r = m->call(0);
         EXPECT_EQ(r.trap.kind, TrapKind::IllegalOpcode);
         EXPECT_EQ(r.trap.addr, 0x9404u);
         EXPECT_EQ(r.cycles, 0u);
     }
-    EXPECT_EQ(fast.trap(), ref.trap());
+    EXPECT_EQ(sb.trap(), ref.trap());
 }
 
 // --- Budget and recovery --------------------------------------------
@@ -306,7 +311,7 @@ TEST(MachineTraps, TrapDescribeNamesEveryKind)
     }
 }
 
-// --- Fast-vs-reference equality on random wild programs -------------
+// --- Superblock-vs-reference equality on random wild programs ------
 
 TEST(MachineTraps, RandomWildProgramsTrapIdentically)
 {
@@ -339,22 +344,23 @@ TEST(MachineTraps, RandomWildProgramsTrapIdentically)
         src += "ret\n";
 
         Program prog = assemble(src, "wild");
-        Machine fast(CpuMode::CA), ref(CpuMode::CA);
-        ref.forceReference = true;
-        for (Machine *m : {&fast, &ref}) {
+        Machine sb(CpuMode::CA), ref(CpuMode::CA);
+        sb.setBackend(IssBackend::Superblock);
+        ref.setBackend(IssBackend::Reference);
+        for (Machine *m : {&sb, &ref}) {
             m->loadProgram(prog.words, 0);
             m->call(0);
         }
-        EXPECT_EQ(fast.trap(), ref.trap())
-            << "round " << round << ": " << fast.trap().describe()
+        EXPECT_EQ(sb.trap(), ref.trap())
+            << "round " << round << ": " << sb.trap().describe()
             << " vs " << ref.trap().describe();
-        EXPECT_EQ(fast.pc(), ref.pc());
-        EXPECT_EQ(fast.sp(), ref.sp());
-        EXPECT_EQ(fast.stats().cycles, ref.stats().cycles);
-        EXPECT_EQ(fast.stats().instructions, ref.stats().instructions);
+        EXPECT_EQ(sb.pc(), ref.pc());
+        EXPECT_EQ(sb.sp(), ref.sp());
+        EXPECT_EQ(sb.stats().cycles, ref.stats().cycles);
+        EXPECT_EQ(sb.stats().instructions, ref.stats().instructions);
         for (unsigned i = 0; i < 32; i++)
-            EXPECT_EQ(fast.reg(i), ref.reg(i)) << "r" << i;
-        if (fast.trap())
+            EXPECT_EQ(sb.reg(i), ref.reg(i)) << "r" << i;
+        if (sb.trap())
             trapped++;
     }
     // The address mix must actually exercise the boundaries.

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests of the evaluation models: field-op cycle costs, the inversion
- * model, the cycle executor, area/power models, SARP, and the
- * experiment runners' shape properties (the relationships the paper's
- * conclusions rest on).
+ * Tests of the evaluation models: field-op cycle costs, the cycle
+ * executor, area/power models, SARP, and the experiment runners'
+ * shape properties (the relationships the paper's conclusions rest
+ * on).
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "model/cycle_executor.hh"
 #include "model/experiments.hh"
 #include "model/field_costs.hh"
-#include "model/inverse_model.hh"
 #include "curves/standard_curves.hh"
 
 using namespace jaavr;
@@ -50,28 +49,6 @@ TEST(FieldCosts, Secp160r1SlightlySlowerMul)
     // The adds differ only in the reduction fold; same ballpark.
     EXPECT_GT(sec.add, opf.add * 70 / 100);
     EXPECT_LT(sec.add, opf.add * 130 / 100);
-}
-
-TEST(InverseModel, IterationBounds)
-{
-    Rng rng(130);
-    const BigUInt &p = paperOpfPrime().p;
-    for (int i = 0; i < 20; i++) {
-        BigUInt a = BigUInt(1) + BigUInt::random(rng, p - BigUInt(1));
-        uint64_t k = kaliskiIterations(a, p);
-        EXPECT_GE(k, 160u);
-        EXPECT_LE(k, 320u);
-    }
-    uint64_t avg = kaliskiAverageIterations(160);
-    EXPECT_GT(avg, 200u);  // theoretical mean ~1.41 * 160 = 226
-    EXPECT_LT(avg, 260u);
-}
-
-TEST(InverseModel, SmallKnownCase)
-{
-    // gcd loop on tiny numbers terminates with sensible counts.
-    EXPECT_GT(kaliskiIterations(BigUInt(3), BigUInt(7)), 0u);
-    EXPECT_DEATH(kaliskiIterations(BigUInt(0), BigUInt(7)), "zero");
 }
 
 TEST(CycleExecutor, CountsAndConverts)

@@ -88,8 +88,8 @@ parseLines(const std::string &path)
 /*
  * The observer pinning contract, extended to the flight recorder: a
  * MachineTrapFlight attached to a machine that never traps must
- * leave every backend (reference, fast, superblock) with
- * bit-identical results, cycles and architectural state — the same
+ * leave both backends (reference, superblock) with bit-identical
+ * results, cycles and architectural state — the same
  * discipline Vcd.AttachedButIdleAddsZeroCycles pins for the wave
  * sink. The trap funnel only runs after the run loop has already
  * stopped, so "attached" costs zero simulated cycles by
@@ -103,7 +103,7 @@ TEST(Obs, TrapSinkAttachedAddsZeroCyclesOnAllBackends)
     auto a = field.fromBig(BigUInt::randomBits(rng, prime.k));
     auto b = field.fromBig(BigUInt::randomBits(rng, prime.k));
 
-    for (IssBackend backend : {IssBackend::Reference, IssBackend::Fast,
+    for (IssBackend backend : {IssBackend::Reference,
                                IssBackend::Superblock}) {
         for (CpuMode mode : {CpuMode::CA, CpuMode::ISE}) {
             OpfAvrLibrary base(prime, mode);

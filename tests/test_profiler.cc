@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the ISS profiling layer (src/avr/profiler.{hh,cc}): the
- * call-graph profiler must observe identical events on the predecoded
- * fast path and the step() reference path, attribute every cycle and
- * instruction exactly once, keep Chrome-trace begin/end events
- * properly nested, and leave the machine's statistics bit-identical
- * to an unprofiled run.
+ * call-graph profiler must observe identical events on both backends
+ * (a profiled run always takes the step() reference loop), attribute
+ * every cycle and instruction exactly once, keep Chrome-trace
+ * begin/end events properly nested, and leave the machine's
+ * statistics bit-identical to an unprofiled superblock run.
  */
 
 #include <gtest/gtest.h>
@@ -155,22 +155,30 @@ TEST(Profiler, FastAndReferencePathsObserveIdenticalEvents)
     syms.addProgram("main", prog, 0);
 
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
-        Machine fast(mode), ref(mode);
-        fast.loadProgram(prog.words);
-        ref.loadProgram(prog.words);
-        ref.forceReference = true;
-        CallGraphProfiler pf(fast, syms, true, true);
+        Machine sb(mode), ref(mode), bare(mode);
+        for (Machine *m : {&sb, &ref, &bare})
+            m->loadProgram(prog.words);
+        sb.setBackend(IssBackend::Superblock);
+        ref.setBackend(IssBackend::Reference);
+        bare.setBackend(IssBackend::Superblock);
+        CallGraphProfiler pf(sb, syms, true, true);
         CallGraphProfiler pr(ref, syms, true, true);
-        fast.call(0);
+        sb.call(0);
         ref.call(0);
+        bare.call(0);
         expectSameProfile(pf, pr);
+        // The profiled run matches the unprofiled superblock run.
+        EXPECT_EQ(sb.stats().cycles, bare.stats().cycles);
+        EXPECT_EQ(sb.stats().instructions, bare.stats().instructions);
+        EXPECT_EQ(sb.stats().opCount, bare.stats().opCount);
+        EXPECT_EQ(sb.stats().opCycles, bare.stats().opCycles);
     }
 }
 
 /*
  * The OPF field routines (including the MAC-ISE multiplication and
  * the subroutine-heavy inversion) must profile identically on both
- * execution paths across field sizes.
+ * backends across field sizes.
  */
 class ProfilerOpfEquivalence : public ::testing::TestWithParam<unsigned>
 {};
@@ -187,14 +195,14 @@ TEST_P(ProfilerOpfEquivalence, MulAndInvProfileIdentically)
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
         OpfAvrLibrary lib(prime, mode);
 
-        lib.machine().forceReference = false;
+        lib.machine().setBackend(IssBackend::Superblock);
         lib.machine().resetStats();
         CallGraphProfiler pf(lib.machine(), lib.symbols(), true, true);
         lib.mul(a, b);
         lib.inv(a);
         lib.machine().setProfiler(nullptr);
 
-        lib.machine().forceReference = true;
+        lib.machine().setBackend(IssBackend::Reference);
         lib.machine().resetStats();
         CallGraphProfiler pr(lib.machine(), lib.symbols(), true, true);
         lib.mul(a, b);
@@ -233,6 +241,7 @@ TEST(Profiler, SinkDoesNotPerturbExecution)
     auto b = field.fromBig(BigUInt::randomBits(rng, prime.k));
 
     OpfAvrLibrary plain(prime, CpuMode::ISE);
+    plain.machine().setBackend(IssBackend::Superblock);
     plain.machine().resetStats();
     OpfRun r0 = plain.mul(a, b);
 
@@ -264,11 +273,11 @@ TEST(Profiler, TraceSinkFormatIdenticalOnBothPaths)
 {
     Program prog = assemble("ldi r16, 0x2a\nnop\nret\n", "t");
 
-    auto capture = [&](bool reference) {
+    auto capture = [&](IssBackend backend) {
         std::FILE *f = std::tmpfile();
         Machine m(CpuMode::CA);
         m.loadProgram(prog.words);
-        m.forceReference = reference;
+        m.setBackend(backend);
         TraceSink sink(f);
         m.setProfiler(&sink);
         m.call(0);
@@ -282,26 +291,12 @@ TEST(Profiler, TraceSinkFormatIdenticalOnBothPaths)
         return out;
     };
 
-    std::string fast = capture(false);
-    std::string ref = capture(true);
-    EXPECT_EQ(fast, ref);
-    EXPECT_NE(fast.find("     0  0000: ldi r16, 0x2a"),
-              std::string::npos);
-    EXPECT_NE(fast.find("nop"), std::string::npos);
-    EXPECT_NE(fast.find("ret"), std::string::npos);
-}
-
-/* The legacy trace flag still produces `info: `-prefixed stderr. */
-TEST(Profiler, LegacyTraceFlagPrintsToStderr)
-{
-    Machine m(CpuMode::CA);
-    m.loadProgram(assemble("nop\nret\n", "t").words);
-    m.trace = true;
-    testing::internal::CaptureStderr();
-    m.call(0);
-    std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("info:      0  0000: nop"), std::string::npos);
-    EXPECT_NE(err.find("ret"), std::string::npos);
+    std::string sb = capture(IssBackend::Superblock);
+    std::string ref = capture(IssBackend::Reference);
+    EXPECT_EQ(sb, ref);
+    EXPECT_NE(sb.find("     0  0000: ldi r16, 0x2a"), std::string::npos);
+    EXPECT_NE(sb.find("nop"), std::string::npos);
+    EXPECT_NE(sb.find("ret"), std::string::npos);
 }
 
 /* Structured export: JSON-lines records and a nested Chrome trace. */

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests pinning the superblock-threaded backend (DESIGN.md §11) to
- * the step() reference implementation and the predecoded fast path:
- * exhaustive all-opcode-word replay in all three CPU modes (and in
- * ISE with the MAC unit live and a shadow pending at entry), random
- * program soup across all three backends, seeded MAC-unit soup,
+ * the step() reference loop: exhaustive all-opcode-word replay in all
+ * three CPU modes (and in ISE with the MAC unit live and a shadow
+ * pending at entry), random program soup on both backends, seeded
+ * MAC-unit soup,
  * trap-in-mid-trace side exits, MACCR stores, trace invalidation
  * through the GDB flash-patch path, the JAAVR_ISS_BACKEND selection
  * switch, and the decode-canonicalization (synonym) satellite.
@@ -114,16 +114,13 @@ seed(Machine &m, uint32_t salt)
 }
 
 /** One machine per backend, run side by side. */
-struct ThreeBackends
+struct BothBackends
 {
-    Machine ref, fast, sb;
+    Machine ref, sb;
 
-    explicit ThreeBackends(CpuMode mode) : ref(mode), fast(mode), sb(mode)
+    explicit BothBackends(CpuMode mode) : ref(mode), sb(mode)
     {
-        ref.forceReference = true;
-        fast.forceReference = false;
-        fast.setBackend(IssBackend::Fast);
-        sb.forceReference = false;
+        ref.setBackend(IssBackend::Reference);
         sb.setBackend(IssBackend::Superblock);
     }
 
@@ -136,7 +133,7 @@ struct ThreeBackends
     bool
     run(const Program &prog, uint64_t budget, uint32_t salt, int calls)
     {
-        for (Machine *m : {&ref, &fast, &sb}) {
+        for (Machine *m : {&ref, &sb}) {
             m->reset();
             m->loadProgram(prog.words, 0);
             seed(*m, salt);
@@ -145,29 +142,23 @@ struct ThreeBackends
             for (int c = 0; c < calls; c++)
                 m->call(0, budget);
         }
-        bool same = true;
-        if (!sameState(ref, sb)) {
-            explainState(ref, sb, "reference", "superblock");
-            same = false;
-        }
-        if (!sameState(ref, fast)) {
-            explainState(ref, fast, "reference", "fast");
-            same = false;
-        }
-        return same;
+        if (sameState(ref, sb))
+            return true;
+        explainState(ref, sb, "reference", "superblock");
+        return false;
     }
 };
 
 /**
- * Run @p prog on all three backends from identical state and verify
- * bit- and cycle-identical outcomes (reference is truth).
+ * Run @p prog on both backends from identical state and verify bit-
+ * and cycle-identical outcomes (reference is truth).
  */
 void
-expectThreeWayEquivalence(const Program &prog, CpuMode mode,
-                          uint64_t budget = Machine::defaultCycleBudget,
-                          uint32_t salt = 0x1a2b)
+expectBackendEquivalence(const Program &prog, CpuMode mode,
+                         uint64_t budget = Machine::defaultCycleBudget,
+                         uint32_t salt = 0x1a2b)
 {
-    ThreeBackends(mode).run(prog, budget, salt, 1);
+    BothBackends(mode).run(prog, budget, salt, 1);
 }
 
 /**
@@ -304,7 +295,7 @@ macSoup(Rng &rng, unsigned items)
 
 /*
  * Exhaustive replay: every one of the 65536 primary opcode words,
- * executed as the entry of a translated trace, must leave all three
+ * executed as the entry of a translated trace, must leave both
  * backends in bit- and cycle-identical state — registers, SREG, SP,
  * PC, SRAM, per-op statistics, the MAC unit and the stopping trap.
  * Because the synonym encodings (LSL/ROL/TST/CLR = ADD/ADC/AND/EOR
@@ -336,9 +327,8 @@ TEST(Superblock, AllOpcodeWordsMatchReferenceAllModes)
     };
     for (Pass pass : {Pass{CpuMode::CA, false}, Pass{CpuMode::FAST, false},
                       Pass{CpuMode::ISE, false}, Pass{CpuMode::ISE, true}}) {
-        Machine ref(pass.mode), fast(pass.mode), sb(pass.mode);
-        ref.forceReference = true;
-        fast.setBackend(IssBackend::Fast);
+        Machine ref(pass.mode), sb(pass.mode);
+        ref.setBackend(IssBackend::Reference);
         sb.setBackend(IssBackend::Superblock);
         for (uint32_t w = 0; w <= 0xffff; w++) {
             const uint16_t operand =
@@ -352,7 +342,7 @@ TEST(Superblock, AllOpcodeWordsMatchReferenceAllModes)
             }
             words.insert(words.end(), {static_cast<uint16_t>(w), operand,
                                        0xffff, 0xffff});
-            for (Machine *m : {&ref, &fast, &sb}) {
+            for (Machine *m : {&ref, &sb}) {
                 m->loadProgram(words, 0);
                 seed(*m, w);
                 m->setPc(0);
@@ -365,11 +355,6 @@ TEST(Superblock, AllOpcodeWordsMatchReferenceAllModes)
             const char *label = pass.macLive ? " (MAC live)" : "";
             if (!sameState(ref, sb)) {
                 explainState(ref, sb, "reference", "superblock");
-                FAIL() << "word 0x" << std::hex << w << " mode "
-                       << cpuModeName(pass.mode) << label;
-            }
-            if (!sameState(ref, fast)) {
-                explainState(ref, fast, "reference", "fast");
                 FAIL() << "word 0x" << std::hex << w << " mode "
                        << cpuModeName(pass.mode) << label;
             }
@@ -446,7 +431,7 @@ TEST(Superblock, RandomProgramThreeBackendEquivalence)
             src += csprintf("brne blk%d\n", blockn);
         }
         src += "ret\n";
-        expectThreeWayEquivalence(assemble(src, "soup"), mode);
+        expectBackendEquivalence(assemble(src, "soup"), mode);
     }
 }
 
@@ -469,7 +454,7 @@ TEST(Superblock, TrapMidTraceSramOutOfBounds)
                          "ret\n",
                          "oob");
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
-        expectThreeWayEquivalence(p, mode);
+        expectBackendEquivalence(p, mode);
         Machine sb(mode);
         sb.loadProgram(p.words, 0);
         seed(sb, 1);
@@ -490,7 +475,7 @@ TEST(Superblock, TrapMidTraceStackOverflow)
     Program p = assemble(src, "stackov");
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
         Machine ref(mode), sb(mode);
-        ref.forceReference = true;
+        ref.setBackend(IssBackend::Reference);
         sb.setBackend(IssBackend::Superblock);
         for (Machine *m : {&ref, &sb}) {
             m->loadProgram(p.words, 0);
@@ -523,7 +508,7 @@ TEST(Superblock, TrapMidTraceIllegalAndFlashOob)
         // time on the flash word).
         Program ill = head;
         ill.words.push_back(illegal);
-        expectThreeWayEquivalence(ill, mode);
+        expectBackendEquivalence(ill, mode);
         Machine m1(mode);
         m1.loadProgram(ill.words, 0);
         seed(m1, 3);
@@ -531,7 +516,7 @@ TEST(Superblock, TrapMidTraceIllegalAndFlashOob)
         EXPECT_EQ(m1.trap().pc, 2u);
 
         // Straight line off the end of the program into erased flash.
-        expectThreeWayEquivalence(head, mode);
+        expectBackendEquivalence(head, mode);
         Machine m2(mode);
         m2.loadProgram(head.words, 0);
         seed(m2, 4);
@@ -541,10 +526,10 @@ TEST(Superblock, TrapMidTraceIllegalAndFlashOob)
 }
 
 /*
- * Budget side exit: superblock delegates budget-critical passes to
- * the fast path, which must land the CycleBudget trap on exactly the
- * same instruction boundary as the reference (>= semantics), even
- * when the budget expires mid-trace.
+ * Budget side exit: superblock hands a budget-critical pass to the
+ * reference loop, which must land the CycleBudget trap on exactly
+ * the same instruction boundary as a pure reference run (>=
+ * semantics), even when the budget expires mid-trace.
  */
 TEST(Superblock, CycleBudgetMidTraceMatchesReference)
 {
@@ -559,7 +544,7 @@ TEST(Superblock, CycleBudgetMidTraceMatchesReference)
         for (uint64_t budget : {1ull, 7ull, 24ull, 25ull, 26ull,
                                 250ull, 261ull, 1000ull}) {
             Machine ref(mode), sb(mode);
-            ref.forceReference = true;
+            ref.setBackend(IssBackend::Reference);
             sb.setBackend(IssBackend::Superblock);
             for (Machine *m : {&ref, &sb}) {
                 m->loadProgram(p.words, 0);
@@ -605,7 +590,7 @@ TEST(Superblock, MaccrStoreSideExitsMidTrace)
     src += "ret\n";
     Program p = assemble(src, "maccr");
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE})
-        expectThreeWayEquivalence(p, mode);
+        expectBackendEquivalence(p, mode);
 
     const Program touch = assemble("ldi r20, 2\nout 0x3c, r20\n"
                                    "ld r24, X+\nout 0x3c, r20\n"
@@ -615,10 +600,10 @@ TEST(Superblock, MaccrStoreSideExitsMidTrace)
                                    "out 0x3c, r20\nld r24, X+\n"
                                    "out 0x3c, r21\nnop\nret\n",
                                    "stall");
-    ThreeBackends t(CpuMode::ISE);
+    BothBackends t(CpuMode::ISE);
     for (const Program *q : {&touch, &stall}) {
         ASSERT_TRUE(t.run(*q, Machine::defaultCycleBudget, 0x77, 1));
-        for (const Machine *m : {&t.ref, &t.fast, &t.sb}) {
+        for (const Machine *m : {&t.ref, &t.sb}) {
             EXPECT_TRUE(m->trap().kind == TrapKind::None)
                 << m->trap().describe();
             EXPECT_EQ(m->stats().macStallNops, 0u);
@@ -634,10 +619,10 @@ TEST(Superblock, MaccrStoreSideExitsMidTrace)
                                   "ldi r22, 0\nout 0x3e, r22\n"
                                   "ld r24, X+\nrcall f\nf:\nret\n",
                                   "call");
-    for (Machine *m : {&t.ref, &t.fast, &t.sb})
+    for (Machine *m : {&t.ref, &t.sb})
         m->setStackGuard(0x5c);
     ASSERT_TRUE(t.run(call, Machine::defaultCycleBudget, 0x78, 1));
-    for (const Machine *m : {&t.ref, &t.fast, &t.sb}) {
+    for (const Machine *m : {&t.ref, &t.sb}) {
         EXPECT_EQ(m->trap().kind, TrapKind::StackOverflow);
         EXPECT_EQ(m->mac().pendingShadow(), 0u);
     }
@@ -657,7 +642,7 @@ TEST(Superblock, TraceCapInsideShadowKeysNextBlock)
         src += "inc r25\n";
     src += "ld r24, X+\nnop\nnop\nadd r0, r1\nret\n";
     const Program prog = assemble(src, "cap");
-    ThreeBackends t(CpuMode::ISE);
+    BothBackends t(CpuMode::ISE);
     ASSERT_TRUE(t.run(prog, Machine::defaultCycleBudget, 0x99, 2));
     EXPECT_TRUE(t.sb.trap().kind == TrapKind::None);
     EXPECT_EQ(t.sb.stats().macStallNops, 4u);  // two per call
@@ -678,14 +663,15 @@ TEST(Superblock, TraceCapInsideShadowKeysNextBlock)
  * called twice so keyed blocks are re-entered with whatever MAC state
  * the first call left (a MACCR mode, a pending shadow after a budget
  * stop or hazard). A quarter run under small budgets that expire
- * mid-trace and often mid-shadow. All three backends must agree on
- * everything, MAC unit included.
+ * mid-trace and often mid-shadow, so the superblock hands them to the
+ * reference loop. Both backends must agree on everything, MAC unit
+ * included.
  */
 TEST(Superblock, MacSoupThreeBackendEquivalence)
 {
     Rng rng(0x3ac50);
-    ThreeBackends t(CpuMode::ISE);
-    for (Machine *m : {&t.ref, &t.fast, &t.sb})
+    BothBackends t(CpuMode::ISE);
+    for (Machine *m : {&t.ref, &t.sb})
         m->setStackGuard(0x20);  // lets a PUSH reach MACCR
     unsigned hazards = 0, retriggers = 0, stalls = 0, budget_stops = 0;
     for (unsigned n = 0; n < 2000; n++) {
@@ -723,9 +709,8 @@ TEST(Superblock, Secp160MulIseMatchesReference)
     }
     Secp160AvrLibrary lib(CpuMode::ISE);
     lib.machine().setBackend(IssBackend::Superblock);
-    lib.machine().forceReference = false;
     OpfRun s = lib.mulIse(a, b);
-    lib.machine().forceReference = true;
+    lib.machine().setBackend(IssBackend::Reference);
     OpfRun r = lib.mulIse(a, b);
     EXPECT_EQ(s.result, r.result);
     EXPECT_EQ(s.cycles, r.cycles);
@@ -783,22 +768,21 @@ TEST(Superblock, LoadProgramInvalidatesTraces)
 /** JAAVR_ISS_BACKEND selects the construction-time backend. */
 TEST(Superblock, BackendEnvironmentSelection)
 {
-    unsetenv("JAAVR_ISS_REFERENCE");
     setenv("JAAVR_ISS_BACKEND", "reference", 1);
     EXPECT_EQ(Machine(CpuMode::CA).backend(), IssBackend::Reference);
-    setenv("JAAVR_ISS_BACKEND", "fast", 1);
-    EXPECT_EQ(Machine(CpuMode::CA).backend(), IssBackend::Fast);
     setenv("JAAVR_ISS_BACKEND", "superblock", 1);
     EXPECT_EQ(Machine(CpuMode::CA).backend(), IssBackend::Superblock);
-    // Unknown values warn and keep the default.
-    setenv("JAAVR_ISS_BACKEND", "warp-drive", 1);
-    EXPECT_EQ(Machine(CpuMode::CA).backend(), IssBackend::Superblock);
+    // Unknown values, "fast" among them, warn and keep the default.
+    for (const char *unknown : {"fast", "warp-drive"}) {
+        setenv("JAAVR_ISS_BACKEND", unknown, 1);
+        EXPECT_EQ(Machine(CpuMode::CA).backend(), IssBackend::Superblock)
+            << unknown;
+    }
     unsetenv("JAAVR_ISS_BACKEND");
     EXPECT_EQ(Machine(CpuMode::CA).backend(), IssBackend::Superblock);
 
     // Name round-trip used by benches and tools.
     EXPECT_STREQ(issBackendName(IssBackend::Reference), "reference");
-    EXPECT_STREQ(issBackendName(IssBackend::Fast), "fast");
     EXPECT_STREQ(issBackendName(IssBackend::Superblock), "superblock");
 }
 
@@ -861,7 +845,7 @@ TEST(Superblock, SynonymClassificationExhaustive)
 /*
  * Call/return stitching: RCALL/CALL continue translation into the
  * callee and RET side-exits through the pushed return address;
- * nested calls and an ICALL through Z must behave identically on all
+ * nested calls and an ICALL through Z must behave identically on both
  * backends, cycles included.
  */
 TEST(Superblock, CallStitchingAndIndirectControlFlow)
@@ -876,5 +860,5 @@ TEST(Superblock, CallStitchingAndIndirectControlFlow)
     src += "f2:\ninc r21\nret\n";
     Program p = assemble(src, "calls");
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE})
-        expectThreeWayEquivalence(p, mode);
+        expectBackendEquivalence(p, mode);
 }

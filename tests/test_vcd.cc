@@ -172,9 +172,9 @@ tmpPath(const std::string &leaf)
 
 /*
  * The WaveSink pinning contract: a VcdWriter that is attached but not
- * recording must leave every run-loop instantiation (all modes, fast
- * and reference, profiled or not) with bit-identical results, cycles
- * and architectural state — the same discipline
+ * recording must leave both backends in every mode with
+ * bit-identical results, cycles and architectural state against an
+ * unobserved superblock run — the same discipline
  * DebugHookAddsZeroCyclesWhenNotStopping pins for the debug hook.
  */
 TEST(Vcd, AttachedButIdleAddsZeroCycles)
@@ -186,13 +186,13 @@ TEST(Vcd, AttachedButIdleAddsZeroCycles)
     auto b = field.fromBig(BigUInt::randomBits(rng, prime.k));
 
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
-        for (bool reference : {false, true}) {
-            OpfAvrLibrary base(prime, mode);
-            base.machine().forceReference = reference;
-            OpfRun r0 = base.mul(a, b);
-
+        OpfAvrLibrary base(prime, mode);
+        base.machine().setBackend(IssBackend::Superblock);
+        OpfRun r0 = base.mul(a, b);
+        for (IssBackend backend : {IssBackend::Reference,
+                                   IssBackend::Superblock}) {
             OpfAvrLibrary idle(prime, mode);
-            idle.machine().forceReference = reference;
+            idle.machine().setBackend(backend);
             VcdWriter vcd; // attached, never opened
             idle.machine().setWaveSink(&vcd);
             EXPECT_FALSE(vcd.active());
@@ -207,7 +207,7 @@ TEST(Vcd, AttachedButIdleAddsZeroCycles)
 }
 
 /** Recording routes through the reference loop, whose timing is
- *  pinned to the fast path — so the dump is free of time skew. */
+ *  pinned to the superblock loop — so the dump is free of time skew. */
 TEST(Vcd, RecordingDoesNotPerturbTimingOrResults)
 {
     OpfPrime prime = makeOpf(0xff4c, 144);
@@ -217,6 +217,7 @@ TEST(Vcd, RecordingDoesNotPerturbTimingOrResults)
     auto b = field.fromBig(BigUInt::randomBits(rng, prime.k));
 
     OpfAvrLibrary base(prime, CpuMode::ISE);
+    base.machine().setBackend(IssBackend::Superblock);
     OpfRun r0 = base.mul(a, b);
 
     OpfAvrLibrary rec(prime, CpuMode::ISE);

@@ -44,7 +44,7 @@ usage(const char *argv0)
                  "(default 3333, 0 = ephemeral)\n"
                  "  --mode ca|fast|ise  CPU timing/ISE mode "
                  "(default ise)\n"
-                 "  --backend reference|fast|superblock\n"
+                 "  --backend reference|superblock\n"
                  "                    ISS execution backend for free "
                  "running\n"
                  "                    (default: JAAVR_ISS_BACKEND or "
@@ -81,8 +81,6 @@ parseBackend(const std::string &s, IssBackend &out)
 {
     if (s == "reference")
         out = IssBackend::Reference;
-    else if (s == "fast")
-        out = IssBackend::Fast;
     else if (s == "superblock")
         out = IssBackend::Superblock;
     else
@@ -161,7 +159,7 @@ main(int argc, char **argv)
         } else if (arg == "--backend") {
             if (!parseBackend(next(), backend)) {
                 std::fprintf(stderr, "unknown backend "
-                             "(reference|fast|superblock)\n");
+                             "(reference|superblock)\n");
                 return 2;
             }
             backendSet = true;
@@ -252,8 +250,8 @@ main(int argc, char **argv)
 
     // The flag overrides the environment's JAAVR_ISS_BACKEND pick
     // (already applied at machine construction). With stops armed the
-    // server falls back to the debug-hooked loops regardless; the
-    // backend governs free-running continues.
+    // server runs the reference loop regardless; the backend governs
+    // free-running continues.
     if (backendSet)
         m->setBackend(backend);
     std::printf("ISS backend: %s\n", issBackendName(m->backend()));
