@@ -330,7 +330,7 @@ sweepIss(unsigned trials, uint64_t seed)
                   (unsigned long long)window, kBits));
 
     FaultInjector inj;
-    lib.machine().setFaultInjector(&inj);
+    lib.machine().attach(&inj);
 
     Tally per_target[6];
     Tally all;
@@ -376,7 +376,7 @@ sweepIss(unsigned trials, uint64_t seed)
         per_target[static_cast<unsigned>(plan.target)].add(o);
         all.add(o);
     }
-    lib.machine().setFaultInjector(nullptr);
+    lib.machine().detach(&inj);
 
     for (unsigned i = 0; i < 6; i++)
         report("iss", "montgomery-opf160",

@@ -129,7 +129,7 @@ main(int argc, char **argv)
     // profiled run already does, so the numbers below are unchanged.
     VcdWriter vcd;
     if (!vcdPath.empty()) {
-        ise.machine().setWaveSink(&vcd);
+        ise.machine().attach(&vcd);
         if (!vcd.open(vcdPath, ise.machine()))
             return 1;
     }

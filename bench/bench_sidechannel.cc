@@ -157,7 +157,7 @@ collectLadder(OpfAvrLibrary &lib, const OpfField &fm,
     const PrimeField &f = mc.field();
     Rng rng(seed);
     LeakTracer tracer;
-    lib.machine().setLeakSink(&tracer);
+    lib.machine().attach(&tracer);
 
     W a24m = fm.toMont(BigUInt(mc.a24()));
     W one = fm.toMont(BigUInt(1));
@@ -274,7 +274,7 @@ collectLadder(OpfAvrLibrary &lib, const OpfField &fm,
         set.traces.push_back(tracer.samples());
         set.x1m.push_back(std::move(x1m));
     }
-    lib.machine().setLeakSink(nullptr);
+    lib.machine().detach(&tracer);
     return set;
 }
 
@@ -457,7 +457,7 @@ cpaMul(OpfAvrLibrary &lib, const OpfField &fm, unsigned ntraces,
     W bW = fm.fromBig(bSecret);
 
     LeakTracer tracer;
-    lib.machine().setLeakSink(&tracer);
+    lib.machine().attach(&tracer);
     auto capture = [&](const W &aW, const W &bOp, uint64_t nseed,
                        std::vector<std::vector<float>> &out) {
         tracer.begin(lib.machine(), nseed);
@@ -535,7 +535,7 @@ cpaMul(OpfAvrLibrary &lib, const OpfField &fm, unsigned ntraces,
                 traces);
         a0.push_back(aW[0]);
     }
-    lib.machine().setLeakSink(nullptr);
+    lib.machine().detach(&tracer);
 
     size_t n = traces.size();
     std::vector<double> meanY, sdY;

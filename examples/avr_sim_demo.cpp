@@ -80,9 +80,9 @@ main()
     m.setY(0x0200);
     m.setZ(0x0210);
     TraceSink trace(stderr, "info: ");  // watch it run
-    m.setProfiler(&trace);
+    m.attach(&trace);
     uint64_t cycles = m.call(0);
-    m.setProfiler(nullptr);
+    m.detach(&trace);
 
     unsigned long long acc = 0;
     for (int i = 7; i >= 0; i--)

@@ -81,6 +81,38 @@ FaultInjector::armSchedule(const std::vector<FaultPlan> &plans,
     nextIdx = 1;
 }
 
+bool
+FaultInjector::onBoundary(Machine &m, uint32_t pc, uint64_t cycles)
+{
+    if (!checkFire(pc, cycles))
+        return false;
+    const uint8_t mask8 = static_cast<uint8_t>(planV.mask);
+    switch (planV.target) {
+      case FaultTarget::Gpr:
+      case FaultTarget::MacAcc:
+        m.setReg(planV.reg & 31, m.reg(planV.reg & 31) ^ mask8);
+        break;
+      case FaultTarget::Sreg:
+        m.setSreg(m.sreg() ^ mask8);
+        break;
+      case FaultTarget::Sram:
+        if (planV.sramAddr >= Machine::sramBase)
+            m.writeData(planV.sramAddr,
+                        m.readData(planV.sramAddr) ^ mask8);
+        break;
+      case FaultTarget::InstSkip:
+        m.setPc(pc + m.decoded(pc).inst.words);
+        break;
+      case FaultTarget::OpcodeCorrupt:
+        m.corruptFlashWord(planV.flashAddr == FaultPlan::kCurrentPc
+                               ? pc
+                               : planV.flashAddr,
+                           planV.mask);
+        break;
+    }
+    return false;
+}
+
 void
 FaultInjector::revertFlash(Machine &m) const
 {

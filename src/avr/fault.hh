@@ -2,15 +2,18 @@
  * @file
  * Deterministic fault injection for the ISS: a FaultInjector arms one
  * FaultPlan — a bit flip in a GPR / SREG / SRAM byte / the R0-R8 MAC
- * accumulator, an instruction skip, or an opcode corruption — and the
- * Machine applies it at the chosen instruction boundary (an absolute
- * trigger delay in cycles, optionally counted from the first arrival
- * at a routine-entry PC resolved through the SymbolTable).
+ * accumulator, an instruction skip, or an opcode corruption — and
+ * applies it at the chosen instruction boundary (an absolute trigger
+ * delay in cycles, optionally counted from the first arrival at a
+ * routine-entry PC resolved through the SymbolTable).
  *
- * A pending plan makes the run observed: run() takes the step()
- * reference loop, which polls the injector at every boundary, while
- * an unarmed (or already fired) injector leaves the superblock loop
- * untouched at zero overhead. A plan fires exactly once; re-running
+ * The injector is an ordinary ExecObserver (machine.hh). It wants
+ * boundary events while a plan is pending, so such a run is observed:
+ * run() takes the step() reference loop, which calls onBoundary() at
+ * every boundary, and the injector applies the plan through the
+ * Machine's public API — the fault model lives only here. An unarmed
+ * (or already fired) injector wants nothing and leaves the superblock
+ * loop untouched at zero overhead. A plan fires exactly once; re-running
  * the machine with the injector still attached executes cleanly,
  * which is what lets time-redundant (run-twice-and-compare)
  * countermeasures detect transient faults. Opcode corruption persists
@@ -35,10 +38,11 @@
 #include <utility>
 #include <vector>
 
+#include "avr/machine.hh"
+
 namespace jaavr
 {
 
-class Machine;
 class Rng;
 
 /** Architectural location a FaultPlan perturbs. */
@@ -92,7 +96,7 @@ struct FaultPlan
     std::string describe() const;
 };
 
-class FaultInjector
+class FaultInjector : public ExecObserver
 {
   public:
     /**
@@ -144,10 +148,20 @@ class FaultInjector
     uint64_t firedAtCycle() const { return firedCycle; }
     uint32_t firedAtPc() const { return firedPc; }
 
+    /** Boundary events while a plan is pending, else nothing. */
+    unsigned wants() const override { return pending() ? Boundary : 0u; }
+
     /**
-     * Machine-side poll at the instruction boundary (@p pc, absolute
-     * @p cycles): advances the trigger state machine and returns true
-     * exactly once, when the fault must be applied now.
+     * Poll checkFire() and, when the plan fires, apply it to @p m.
+     * An instruction skip moves the PC, which restarts the boundary
+     * there. Never stops the run.
+     */
+    bool onBoundary(Machine &m, uint32_t pc, uint64_t cycles) override;
+
+    /**
+     * Poll at the instruction boundary (@p pc, absolute @p cycles):
+     * advances the trigger state machine and returns true exactly
+     * once, when the fault must be applied now.
      */
     bool
     checkFire(uint32_t pc, uint64_t cycles)

@@ -141,10 +141,9 @@ LeakTracer::noise()
 }
 
 void
-LeakTracer::onStep(const Machine &m, uint32_t pc, const Inst &inst,
-                   unsigned cycles)
+LeakTracer::onRetire(const Machine &m, uint32_t, const Inst &inst,
+                     unsigned cycles)
 {
-    (void)pc;
     now += cycles;
 
     // Register-file switching: Hamming distance of all 32 registers

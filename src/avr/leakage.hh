@@ -1,6 +1,6 @@
 /**
  * @file
- * Side-channel leakage observability: a WaveSink that prices the
+ * Side-channel leakage observability: an ExecObserver that prices the
  * per-retirement architectural state of the ISS through a
  * Hamming-weight/Hamming-distance power model into a deterministic
  * synthesized power trace (DESIGN.md, "Leakage observability").
@@ -21,10 +21,12 @@
  *    identical runs synthesize byte-identical traces (the same
  *    rerun-determinism contract the VCD writer pins).
  *
- * Sampling needs the machine's architectural state current after
- * every retirement, which only the reference loop provides: an
- * *active* tracer routes run() through the reference loop, an idle
- * (attached but not armed) tracer leaves the superblock loop
+ * While armed the tracer wants retire and trap events. Sampling needs
+ * the machine's architectural state current after every retirement,
+ * which only the reference loop provides: an armed tracer routes
+ * run() through the reference loop (and also samples instructions
+ * retired by a direct Machine::step()), an idle (attached but not
+ * armed) tracer wants nothing and leaves the superblock loop
  * untouched at exactly zero simulated cycles — pinned by
  * tests/test_leakage.cc, mirroring tests/test_vcd.cc.
  */
@@ -60,7 +62,7 @@ struct LeakModel
     std::string describe() const;
 };
 
-class LeakTracer : public WaveSink
+class LeakTracer : public ExecObserver
 {
   public:
     LeakTracer() = default;
@@ -83,10 +85,13 @@ class LeakTracer : public WaveSink
     const LeakModel &model() const { return model_; }
     void setModel(const LeakModel &m) { model_ = m; }
 
-    // WaveSink interface -------------------------------------------------
-    bool active() const override { return armed; }
-    void onStep(const Machine &m, uint32_t pc, const Inst &inst,
-                unsigned cycles) override;
+    /** True while armed (between begin() and end()). */
+    bool active() const { return armed; }
+
+    // ExecObserver ---------------------------------------------------
+    unsigned wants() const override { return armed ? Retire | Traps : 0; }
+    void onRetire(const Machine &m, uint32_t pc, const Inst &inst,
+                  unsigned cycles) override;
     void onTrap(const Machine &m, const Trap &trap) override;
 
     /** Synthesized samples, one per retired instruction. */

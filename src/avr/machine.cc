@@ -1,10 +1,9 @@
 #include "avr/machine.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
-#include "avr/fault.hh"
-#include "avr/profiler.hh"
 #include "avr/superblock.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -105,10 +104,40 @@ Machine::Machine(CpuMode mode)
 Machine::~Machine() = default;
 
 void
-Machine::setProfiler(ProfileSink *sink)
+Machine::attach(ExecObserver *obs)
 {
-    profSink = sink;
-    profWantsInst = sink && sink->wantsInstructions();
+    for (const Attached &a : observers)
+        if (a.obs == obs)
+            return;
+    observers.push_back({obs, 0});
+}
+
+void
+Machine::detach(ExecObserver *obs)
+{
+    std::erase_if(observers,
+                  [obs](const Attached &a) { return a.obs == obs; });
+}
+
+void
+Machine::sampleObservers()
+{
+    observedEvents = 0;
+    for (Attached &a : observers) {
+        a.wants = a.obs->wants();
+        observedEvents |= a.wants;
+    }
+}
+
+template <typename Hook>
+void
+Machine::notify(unsigned event, Hook &&hook)
+{
+    if (!(observedEvents & event))
+        return;
+    for (const Attached &a : observers)
+        if (a.wants & event)
+            hook(*a.obs);
 }
 
 void
@@ -397,6 +426,13 @@ Machine::triggerLoadMac(uint8_t value)
 unsigned
 Machine::step()
 {
+    sampleObservers();
+    return execute();
+}
+
+unsigned
+Machine::execute()
+{
     pendingTrap = Trap();
     uint32_t pc0 = pcWord;
     uint16_t w0 = fetch(pc0);
@@ -448,8 +484,8 @@ Machine::step()
     TrapKind trap_kind = TrapKind::None;
     uint16_t trap_addr = 0;
     auto ldG = [&](uint16_t a) -> uint8_t {
-        if (dbgHook)
-            dbgHook->onLoad(a);
+        notify(ExecObserver::Access,
+               [a](ExecObserver &o) { o.onLoad(a); });
         if (a >= sramBase && a > dataLimitV) {
             trap_kind = TrapKind::SramOutOfBounds;
             trap_addr = a;
@@ -458,8 +494,8 @@ Machine::step()
         return readData(a);
     };
     auto stG = [&](uint16_t a, uint8_t v) {
-        if (dbgHook)
-            dbgHook->onStore(a);
+        notify(ExecObserver::Access,
+               [a](ExecObserver &o) { o.onStore(a); });
         if (a >= sramBase && a > dataLimitV) {
             trap_kind = TrapKind::SramOutOfBounds;
             trap_addr = a;
@@ -945,90 +981,48 @@ Machine::step()
     if (inst.op == Op::NOP && shadow > 0)
         execStats.macStallNops++;
 
-    if (profSink) {
-        if (profWantsInst)
-            profSink->onInst(pc0, inst, cycles,
-                             execStats.cycles - cycles);
-        if (inst.op == Op::CALL || inst.op == Op::RCALL ||
-            inst.op == Op::ICALL)
-            profSink->onCall(pc0, pcWord, execStats.cycles);
-        else if (inst.op == Op::RET || inst.op == Op::RETI)
-            profSink->onRet(pc0, pcWord, execStats.cycles);
-    }
+    notify(ExecObserver::Retire, [&](ExecObserver &o) {
+        o.onRetire(*this, pc0, inst, cycles);
+    });
+    if (inst.op == Op::CALL || inst.op == Op::RCALL ||
+        inst.op == Op::ICALL)
+        notify(ExecObserver::CallRet, [&](ExecObserver &o) {
+            o.onCall(pc0, pcWord, execStats.cycles);
+        });
+    else if (inst.op == Op::RET || inst.op == Op::RETI)
+        notify(ExecObserver::CallRet, [&](ExecObserver &o) {
+            o.onRet(pc0, pcWord, execStats.cycles);
+        });
     return cycles;
-}
-
-bool
-Machine::applyBoundaryFault()
-{
-    const FaultPlan &fp = faultInj->plan();
-    switch (fp.target) {
-      case FaultTarget::Gpr:
-      case FaultTarget::MacAcc:
-        regs[fp.reg & 31] ^= static_cast<uint8_t>(fp.mask);
-        return false;
-      case FaultTarget::Sreg:
-        sregBits ^= static_cast<uint8_t>(fp.mask);
-        return false;
-      case FaultTarget::Sram:
-        if (fp.sramAddr >= sramBase)
-            sram[fp.sramAddr - sramBase] ^= static_cast<uint8_t>(fp.mask);
-        return false;
-      case FaultTarget::InstSkip:
-        pcWord = (pcWord + decodeCache[pcWord & (flashWords - 1)].inst.words) &
-                 0xffff;
-        return true;
-      case FaultTarget::OpcodeCorrupt:
-        corruptFlashWord(fp.flashAddr == FaultPlan::kCurrentPc ? pcWord
-                                                               : fp.flashAddr,
-                         fp.mask);
-        return false;
-    }
-    return false;
 }
 
 void
 Machine::runReference(uint64_t max_cycles)
 {
     uint64_t start = execStats.cycles;
-    // Sampled once at entry, mirroring DebugHook::wantsStops() in
-    // run(): a sink that activates mid-run records from the next run.
-    // Both observer slots (waveform and leakage) fire identically.
-    WaveSink *const wave =
-        (waveSnk && waveSnk->active()) ? waveSnk : nullptr;
-    WaveSink *const leak =
-        (leakSnk && leakSnk->active()) ? leakSnk : nullptr;
-    auto fire_trap = [&]() {
-        if (wave)
-            wave->onTrap(*this, pendingTrap);
-        if (leak)
-            leak->onTrap(*this, pendingTrap);
-    };
     while (pcWord != exitAddress) {
-        if (dbgHook && dbgHook->onBoundary(pcWord, execStats.cycles)) {
-            pendingTrap = Trap{TrapKind::DebugBreak, pcWord, 0};
-            fire_trap();
+        if (observedEvents & ExecObserver::Boundary) {
+            const uint32_t pc = pcWord;
+            bool stop = false;
+            for (const Attached &a : observers) {
+                if (!(a.wants & ExecObserver::Boundary))
+                    continue;
+                stop = a.obs->onBoundary(*this, pc, execStats.cycles);
+                if (stop || pcWord != pc)
+                    break;
+            }
+            if (stop) {
+                pendingTrap = Trap{TrapKind::DebugBreak, pcWord, 0};
+                return;
+            }
+            if (pcWord != pc)
+                continue; // a hook moved the PC: a new boundary
+        }
+        execute();
+        if (pendingTrap)
             return;
-        }
-        if (faultInj && faultInj->checkFire(pcWord, execStats.cycles)) {
-            if (applyBoundaryFault())
-                continue;  // instruction skip consumed the boundary
-        }
-        uint32_t pc0 = pcWord;
-        unsigned cycles = step();
-        if (pendingTrap) {
-            fire_trap();
-            return;
-        }
-        if (wave)
-            wave->onStep(*this, pc0,
-                         decodeCache[pc0 & (flashWords - 1)].inst, cycles);
-        if (leak)
-            leak->onStep(*this, pc0,
-                         decodeCache[pc0 & (flashWords - 1)].inst, cycles);
         if (execStats.cycles - start >= max_cycles) {
             pendingTrap = Trap{TrapKind::CycleBudget, pcWord, 0};
-            fire_trap();
             return;
         }
     }
@@ -1039,26 +1033,24 @@ Machine::run(uint64_t max_cycles)
 {
     pendingTrap = Trap();
     uint64_t start = execStats.cycles;
-    // An observed run needs every observer served at every
-    // instruction boundary with the machine's state current, which
-    // only the step() loop provides; idle observers leave the
-    // superblock loop untouched.
-    const bool observed = profSink || (dbgHook && dbgHook->wantsStops()) ||
-                          (faultInj && faultInj->pending()) ||
-                          (waveSnk && waveSnk->active()) ||
-                          (leakSnk && leakSnk->active());
-    if (observed || backendV == IssBackend::Reference)
+    // An observed run needs its observers served at every instruction
+    // boundary with the machine's state current, which only the
+    // step() loop provides. Traps are delivered below on both loops.
+    sampleObservers();
+    if ((observedEvents & ~unsigned(ExecObserver::Traps)) ||
+        backendV == IssBackend::Reference)
         runReference(max_cycles);
     else
         runSuperblock(max_cycles);
     // Single count point for trap telemetry: both loops funnel
-    // through here, so kinds are never counted twice. The
-    // flight-recorder trap sink shares the funnel — it observes the
-    // already-accounted machine, so it can never skew cycles or state.
+    // through here, so kinds are never counted twice. Observers see
+    // the already-accounted machine, so they cannot skew its cycles
+    // or state.
     if (pendingTrap) {
         execStats.trapCount[static_cast<size_t>(pendingTrap.kind)]++;
-        if (trapSnk)
-            trapSnk->onTrap(*this, pendingTrap);
+        notify(ExecObserver::Traps, [this](ExecObserver &o) {
+            o.onTrap(*this, pendingTrap);
+        });
     }
     return {execStats.cycles - start, pendingTrap};
 }
@@ -1070,8 +1062,10 @@ Machine::call(uint32_t word_addr, uint64_t max_cycles)
     pcWord = word_addr & 0xffff;
     // Synthetic call event so profilers see the routine entered from
     // the harness; the final RET to exitAddress closes it.
-    if (profSink)
-        profSink->onCall(exitAddress, pcWord, execStats.cycles);
+    sampleObservers();
+    notify(ExecObserver::CallRet, [this](ExecObserver &o) {
+        o.onCall(exitAddress, pcWord, execStats.cycles);
+    });
     return run(max_cycles);
 }
 

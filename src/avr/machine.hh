@@ -27,21 +27,17 @@
 namespace jaavr
 {
 
-class ProfileSink;
-class FaultInjector;
 class Machine;
 class MetricsRegistry;
 class SuperblockCache;
-struct Trap;
 
 /**
  * Execution backend selected for run()/call() (see DESIGN.md §6 and
  * §11): Reference is the step() loop, one decode per instruction;
  * Superblock the trace-translating threaded-dispatch loop built on
  * top of the decode cache. Superblock is the default. An observed
- * run (profiler, stopping debug hook, pending fault, active wave or
- * leakage sink) always takes the reference loop. Overridable via
- * JAAVR_ISS_BACKEND=reference|superblock.
+ * run (see ExecObserver) always takes the reference loop.
+ * Overridable via JAAVR_ISS_BACKEND=reference|superblock.
  */
 enum class IssBackend : uint8_t
 {
@@ -51,96 +47,6 @@ enum class IssBackend : uint8_t
 
 /** Short stable name for @p backend ("reference", ...). */
 const char *issBackendName(IssBackend backend);
-
-/**
- * Cycle-accurate waveform observer (src/avr/vcd.hh implements it as
- * a VCD writer). A wave sink samples the *machine itself* after
- * every retirement, which only the reference loop keeps current per
- * instruction. run() therefore routes through the reference loop
- * while active() is true and through the superblock loop while it is
- * false: an attached-but-idle sink costs exactly zero cycles, pinned
- * by tests/test_vcd.cc the same way
- * DebugHookAddsZeroCyclesWhenNotStopping pins the debug hook.
- * active() is sampled once at run() entry; the sink must outlive the
- * machine or detach before destruction.
- */
-class WaveSink
-{
-  public:
-    virtual ~WaveSink() = default;
-
-    /** True while the sink wants per-instruction samples. */
-    virtual bool active() const = 0;
-
-    /**
-     * The instruction @p inst (fetched from @p pc) just retired for
-     * @p cycles cycles; the machine's architectural state is current.
-     */
-    virtual void onStep(const Machine &m, uint32_t pc, const Inst &inst,
-                        unsigned cycles) = 0;
-
-    /** Execution stopped on @p trap (machine state as of the trap). */
-    virtual void onTrap(const Machine &m, const Trap &trap) = 0;
-};
-
-/**
- * Cold-path trap observer (src/obs/ flight recorder): every
- * run()/call() that stops on a trap — in either loop — reports it
- * here exactly once, from the same funnel that bumps
- * ExecStats::trapCount. The hook fires strictly *after* the executed
- * region has been accounted, so attaching a sink can never perturb
- * simulated cycles or architectural state (pinned by
- * tests/test_obs.cc on both backends); with no trap raised it is
- * never consulted at all. A trap sink does not make a run observed.
- * The sink must outlive the machine or detach before destruction.
- */
-class TrapSink
-{
-  public:
-    virtual ~TrapSink() = default;
-
-    /** run()/call() stopped on @p trap (already counted in stats). */
-    virtual void onTrap(const Machine &m, const Trap &trap) = 0;
-};
-
-/**
- * Execution-boundary observer for the debug subsystem (src/debug/):
- * the Machine consults an attached hook for stop requests at every
- * instruction boundary and reports every data-space access, which is
- * what software breakpoints and data watchpoints are built from.
- *
- * A hook whose wantsStops() is true at run() entry makes the run
- * observed, so it executes in the reference loop, which consults the
- * hook at every boundary and data access; with no debugger attached
- * (or a debugger with nothing to watch) the superblock loop runs
- * untouched (pinned by tests/test_decode_cache.cc). Hook
- * implementations must rely on the event arguments only and must not
- * mutate the machine.
- */
-class DebugHook
-{
-  public:
-    virtual ~DebugHook() = default;
-
-    /**
-     * Sampled once at run() entry to select the reference loop;
-     * return false while there is nothing to stop for and the
-     * superblock loop may run.
-     */
-    virtual bool wantsStops() const = 0;
-
-    /**
-     * Instruction boundary: the instruction at @p pc is about to
-     * execute, @p cycles is the cumulative cycle count. Return true
-     * to stop execution before it (the run raises a DebugBreak trap
-     * with nothing retired, so PC still points at @p pc).
-     */
-    virtual bool onBoundary(uint32_t pc, uint64_t cycles) = 0;
-
-    /** A data-space load from / store to @p addr is executing. */
-    virtual void onLoad(uint16_t addr) = 0;
-    virtual void onStore(uint16_t addr) = 0;
-};
 
 /**
  * Reason a run stopped before reaching the exit sentinel. Every
@@ -158,7 +64,7 @@ enum class TrapKind : uint8_t
     StackOverflow,    ///< push below Machine::stackGuard()
     CycleBudget,      ///< run()/call() cycle budget exhausted
     MacHazard,        ///< Algorithm-2 MAC shadow-register violation
-    DebugBreak,       ///< an attached DebugHook requested a stop
+    DebugBreak,       ///< an ExecObserver stopped at a boundary
 };
 
 /** Short stable name for @p kind ("illegal_opcode", ...). */
@@ -264,6 +170,92 @@ isMacLoadForm(const Inst &inst)
     return inst.rd == 24 && isLoadOp(inst.op);
 }
 
+/**
+ * The one execution-observer interface: profilers, the debugger, the
+ * fault injector, the VCD and leakage writers and the flight recorder
+ * all watch a Machine through it (DESIGN.md §6).
+ *
+ * wants() names the events an observer takes, computed from its own
+ * state. The Machine samples every attached observer's mask once per
+ * run() and once per direct step(), never per instruction, and serves
+ * observers in attach order. A run in which some observer wants an
+ * event other than Traps is *observed*: it takes the step() reference
+ * loop, the only loop that keeps the machine's state current at every
+ * instruction boundary. An observer that wants nothing, or only
+ * traps, leaves the superblock loop untouched at zero added cycles.
+ *
+ * Only onBoundary() may change the machine. An observer must outlive
+ * the machine or detach before destruction.
+ */
+class ExecObserver
+{
+  public:
+    enum Event : unsigned
+    {
+        Boundary = 1, ///< onBoundary() before every instruction
+        Access = 2,   ///< onLoad()/onStore() for data-space accesses
+        Retire = 4,   ///< onRetire() after every instruction
+        CallRet = 8,  ///< onCall()/onRet()
+        Traps = 16,   ///< onTrap() when run() stops on a trap
+    };
+
+    virtual ~ExecObserver() = default;
+
+    /** The Event bits this observer wants now. */
+    virtual unsigned wants() const = 0;
+
+    /**
+     * Instruction boundary: the instruction at @p pc is about to
+     * execute, @p cycles is the cumulative cycle count. Return true
+     * to stop the run before it with a DebugBreak trap (nothing
+     * retires, later observers are not asked). A hook may perturb
+     * @p m through its public API; if it moves the PC, the boundary
+     * restarts at the new PC.
+     */
+    virtual bool onBoundary(Machine &, uint32_t /*pc*/, uint64_t /*cycles*/)
+    {
+        return false;
+    }
+
+    /** A data-space load from / store to @p addr is executing. */
+    virtual void onLoad(uint16_t /*addr*/) {}
+    virtual void onStore(uint16_t /*addr*/) {}
+
+    /**
+     * The instruction @p inst fetched from @p pc retired for @p cycles
+     * cycles. @p m's state and statistics are current, so it began at
+     * m.stats().cycles - cycles. For calls and returns this fires
+     * before onCall()/onRet().
+     */
+    virtual void onRetire(const Machine &, uint32_t /*pc*/,
+                          const Inst &, unsigned /*cycles*/)
+    {
+    }
+
+    /**
+     * A call retired: @p call_pc is the CALL/RCALL/ICALL's address
+     * (Machine::exitAddress for the synthetic top-level call of
+     * Machine::call), @p target the callee entry, @p cycles_after the
+     * cumulative cycle count including the call (the callee's start).
+     */
+    virtual void onCall(uint32_t /*call_pc*/, uint32_t /*target*/,
+                        uint64_t /*cycles_after*/)
+    {
+    }
+
+    /**
+     * A RET/RETI at @p ret_pc resumed execution at @p resume_pc;
+     * @p cycles_after includes the return itself.
+     */
+    virtual void onRet(uint32_t /*ret_pc*/, uint32_t /*resume_pc*/,
+                       uint64_t /*cycles_after*/)
+    {
+    }
+
+    /** run()/call() stopped on @p trap, already counted in stats. */
+    virtual void onTrap(const Machine &, const Trap &) {}
+};
+
 class Machine
 {
   public:
@@ -335,7 +327,9 @@ class Machine
      * This is the *reference* path: it re-fetches and re-decodes the
      * flash words on every call and evaluates the mode/MAC branches at
      * run time. It is the independent oracle the superblock loop is
-     * validated against (tests/test_superblock.cc).
+     * validated against (tests/test_superblock.cc). It samples the
+     * observers' masks and serves their access, retire and call/return
+     * events; traps reach observers only through run().
      */
     unsigned step();
 
@@ -346,8 +340,10 @@ class Machine
      * have been consumed (>= semantics: consuming exactly the budget
      * traps, identically in both loops).
      *
-     * An observed run (see IssBackend) or the Reference backend runs
-     * the step() loop; every other run runs the superblock loop.
+     * An observed run (see ExecObserver) or the Reference backend
+     * runs the step() loop; every other run runs the superblock loop.
+     * Observers that want traps hear of the stopping trap after it is
+     * counted in stats(), on either loop.
      */
     RunResult run(uint64_t max_cycles = defaultCycleBudget);
 
@@ -395,65 +391,14 @@ class Machine
     const MacUnit &mac() const { return macUnit; }
 
     /**
-     * Attach an execution observer (nullptr detaches). An attached
-     * sink makes every run observed, so it runs in the reference
-     * loop; with no sink attached the superblock loop carries zero
-     * profiling overhead. The sink must outlive the machine or detach
-     * before destruction.
+     * Attach @p obs behind the observers already attached (a no-op if
+     * it is attached). Its mask is first sampled by the next run(),
+     * call() or step(). Not callable from inside a hook.
      */
-    void setProfiler(ProfileSink *sink);
-    ProfileSink *profiler() const { return profSink; }
+    void attach(ExecObserver *obs);
 
-    /**
-     * Attach a fault injector (nullptr detaches). A pending plan makes
-     * the run observed (reference loop, polled at every boundary);
-     * with no armed plan the superblock loop carries zero injection
-     * overhead. The injector must outlive the machine or detach before
-     * destruction.
-     */
-    void setFaultInjector(FaultInjector *inj) { faultInj = inj; }
-    FaultInjector *faultInjector() const { return faultInj; }
-
-    /**
-     * Attach a debug hook (nullptr detaches). wantsStops() is
-     * re-sampled at every run() entry, so a hook may flip between
-     * active and passive without re-attaching; while it answers
-     * false the superblock loop runs and only step()/runReference
-     * consult the hook. The hook must outlive the machine or detach
-     * before destruction.
-     */
-    void setDebugHook(DebugHook *hook) { dbgHook = hook; }
-    DebugHook *debugHook() const { return dbgHook; }
-
-    /**
-     * Attach a waveform sink (nullptr detaches). active() is sampled
-     * at run() entry: true routes execution through the reference
-     * loop (per-instruction architectural sampling), false leaves the
-     * superblock loop untouched — see WaveSink.
-     */
-    void setWaveSink(WaveSink *sink) { waveSnk = sink; }
-    WaveSink *waveSink() const { return waveSnk; }
-
-    /**
-     * Attach a leakage sink (nullptr detaches): a second,
-     * independent WaveSink slot used by the side-channel subsystem
-     * (src/avr/leakage.hh), so a power tracer and a VCD writer can
-     * observe the same run. Identical contract to setWaveSink():
-     * active() is sampled at run() entry, an active sink routes
-     * through the reference loop, an idle one costs exactly zero
-     * cycles in the superblock loop (pinned by tests/test_leakage.cc).
-     */
-    void setLeakSink(WaveSink *sink) { leakSnk = sink; }
-    WaveSink *leakSink() const { return leakSnk; }
-
-    /**
-     * Attach a trap sink (nullptr detaches): notified once per
-     * trapped run()/call() from the common trap-count funnel, after
-     * accounting, on every backend — see TrapSink. Costs nothing
-     * unless a trap is actually raised.
-     */
-    void setTrapSink(TrapSink *sink) { trapSnk = sink; }
-    TrapSink *trapSink() const { return trapSnk; }
+    /** Detach @p obs (a no-op if it is not attached). */
+    void detach(ExecObserver *obs);
 
     /**
      * Publish execution telemetry into @p reg: instruction/cycle/
@@ -517,22 +462,22 @@ class Machine
     /** Predecode the flash word pair at @p w0/@p w1 (cache fill). */
     DecodedInst makeDecoded(uint16_t w0, uint16_t w1) const;
 
+    /** step() serving the masks as last sampled (no re-sampling). */
+    unsigned execute();
+
     /**
-     * Reference run loop: step() per instruction. Serves every
-     * observer — debug hook and fault injector before each
-     * instruction, wave and leakage sinks after it — and the
-     * budget-critical tail of a superblock run.
+     * Reference run loop: execute() per instruction, with the
+     * observers' boundary hooks polled before each one. Serves every
+     * observed run and the budget-critical tail of a superblock run.
      */
     void runReference(uint64_t max_cycles);
 
-    /**
-     * Apply the armed fault plan to architectural state at an
-     * instruction boundary. Returns true when the fault consumed the
-     * boundary itself (instruction skip advanced the PC), false when
-     * execution should continue into the (possibly perturbed)
-     * instruction.
-     */
-    bool applyBoundaryFault();
+    /** Re-sample every attached observer's wants() and their union. */
+    void sampleObservers();
+
+    /** Call @p hook on each observer whose sampled mask has @p event. */
+    template <typename Hook>
+    void notify(unsigned event, Hook &&hook);
 
     /**
      * Superblock-threaded run loop (superblock.cc): translated
@@ -556,13 +501,13 @@ class Machine
     uint32_t pcWord = 0;
     MacUnit macUnit;
     ExecStats execStats;
-    ProfileSink *profSink = nullptr;
-    bool profWantsInst = false;          ///< cached sink capability
-    FaultInjector *faultInj = nullptr;
-    DebugHook *dbgHook = nullptr;
-    WaveSink *waveSnk = nullptr;
-    WaveSink *leakSnk = nullptr;
-    TrapSink *trapSnk = nullptr;
+    struct Attached
+    {
+        ExecObserver *obs;
+        unsigned wants; ///< obs->wants() as last sampled
+    };
+    std::vector<Attached> observers; ///< in attach order
+    unsigned observedEvents = 0;     ///< union of the sampled masks
     Trap pendingTrap;
     uint16_t dataLimitV = 0x10ff; ///< top of ATmega128 internal SRAM
     uint16_t stackGuardV = sramBase;

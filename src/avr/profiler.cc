@@ -2,27 +2,11 @@
 
 #include <algorithm>
 
-#include "avr/machine.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
 namespace jaavr
 {
-
-void
-ProfileSink::onCall(uint32_t, uint32_t, uint64_t)
-{
-}
-
-void
-ProfileSink::onRet(uint32_t, uint32_t, uint64_t)
-{
-}
-
-void
-ProfileSink::onInst(uint32_t, const Inst &, unsigned, uint64_t)
-{
-}
 
 TraceSink::TraceSink(std::FILE *out, std::string line_prefix)
     : out(out), prefix(std::move(line_prefix))
@@ -30,12 +14,12 @@ TraceSink::TraceSink(std::FILE *out, std::string line_prefix)
 }
 
 void
-TraceSink::onInst(uint32_t pc, const Inst &inst, unsigned,
-                  uint64_t cycles_before)
+TraceSink::onRetire(const Machine &m, uint32_t pc, const Inst &inst,
+                    unsigned cycles)
 {
     std::fprintf(out, "%s%6llu  %04x: %s\n", prefix.c_str(),
-                 static_cast<unsigned long long>(cycles_before), pc,
-                 disassemble(inst).c_str());
+                 static_cast<unsigned long long>(m.stats().cycles - cycles),
+                 pc, disassemble(inst).c_str());
 }
 
 CallGraphProfiler::CallGraphProfiler(Machine &m, SymbolTable symbols,
@@ -46,13 +30,12 @@ CallGraphProfiler::CallGraphProfiler(Machine &m, SymbolTable symbols,
       recordTrace(record_trace),
       topNode(&nodeMap[kTopAddr])
 {
-    machine->setProfiler(this);
+    machine->attach(this);
 }
 
 CallGraphProfiler::~CallGraphProfiler()
 {
-    if (machine && machine->profiler() == this)
-        machine->setProfiler(nullptr);
+    machine->detach(this);
 }
 
 void
@@ -111,8 +94,8 @@ CallGraphProfiler::onRet(uint32_t, uint32_t, uint64_t cycles_after)
 }
 
 void
-CallGraphProfiler::onInst(uint32_t, const Inst &inst,
-                          unsigned inst_cycles, uint64_t)
+CallGraphProfiler::onRetire(const Machine &, uint32_t, const Inst &inst,
+                            unsigned inst_cycles)
 {
     Node *n = frames.empty() ? topNode : frames.back().node;
     n->instructions++;

@@ -1,16 +1,13 @@
 /**
  * @file
- * Pluggable execution observers for the JAAVR ISS.
+ * Profiling observers for the JAAVR ISS (ExecObserver, machine.hh).
  *
- * A ProfileSink attached to a Machine receives call/return events
- * (CALL/RCALL/ICALL and RET/RETI, plus the synthetic top-level call
- * issued by Machine::call) and — when it asks for them — one event
- * per retired instruction. An attached sink makes every run observed:
- * run() takes the step() reference loop, which fires the events per
- * instruction, so the unprofiled superblock loop carries zero
- * profiling overhead.
+ * Both take call/return events (CALL/RCALL/ICALL and RET/RETI, plus
+ * the synthetic top-level call issued by Machine::call) and/or one
+ * retire event per instruction, so an attached profiler makes every
+ * run observed: run() takes the step() reference loop, and the
+ * unprofiled superblock loop carries zero profiling overhead.
  *
- * Two sinks are provided:
  *  - TraceSink: per-instruction disassembly lines in the classic
  *    `--trace` format (cycle count, pc, disassembly);
  *  - CallGraphProfiler: per-routine cycle attribution
@@ -20,9 +17,8 @@
  *    structured export (text report, JSON-lines records, Chrome
  *    `chrome://tracing` JSON).
  *
- * Sinks are read-only observers: they must not mutate the machine,
- * and they read what they need from the event arguments (and
- * Machine::sp()).
+ * Both are read-only: they read what they need from the event
+ * arguments (and Machine::sp()).
  */
 
 #ifndef JAAVR_AVR_PROFILER_HH
@@ -35,53 +31,11 @@
 #include <string>
 #include <vector>
 
-#include "avr/isa.hh"
+#include "avr/machine.hh"
 #include "avrasm/symbol_table.hh"
 
 namespace jaavr
 {
-
-class Machine;
-
-/** Observer interface for Machine execution events. */
-class ProfileSink
-{
-  public:
-    virtual ~ProfileSink() = default;
-
-    /**
-     * Return true to also receive onInst() for every retired
-     * instruction (sampled once at attach time; do not change the
-     * answer while attached).
-     */
-    virtual bool wantsInstructions() const { return false; }
-
-    /**
-     * A call was executed: @p call_pc is the address of the
-     * CALL/RCALL/ICALL (Machine::exitAddress for the synthetic
-     * top-level call of Machine::call), @p target the callee entry,
-     * @p cycles_after the cumulative cycle count once the call
-     * instruction has retired (the callee's start timestamp).
-     */
-    virtual void onCall(uint32_t call_pc, uint32_t target,
-                        uint64_t cycles_after);
-
-    /**
-     * A RET/RETI at @p ret_pc resumed execution at @p resume_pc;
-     * @p cycles_after includes the return instruction itself.
-     */
-    virtual void onRet(uint32_t ret_pc, uint32_t resume_pc,
-                       uint64_t cycles_after);
-
-    /**
-     * Instruction at @p pc retired, costing @p inst_cycles;
-     * @p cycles_before is the cumulative cycle count when it began.
-     * Only delivered when wantsInstructions() is true. For calls and
-     * returns this fires before the matching onCall()/onRet().
-     */
-    virtual void onInst(uint32_t pc, const Inst &inst,
-                        unsigned inst_cycles, uint64_t cycles_before);
-};
 
 /**
  * Per-instruction disassembly tracing in the classic stderr format
@@ -89,15 +43,15 @@ class ProfileSink
  * preceded by an optional prefix (e.g. "info: "); writes to any
  * FILE.
  */
-class TraceSink : public ProfileSink
+class TraceSink : public ExecObserver
 {
   public:
     explicit TraceSink(std::FILE *out = stderr,
                        std::string line_prefix = "");
 
-    bool wantsInstructions() const override { return true; }
-    void onInst(uint32_t pc, const Inst &inst, unsigned inst_cycles,
-                uint64_t cycles_before) override;
+    unsigned wants() const override { return Retire; }
+    void onRetire(const Machine &m, uint32_t pc, const Inst &inst,
+                  unsigned cycles) override;
 
   private:
     std::FILE *out;
@@ -109,7 +63,7 @@ class TraceSink : public ProfileSink
  * histograms. Attaches itself to the machine on construction and
  * detaches on destruction.
  */
-class CallGraphProfiler : public ProfileSink
+class CallGraphProfiler : public ExecObserver
 {
   public:
     /** Node address used when instructions retire outside any call. */
@@ -137,6 +91,8 @@ class CallGraphProfiler : public ProfileSink
         {
             return opCycles[static_cast<size_t>(op)];
         }
+
+        bool operator==(const Node &) const = default;
     };
 
     /** One Chrome-trace call event (begin/end pair per frame). */
@@ -164,13 +120,16 @@ class CallGraphProfiler : public ProfileSink
     CallGraphProfiler(const CallGraphProfiler &) = delete;
     CallGraphProfiler &operator=(const CallGraphProfiler &) = delete;
 
-    bool wantsInstructions() const override { return histograms; }
+    unsigned wants() const override
+    {
+        return histograms ? CallRet | Retire : unsigned(CallRet);
+    }
     void onCall(uint32_t call_pc, uint32_t target,
                 uint64_t cycles_after) override;
     void onRet(uint32_t ret_pc, uint32_t resume_pc,
                uint64_t cycles_after) override;
-    void onInst(uint32_t pc, const Inst &inst, unsigned inst_cycles,
-                uint64_t cycles_before) override;
+    void onRetire(const Machine &m, uint32_t pc, const Inst &inst,
+                  unsigned cycles) override;
 
     /** Forget everything recorded so far (frames included). */
     void reset();

@@ -40,10 +40,9 @@
  *    per-instruction precision; the pre-check fires only when the
  *    remaining budget is below the block's maxCycles, so the
  *    reference loop runs at most about one block's worth of cycles;
- *  - observed runs (profiler, stopping debug hook, pending fault,
- *    active wave or leakage sink) are handled one level up:
- *    Machine::run() never selects this loop while any of them is
- *    live.
+ *  - observed runs (some ExecObserver wants more than traps) are
+ *    handled one level up: Machine::run() never selects this loop
+ *    for them.
  */
 
 #include "avr/superblock.hh"

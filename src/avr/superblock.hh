@@ -26,9 +26,8 @@
  * the GDB `M`/`X` flash-patch path and the fault injector's
  * OpcodeCorrupt use) drops every translated block. Flash cannot
  * change while the superblock loop itself is running (it only runs
- * unobserved: no profiler, stopping debug hook, pending fault or
- * active wave sink), so invalidation never races a trace in
- * flight.
+ * when no attached ExecObserver wants more than traps, so no fault
+ * hook can fire), so invalidation never races a trace in flight.
  */
 
 #ifndef JAAVR_AVR_SUPERBLOCK_HH

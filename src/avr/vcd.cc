@@ -142,10 +142,10 @@ VcdWriter::emit(const std::string vals[kNumSigs], bool force)
 }
 
 void
-VcdWriter::onStep(const Machine &m, uint32_t pc, const Inst &inst,
-                  unsigned cycles)
+VcdWriter::onRetire(const Machine &m, uint32_t, const Inst &inst,
+                    unsigned cycles)
 {
-    (void)pc; // the machine's PC (next fetch address) is what's dumped
+    // The machine's PC (next fetch address) is what's dumped.
     if (!file)
         return;
     if (inst.op == Op::CALL || inst.op == Op::RCALL ||

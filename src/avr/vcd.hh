@@ -1,7 +1,7 @@
 /**
  * @file
  * Cycle-accurate VCD (Value Change Dump, IEEE 1364) waveform writer
- * for the ISS, attached through the Machine's WaveSink observer.
+ * for the ISS, attached to a Machine as an ExecObserver.
  *
  * One VCD time unit is one CPU cycle (declared as 1 us, i.e. a core
  * clocked at 1 MHz, so GTKWave's time axis doubles as a microsecond
@@ -21,11 +21,13 @@
  * emitted change-only in fixed signal order, so two identical runs
  * produce byte-identical files (pinned by tests/test_vcd.cc).
  *
+ * While a dump is open the writer wants retire and trap events.
  * Sampling requires current architectural state after every retired
- * instruction, so an *active* writer routes run() through the
- * reference loop; while closed it is invisible — the superblock loop
- * runs with exactly zero added cycles (also pinned by
- * tests/test_vcd.cc).
+ * instruction, so an open writer routes run() through the reference
+ * loop, and it also records instructions retired by a direct
+ * Machine::step() (gdb's stepi). While closed it wants nothing and is
+ * invisible — the superblock loop runs with exactly zero added
+ * cycles (also pinned by tests/test_vcd.cc).
  */
 
 #ifndef JAAVR_AVR_VCD_HH
@@ -40,7 +42,7 @@
 namespace jaavr
 {
 
-class VcdWriter : public WaveSink
+class VcdWriter : public ExecObserver
 {
   public:
     VcdWriter() = default;
@@ -60,10 +62,13 @@ class VcdWriter : public WaveSink
     /** Flush and close the dump (also done by the destructor). */
     void close();
 
-    // WaveSink interface -------------------------------------------------
-    bool active() const override { return file != nullptr; }
-    void onStep(const Machine &m, uint32_t pc, const Inst &inst,
-                unsigned cycles) override;
+    /** True while a dump is open. */
+    bool active() const { return file != nullptr; }
+
+    // ExecObserver ---------------------------------------------------
+    unsigned wants() const override { return active() ? Retire | Traps : 0; }
+    void onRetire(const Machine &m, uint32_t pc, const Inst &inst,
+                  unsigned cycles) override;
     void onTrap(const Machine &m, const Trap &trap) override;
 
     /** Current dump time = cumulative cycles since open(). */

@@ -451,6 +451,11 @@ WeierstrassCurve::mulLadder(const BigUInt &k, const AffinePoint &p) const
         } else {
             // r1 <- r0 + r1, r0 <- 2 r0 = (r0+r1) + (r0-r1).
             zaddc(r0, r1, sum, diff);
+            // r0 + r1 = O cannot be carried by co-Z formulas. For
+            // 1 <= k < n it occurs only for k = n - 1, at its last
+            // bit: there r0 = -r1, so the answer 2 r0 = r0 - r1 = -P.
+            if (sum.isInfinity())
+                return negate(p);
             zaddu(sum, diff, twice);
             r0 = twice;
             r1 = sum;

@@ -100,7 +100,10 @@ class WeierstrassCurve
     /**
      * Montgomery ladder using co-Z conjugate additions. Requires
      * k >= 1. Performs exactly one ZADDC and one ZADDU per scalar bit
-     * after the highest, independent of bit values.
+     * after the highest, independent of bit values, except for
+     * k = n - 1 (n the order of @p p): its last ZADDC sum is the point
+     * at infinity, and the ladder returns -P there without the final
+     * ZADDU.
      */
     AffinePoint mulLadder(const BigUInt &k, const AffinePoint &p) const;
 

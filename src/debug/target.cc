@@ -19,13 +19,12 @@ constexpr uint8_t kGdbSigSegv = 11;
 
 DebugTarget::DebugTarget(Machine &m) : mach(m)
 {
-    mach.setDebugHook(this);
+    mach.attach(this);
 }
 
 DebugTarget::~DebugTarget()
 {
-    if (mach.debugHook() == this)
-        mach.setDebugHook(nullptr);
+    mach.detach(this);
 }
 
 /* ---- registers --------------------------------------------------- */
@@ -226,7 +225,7 @@ DebugTarget::clearWatchpoint(WatchKind kind, uint32_t addr,
     return true;
 }
 
-/* ---- DebugHook --------------------------------------------------- */
+/* ---- ExecObserver ------------------------------------------------ */
 
 bool
 DebugTarget::wantsStops() const
@@ -235,7 +234,7 @@ DebugTarget::wantsStops() const
 }
 
 bool
-DebugTarget::onBoundary(uint32_t pc, uint64_t)
+DebugTarget::onBoundary(Machine &, uint32_t pc, uint64_t)
 {
     // A watched access retired during the previous instruction: stop
     // now, with PC past the accessing instruction (gdb's semantics

@@ -6,7 +6,7 @@
  * block layout, gdb's composite address space (flash at 0, data space
  * at 0x800000, EEPROM at 0x810000), software breakpoints, data
  * watchpoints, and the stop-reason model — while the Machine itself
- * stays debugger-agnostic behind the DebugHook interface.
+ * stays debugger-agnostic behind the ExecObserver interface.
  *
  * Execution control:
  *  - stepOne() uses Machine::step(), the reference path, so a single
@@ -15,11 +15,14 @@
  *    a CycleBudget trap inside a slice is reported as Kind::Running
  *    so the server can poll the transport for gdb's interrupt (0x03)
  *    between slices and call resume() again.
- *  - While wantsStops() is true, run() takes the reference loop,
- *    which consults the hook at every boundary. While it is false
- *    (no breakpoints, no watchpoints), run() takes the superblock
- *    loop: an attached but passive debugger costs zero cycles (pinned
- *    by tests/test_decode_cache.cc).
+ *  - While a breakpoint or watchpoint is set (wantsStops()), the
+ *    target wants boundary and access events, so run() takes the
+ *    reference loop, which asks onBoundary() at every boundary and
+ *    reports every data access. With nothing set it wants nothing,
+ *    and run() takes the superblock loop: an attached but passive
+ *    debugger costs zero cycles (pinned by tests/test_decode_cache.cc).
+ *    Attach the debugger before a FaultInjector so that a breakpoint
+ *    stops the run before a plan due at the same boundary fires.
  */
 
 #ifndef JAAVR_DEBUG_TARGET_HH
@@ -71,10 +74,10 @@ struct StopInfo
     uint64_t cycles = 0;       ///< cumulative machine cycles
 };
 
-class DebugTarget : public DebugHook
+class DebugTarget : public ExecObserver
 {
   public:
-    /** Attaches itself as @p m's debug hook. */
+    /** Attaches itself to @p m (detaches on destruction). */
     explicit DebugTarget(Machine &m);
     ~DebugTarget() override;
 
@@ -151,10 +154,16 @@ class DebugTarget : public DebugHook
      */
     void setupCall(uint32_t entry_word_addr);
 
-    // --- DebugHook ---------------------------------------------------
+    /** True while a breakpoint or watchpoint is set. */
+    bool wantsStops() const;
 
-    bool wantsStops() const override;
-    bool onBoundary(uint32_t pc, uint64_t cycles) override;
+    // --- ExecObserver ------------------------------------------------
+
+    unsigned wants() const override
+    {
+        return wantsStops() ? Boundary | Access : 0;
+    }
+    bool onBoundary(Machine &m, uint32_t pc, uint64_t cycles) override;
     void onLoad(uint16_t addr) override;
     void onStore(uint16_t addr) override;
 

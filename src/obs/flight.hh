@@ -25,12 +25,13 @@
  * dump(path, reason) is the on-demand face (the GDB server's
  * `monitor flight dump`); it does not count as a trigger.
  *
- * MachineTrapFlight adapts Machine's TrapSink hook onto a Source:
- * every fault-like trap (illegal opcode, OOB access, stack
- * overflow, ...) lands in the ring with the retired-cycle timestamp
- * and optionally fires a dump. Control-flow traps (debug breaks,
- * cycle-budget slices) are filtered out by default — a GDB continue
- * loop raises one per slice and they are not anomalies.
+ * MachineTrapFlight is an ExecObserver that wants only traps, which
+ * never makes a run observed: every fault-like trap (illegal opcode,
+ * OOB access, stack overflow, ...) that stops run() lands in the ring
+ * with the retired-cycle timestamp and optionally fires a dump.
+ * Control-flow traps (debug breaks, cycle-budget slices) are filtered
+ * out by default — a GDB continue loop raises one per slice and they
+ * are not anomalies.
  */
 
 #ifndef JAAVR_OBS_FLIGHT_HH
@@ -128,10 +129,10 @@ class FlightRecorder
 };
 
 /**
- * TrapSink adapter: records Machine traps into a flight source and
+ * Trap observer: records Machine traps into a flight source and
  * optionally fires a recorder trigger per fault-like trap.
  */
-class MachineTrapFlight final : public TrapSink
+class MachineTrapFlight final : public ExecObserver
 {
   public:
     MachineTrapFlight(FlightRecorder &recorder,
@@ -142,6 +143,7 @@ class MachineTrapFlight final : public TrapSink
     /** Fire recorder.trigger("iss_trap") per recorded trap. */
     void setDumpOnTrap(bool v) { dumpOnTrap = v; }
 
+    unsigned wants() const override { return Traps; }
     void onTrap(const Machine &m, const Trap &trap) override;
 
   private:

@@ -4,11 +4,17 @@
  * address space (flash / data / EEPROM), flash patching through the
  * decode-cache refresh, software breakpoints with resume step-over,
  * read/write/access data watchpoints on both execution paths, sliced
- * continues, single-stepping, and trap-to-signal mapping.
+ * continues, single-stepping (also seen by the waveform and leakage
+ * observers), and trap-to-signal mapping.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
+#include "avr/leakage.hh"
+#include "avr/vcd.hh"
 #include "avrasm/assembler.hh"
 #include "debug/target.hh"
 
@@ -275,6 +281,59 @@ TEST(DebugTarget, StepFiresWatchpoints)
     StopInfo stop = s.t.stepOne(); // the STS
     EXPECT_EQ(stop.kind, StopInfo::Kind::Watchpoint);
     EXPECT_EQ(stop.watchAddr, 0x0150);
+}
+
+/*
+ * A single step (gdb's stepi) retires its instruction in front of
+ * every observer that wants retire events, as a run does: a session
+ * that steps twice and then continues records the same waveform and
+ * leakage trace as one uninterrupted call.
+ */
+TEST(DebugTarget, SteppedInstructionsReachWaveAndLeakObservers)
+{
+    const char *src = "ldi r16, 1\nldi r17, 2\nadd r16, r17\nnop\nret\n";
+    struct Capture
+    {
+        std::string vcd;
+        std::vector<float> leak;
+        std::vector<uint32_t> stamps;
+    };
+    auto capture = [&](bool stepped) {
+        Session s(src);
+        VcdWriter vcd;
+        LeakTracer leak;
+        s.m.attach(&vcd);
+        s.m.attach(&leak);
+        const std::string path = testing::TempDir() +
+                                 (stepped ? "/jaavr_dbg_step.vcd"
+                                          : "/jaavr_dbg_run.vcd");
+        EXPECT_TRUE(vcd.open(path, s.m));
+        leak.begin(s.m);
+        if (stepped) {
+            s.t.setupCall(0);
+            EXPECT_EQ(s.t.stepOne().kind, StopInfo::Kind::Stepped);
+            EXPECT_EQ(s.t.stepOne().kind, StopInfo::Kind::Stepped);
+            EXPECT_EQ(s.t.resume().kind, StopInfo::Kind::Exited);
+        } else {
+            EXPECT_TRUE(s.m.call(0).ok());
+        }
+        EXPECT_EQ(s.m.stats().instructions, 5u);
+        EXPECT_EQ(s.m.stats().cycles, 8u);
+        EXPECT_EQ(vcd.samples(), s.m.stats().instructions);
+        EXPECT_EQ(vcd.time(), s.m.stats().cycles);
+        EXPECT_EQ(leak.samples().size(), s.m.stats().instructions);
+        EXPECT_EQ(leak.time(), s.m.stats().cycles);
+        vcd.close();
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        return Capture{bytes.str(), leak.samples(), leak.stamps()};
+    };
+    Capture stepped = capture(true);
+    Capture run = capture(false);
+    EXPECT_EQ(stepped.vcd, run.vcd);
+    EXPECT_EQ(stepped.leak, run.leak);
+    EXPECT_EQ(stepped.stamps, run.stamps);
 }
 
 TEST(DebugTarget, TrapsMapToGdbSignals)

@@ -90,7 +90,7 @@ runWithPlan(const FaultPlan *plan, IssBackend backend,
     m.setBackend(backend);
     m.loadProgram(assemble(kWorkload, "w").words, 0);
     FaultInjector inj;
-    m.setFaultInjector(&inj);
+    m.attach(&inj);
     if (plan)
         inj.arm(*plan, m.stats().cycles);
     m.call(0);
@@ -140,7 +140,7 @@ TEST(FaultInjector, GprFlipIsDeterministicAndOneShot)
     Machine m(CpuMode::CA);
     m.loadProgram(assemble(kWorkload, "w").words, 0);
     FaultInjector inj;
-    m.setFaultInjector(&inj);
+    m.attach(&inj);
     inj.arm(plan, 0);
     m.call(0);
     EXPECT_TRUE(inj.fired());
@@ -191,7 +191,7 @@ TEST(FaultInjector, InstSkipSkipsExactlyOne)
         m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         FaultInjector inj;
-        m.setFaultInjector(&inj);
+        m.attach(&inj);
         FaultPlan plan;
         plan.target = FaultTarget::InstSkip;
         plan.triggerCycle = 1;
@@ -226,7 +226,7 @@ TEST(FaultInjector, PendingPlanFiresWhileDebuggerWantsStops)
         m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         FaultInjector inj;
-        m.setFaultInjector(&inj);
+        m.attach(&inj);
         inj.arm(plan, 0);
         std::optional<DebugTarget> dbg;
         if (debugged) {
@@ -257,7 +257,7 @@ TEST(FaultInjector, OpcodeCorruptionPersistsAndReverts)
     Machine m(CpuMode::CA);
     m.loadProgram(prog.words, 0);
     FaultInjector inj;
-    m.setFaultInjector(&inj);
+    m.attach(&inj);
     FaultPlan plan;
     plan.target = FaultTarget::OpcodeCorrupt;
     plan.triggerCycle = 1;
@@ -309,7 +309,7 @@ g:
         m.setBackend(backend);
         m.loadProgram(prog.words, 0);
         FaultInjector inj;
-        m.setFaultInjector(&inj);
+        m.attach(&inj);
         FaultPlan plan;
         plan.target = FaultTarget::Gpr;
         plan.reg = 20;
@@ -345,7 +345,7 @@ TEST(FaultInjector, MacAccFlipInIseOpfMul)
     ASSERT_EQ(golden.trap.kind, TrapKind::None);
 
     FaultInjector inj;
-    lib.machine().setFaultInjector(&inj);
+    lib.machine().attach(&inj);
     FaultPlan plan;
     plan.target = FaultTarget::MacAcc;
     plan.reg = 3;
@@ -364,7 +364,7 @@ TEST(FaultInjector, MacAccFlipInIseOpfMul)
     bool detected_or_wrong = faulted.trap.kind != TrapKind::None ||
                              faulted.result != golden.result;
     EXPECT_TRUE(detected_or_wrong);
-    lib.machine().setFaultInjector(nullptr);
+    lib.machine().detach(&inj);
 }
 
 TEST(FaultInjector, ScheduleFiresEveryPlanInOrder)
@@ -413,7 +413,7 @@ TEST(FaultInjector, ScheduleOnMachinePerturbsEachShot)
     Machine m(CpuMode::CA);
     m.loadProgram(assemble(kWorkload, "w").words, 0);
     FaultInjector inj;
-    m.setFaultInjector(&inj);
+    m.attach(&inj);
     inj.armSchedule(plans, 0);
     RunResult r = m.call(0);
     EXPECT_TRUE(r.ok());

@@ -35,21 +35,6 @@ edgeAndRandomScalars(const BigUInt &bound, Rng &rng, size_t randoms)
     return ks;
 }
 
-/** edgeAndRandomScalars minus n - 1: the hardened Weierstrass path's
- *  co-Z ladder recomputation hits its P = -Q exception there and
- *  (conservatively) reports a mismatch — pre-existing behavior, not
- *  a comb property. */
-std::vector<BigUInt>
-hardenedScalars(const BigUInt &bound, Rng &rng, size_t randoms)
-{
-    std::vector<BigUInt> ks{BigUInt(1), BigUInt(2), BigUInt(3),
-                            bound - BigUInt(2)};
-    for (size_t i = 0; i < randoms; i++)
-        ks.push_back(BigUInt(1) +
-                     BigUInt::random(rng, bound - BigUInt(2)));
-    return ks;
-}
-
 void
 expectWeierstrassCombMatches(const WeierstrassCurve &c,
                              const AffinePoint &g, const BigUInt &n,
@@ -200,7 +185,7 @@ TEST(FixedBase, HardenedPathEquivalence)
         const CurveGenerator &gen = secp160r1Generator();
         FixedBaseComb comb(c, gen.g, gen.order.bitLength(), 5);
         Rng rng(23);
-        for (const BigUInt &k : hardenedScalars(gen.order, rng, 4)) {
+        for (const BigUInt &k : edgeAndRandomScalars(gen.order, rng, 4)) {
             HardenedMul h =
                 hardenedMulWeierstrass(c, k, gen.g, gen.order);
             ASSERT_TRUE(h.ok) << h.reason;
@@ -213,7 +198,7 @@ TEST(FixedBase, HardenedPathEquivalence)
         const GlvCurve &c = *cp;
         FixedBaseComb comb(c, c.generator(), c.order().bitLength(), 5);
         Rng rng(29);
-        for (const BigUInt &k : hardenedScalars(c.order(), rng, 4)) {
+        for (const BigUInt &k : edgeAndRandomScalars(c.order(), rng, 4)) {
             HardenedMul h = hardenedMulGlv(c, k, c.generator());
             ASSERT_TRUE(h.ok) << h.reason;
             AffinePoint got = comb.mul(c, k);
@@ -232,7 +217,7 @@ TEST(FixedBase, SmallPairHardenedEdwardsAndMontgomery)
     EdwardsFixedBaseComb comb(pair.edwards, pair.edBase,
                               pair.n.bitLength(), 3);
     Rng rng(31);
-    for (const BigUInt &k : hardenedScalars(pair.n, rng, 4)) {
+    for (const BigUInt &k : edgeAndRandomScalars(pair.n, rng, 4)) {
         HardenedMul h =
             hardenedMulEdwards(pair.edwards, k, pair.edBase, pair.n);
         ASSERT_TRUE(h.ok) << h.reason;
@@ -244,7 +229,7 @@ TEST(FixedBase, SmallPairHardenedEdwardsAndMontgomery)
     WeierstrassCurve w = pair.montgomery.toWeierstrass();
     AffinePoint base_w = pair.montgomery.mapToWeierstrass(pair.montBase);
     FixedBaseComb wcomb(w, base_w, pair.n.bitLength(), 3);
-    for (const BigUInt &k : hardenedScalars(pair.n, rng, 4)) {
+    for (const BigUInt &k : edgeAndRandomScalars(pair.n, rng, 4)) {
         HardenedMul h = hardenedMulMontgomery(pair.montgomery, k,
                                               pair.montBase.x, pair.n);
         ASSERT_TRUE(h.ok) << h.reason;

@@ -50,6 +50,11 @@ TEST(Secp160k1, GlvJsfMatchesNaf)
         BigUInt k = BigUInt::random(rng, c.order());
         expectEq(c.mulGlvJsf(k, g), c.mulNaf(k, g), "GLV vs NAF");
     }
+    // The co-Z ladder's last step meets r0 + r1 = O at k = n-1.
+    expectEq(c.mulLadder(c.order() - BigUInt(1), g), c.negate(g),
+             "ladder (n-1)G");
+    const BigUInt k2 = c.order() - BigUInt(2);
+    expectEq(c.mulLadder(k2, g), c.mulNaf(k2, g), "ladder (n-2)G");
 }
 
 TEST(Secp160k1, EndomorphismIsGroupHomomorphism)
@@ -116,6 +121,10 @@ TEST(GlvOpf, GlvJsfEdgeScalars)
     expectEq(c.mulGlvJsf(BigUInt(1), g), g, "1*G");
     EXPECT_TRUE(c.mulGlvJsf(c.order(), g).inf);
     expectEq(c.mulGlvJsf(c.order() - BigUInt(1), g), c.negate(g), "(n-1)G");
+    expectEq(c.mulLadder(c.order() - BigUInt(1), g), c.negate(g),
+             "ladder (n-1)G");
+    const BigUInt k2 = c.order() - BigUInt(2);
+    expectEq(c.mulLadder(k2, g), c.mulNaf(k2, g), "ladder (n-2)G");
 }
 
 TEST(GlvOpf, SubgroupMembersWork)

@@ -65,7 +65,7 @@ tmpPath(const std::string &leaf)
 } // anonymous namespace
 
 /*
- * The WaveSink pinning contract: a LeakTracer that is attached but
+ * The idle-observer pinning contract: a LeakTracer that is attached but
  * never armed must leave both backends in every mode with
  * bit-identical results, cycles and architectural state against an
  * unobserved superblock run, and must synthesize no samples.
@@ -87,7 +87,7 @@ TEST(Leakage, AttachedButIdleAddsZeroCycles)
             OpfAvrLibrary idle(prime, mode);
             idle.machine().setBackend(backend);
             LeakTracer leak; // attached, never armed
-            idle.machine().setLeakSink(&leak);
+            idle.machine().attach(&leak);
             EXPECT_FALSE(leak.active());
             OpfRun r1 = idle.mul(a, b);
             EXPECT_EQ(r1.result, r0.result);
@@ -116,7 +116,7 @@ TEST(Leakage, RecordingDoesNotPerturbTimingOrResults)
 
     OpfAvrLibrary rec(prime, CpuMode::ISE);
     LeakTracer leak;
-    rec.machine().setLeakSink(&leak);
+    rec.machine().attach(&leak);
     leak.begin(rec.machine());
     OpfRun r1 = rec.mul(a, b);
     leak.end();
@@ -157,7 +157,7 @@ TEST(Leakage, SamplesMatchTheHammingModelExactly)
     Machine m(CpuMode::CA);
     m.loadProgram(prog.words, 0);
     LeakTracer leak; // default model: noiseSigma = 0
-    m.setLeakSink(&leak);
+    m.attach(&leak);
     leak.begin(m);
     leak.mark("pre");
     unsigned r16_0 = m.reg(16), r17_0 = m.reg(17);
@@ -202,7 +202,7 @@ TEST(Leakage, NoiseIsSeededAndDeterministic)
         Machine m(CpuMode::CA);
         m.loadProgram(prog.words, 0);
         LeakTracer leak(noisy);
-        m.setLeakSink(&leak);
+        m.attach(&leak);
         leak.begin(m, seed);
         RunResult r = m.call(0);
         EXPECT_TRUE(r.ok());
@@ -234,7 +234,7 @@ TEST(Leakage, ExportsAreByteIdenticalAcrossIdenticalRuns)
         std::remove(meta[i].c_str()); // writeMeta appends
         OpfAvrLibrary lib(prime, CpuMode::ISE);
         LeakTracer leak;
-        lib.machine().setLeakSink(&leak);
+        lib.machine().attach(&leak);
         leak.begin(lib.machine(), 0x5eed);
         leak.mark("mul");
         OpfRun r = lib.mul(a, b);
@@ -307,7 +307,7 @@ TEST(Leakage, TrapLandsAsAMarker)
     Machine m(CpuMode::CA);
     m.loadProgram(prog.words, 0);
     LeakTracer leak;
-    m.setLeakSink(&leak);
+    m.attach(&leak);
     leak.begin(m);
     RunResult r = m.call(0, whole.cycles); // budget == consumption
     EXPECT_FALSE(r.ok());

@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability pins for the span tracer and flight recorder
- * (DESIGN.md §15): an attached trap sink adds exactly zero simulated
+ * (DESIGN.md §15): an attached trap observer adds exactly zero simulated
  * cycles on every ISS backend, fault-like traps land in the flight
  * ring (with the slice/budget filter intact), dumps are
  * byte-identical across reruns of the same history, the span rings
@@ -90,8 +90,8 @@ parseLines(const std::string &path)
  * MachineTrapFlight attached to a machine that never traps must
  * leave both backends (reference, superblock) with bit-identical
  * results, cycles and architectural state — the same
- * discipline Vcd.AttachedButIdleAddsZeroCycles pins for the wave
- * sink. The trap funnel only runs after the run loop has already
+ * discipline Vcd.AttachedButIdleAddsZeroCycles pins for the VCD
+ * writer. The trap funnel only runs after the run loop has already
  * stopped, so "attached" costs zero simulated cycles by
  * construction; this test keeps it that way.
  */
@@ -114,7 +114,7 @@ TEST(Obs, TrapSinkAttachedAddsZeroCyclesOnAllBackends)
             observed.machine().setBackend(backend);
             obs::FlightRecorder flight;
             obs::MachineTrapFlight sink(flight, "iss");
-            observed.machine().setTrapSink(&sink);
+            observed.machine().attach(&sink);
             OpfRun r1 = observed.mul(a, b);
 
             EXPECT_EQ(r1.result, r0.result)
@@ -137,7 +137,7 @@ TEST(Obs, IllegalOpcodeTrapFiresAFlightDump)
 
     Machine m(CpuMode::CA);
     m.loadProgram({0x9404}, 0); // reserved opcode word
-    m.setTrapSink(&sink);
+    m.attach(&sink);
     RunResult r = m.call(0);
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.trap.kind, TrapKind::IllegalOpcode);
@@ -172,7 +172,7 @@ TEST(Obs, BudgetSlicesAreFilteredUnlessRecordAll)
     obs::MachineTrapFlight sink(flight, "iss");
     Machine m(CpuMode::CA);
     m.loadProgram(prog.words, 0);
-    m.setTrapSink(&sink);
+    m.attach(&sink);
     RunResult r = m.call(0, full);
     ASSERT_EQ(r.trap.kind, TrapKind::CycleBudget);
     EXPECT_EQ(flight.totalRecorded(), 0u);
@@ -184,7 +184,7 @@ TEST(Obs, BudgetSlicesAreFilteredUnlessRecordAll)
     sink.setDumpOnTrap(false);
     Machine m2(CpuMode::CA);
     m2.loadProgram(prog.words, 0);
-    m2.setTrapSink(&sink);
+    m2.attach(&sink);
     ASSERT_EQ(m2.call(0, full).trap.kind, TrapKind::CycleBudget);
     EXPECT_EQ(flight.source("iss")->recorded(), 1u);
     EXPECT_EQ(flight.triggers(), 0u);

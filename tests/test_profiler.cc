@@ -200,14 +200,14 @@ TEST_P(ProfilerOpfEquivalence, MulAndInvProfileIdentically)
         CallGraphProfiler pf(lib.machine(), lib.symbols(), true, true);
         lib.mul(a, b);
         lib.inv(a);
-        lib.machine().setProfiler(nullptr);
+        lib.machine().detach(&pf);
 
         lib.machine().setBackend(IssBackend::Reference);
         lib.machine().resetStats();
         CallGraphProfiler pr(lib.machine(), lib.symbols(), true, true);
         lib.mul(a, b);
         lib.inv(a);
-        lib.machine().setProfiler(nullptr);
+        lib.machine().detach(&pr);
 
         expectSameProfile(pf, pr);
         expectWellNested(pf.traceEvents());
@@ -279,9 +279,9 @@ TEST(Profiler, TraceSinkFormatIdenticalOnBothPaths)
         m.loadProgram(prog.words);
         m.setBackend(backend);
         TraceSink sink(f);
-        m.setProfiler(&sink);
+        m.attach(&sink);
         m.call(0);
-        m.setProfiler(nullptr);
+        m.detach(&sink);
         std::string out;
         std::rewind(f);
         char buf[256];

@@ -2,7 +2,7 @@
  * @file
  * VCD waveform writer tests: an attached-but-idle writer adds exactly
  * zero cycles on every run-loop instantiation (mirroring
- * DebugHookAddsZeroCyclesWhenNotStopping for the WaveSink observer),
+ * DebugHookAddsZeroCyclesWhenNotStopping for the debugger),
  * recording does not perturb timing, emitted dumps parse back
  * (header, declarations, change records), are cycle-accurate and
  * byte-identical across identical runs, and trap/call-depth events
@@ -171,8 +171,8 @@ tmpPath(const std::string &leaf)
 } // anonymous namespace
 
 /*
- * The WaveSink pinning contract: a VcdWriter that is attached but not
- * recording must leave both backends in every mode with
+ * The idle-observer pinning contract: a VcdWriter that is attached
+ * but not recording must leave both backends in every mode with
  * bit-identical results, cycles and architectural state against an
  * unobserved superblock run — the same discipline
  * DebugHookAddsZeroCyclesWhenNotStopping pins for the debug hook.
@@ -194,7 +194,7 @@ TEST(Vcd, AttachedButIdleAddsZeroCycles)
             OpfAvrLibrary idle(prime, mode);
             idle.machine().setBackend(backend);
             VcdWriter vcd; // attached, never opened
-            idle.machine().setWaveSink(&vcd);
+            idle.machine().attach(&vcd);
             EXPECT_FALSE(vcd.active());
             OpfRun r1 = idle.mul(a, b);
             EXPECT_EQ(r1.result, r0.result);
@@ -222,7 +222,7 @@ TEST(Vcd, RecordingDoesNotPerturbTimingOrResults)
 
     OpfAvrLibrary rec(prime, CpuMode::ISE);
     VcdWriter vcd;
-    rec.machine().setWaveSink(&vcd);
+    rec.machine().attach(&vcd);
     std::string path = tmpPath("jaavr_vcd_mul.vcd");
     ASSERT_TRUE(vcd.open(path, rec.machine()));
     EXPECT_TRUE(vcd.active());
@@ -262,7 +262,7 @@ TEST(Vcd, DumpIsCycleAccurateAndByteIdenticalAcrossRuns)
         Machine m(CpuMode::ISE);
         m.loadProgram(prog.words, 0);
         VcdWriter vcd;
-        m.setWaveSink(&vcd);
+        m.attach(&vcd);
         ASSERT_TRUE(vcd.open(paths[i], m));
         RunResult r = m.call(0);
         ASSERT_TRUE(r.ok());
@@ -299,7 +299,7 @@ TEST(Vcd, TrapLandsOnTheTrapWire)
     Machine t(CpuMode::CA);
     t.loadProgram(prog.words, 0);
     VcdWriter vcd;
-    t.setWaveSink(&vcd);
+    t.attach(&vcd);
     std::string path = tmpPath("jaavr_vcd_trap.vcd");
     ASSERT_TRUE(vcd.open(path, t));
     RunResult r = t.call(0, full); // budget == consumption traps

@@ -143,6 +143,11 @@ TEST(Secp160r1Curve, OrderAnnihilatesAllMethods)
     EXPECT_TRUE(c.mulNaf(g.order, g.g).inf);
     // (n-1) G = -G.
     expectEq(c.mulNaf(g.order - BigUInt(1), g.g), c.negate(g.g), "(n-1)G");
+    // The co-Z ladder's last step meets r0 + r1 = O at k = n-1.
+    expectEq(c.mulLadder(g.order - BigUInt(1), g.g), c.negate(g.g),
+             "ladder (n-1)G");
+    expectEq(c.mulLadder(g.order - BigUInt(2), g.g),
+             c.mulNaf(g.order - BigUInt(2), g.g), "ladder (n-2)G");
 }
 
 TEST(WeierstrassOpf, CurveAndMultipliers)

@@ -286,7 +286,7 @@ main(int argc, char **argv)
 
     VcdWriter vcd;
     if (!vcdPath.empty()) {
-        m->setWaveSink(&vcd);
+        m->attach(&vcd);
         if (!vcd.open(vcdPath, *m))
             return 1;
         std::printf("dumping VCD waveform to %s\n", vcdPath.c_str());
@@ -294,7 +294,7 @@ main(int argc, char **argv)
 
     LeakTracer leak;
     if (!leakPath.empty()) {
-        m->setLeakSink(&leak);
+        m->attach(&leak);
         leak.begin(*m);
         std::printf("recording leakage trace for %s (model %s)\n",
                     leakPath.c_str(), leak.model().describe().c_str());
@@ -306,7 +306,7 @@ main(int argc, char **argv)
         flight.setDumpPath(flightPath);
         trapFlight =
             std::make_unique<obs::MachineTrapFlight>(flight, "iss");
-        m->setTrapSink(trapFlight.get());
+        m->attach(trapFlight.get());
         std::printf("flight recorder armed, dumps to %s\n",
                     flightPath.c_str());
     }
