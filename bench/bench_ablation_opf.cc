@@ -9,8 +9,8 @@
  * the ISS.
  */
 
+#include "avrgen/opf_harness.hh"
 #include "bench/bench_util.hh"
-#include "avrgen/secp160_harness.hh"
 #include "field/montgomery_domain.hh"
 #include "field/opf_field.hh"
 #include "model/field_costs.hh"
@@ -53,7 +53,7 @@ main()
     // still leaves it behind the OPF.
     {
         Rng r2(0xab10);
-        Secp160AvrLibrary ise(CpuMode::ISE);
+        auto ise = OpfAvrLibrary::secp160r1(CpuMode::ISE);
         BigUInt a = BigUInt::randomBits(r2, 159);
         BigUInt b2 = BigUInt::randomBits(r2, 159);
         uint64_t mac_mul =

@@ -177,83 +177,26 @@ struct IssPass
 
 /**
  * One x-only Montgomery-ladder pass for @p k (kbits bits, MSB first)
- * on x1, with every field operation executed by @p lib on the ISS.
- * Montgomery-domain RFC-7748-shaped ladder step; the conditional
- * swaps are host-side data movement (register renaming on a real
- * implementation), the arithmetic is all simulated.
+ * on x1: OpfAvrLibrary::ladder runs every field operation on the ISS,
+ * then the canonical Z is inverted and multiplied in on the ISS too.
  */
 IssPass
 issLadderPass(OpfAvrLibrary &lib, const OpfField &fm,
               const MontgomeryCurve &mc, uint32_t k, unsigned kbits,
               const BigUInt &x1)
 {
-    using W = OpfField::Words;
     IssPass out;
-    Trap trap;
-    auto mul = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.mul(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-    auto add = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.add(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-    auto sub = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.sub(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-
-    W x1m = fm.toMont(x1);
-    W a24m = fm.toMont(BigUInt(mc.a24()));
-    W one = fm.toMont(BigUInt(1));
-    W zero(fm.words(), 0);
-    W x2 = one, z2 = zero, x3 = x1m, z3 = one;
-
-    unsigned swap = 0;
-    for (int i = int(kbits) - 1; i >= 0 && !trap; i--) {
-        unsigned bit = (k >> i) & 1;
-        swap ^= bit;
-        if (swap) {
-            std::swap(x2, x3);
-            std::swap(z2, z3);
-        }
-        swap = bit;
-
-        W a = add(x2, z2);
-        W aa = mul(a, a);
-        W b = sub(x2, z2);
-        W bb = mul(b, b);
-        W e = sub(aa, bb);
-        W c = add(x3, z3);
-        W d = sub(x3, z3);
-        W da = mul(d, a);
-        W cb = mul(c, b);
-        W t0 = add(da, cb);
-        x3 = mul(t0, t0);
-        W t1 = sub(da, cb);
-        W t2 = mul(t1, t1);
-        z3 = mul(x1m, t2);
-        x2 = mul(aa, bb);
-        W t3 = mul(a24m, e);
-        W t4 = add(bb, t3);
-        z2 = mul(e, t4);
-    }
-    if (!trap && swap) {
-        std::swap(x2, x3);
-        std::swap(z2, z3);
-    }
-    if (trap) {
-        out.trap = trap;
+    auto x1m = fm.toMont(x1);
+    auto one = fm.toMont(BigUInt(1));
+    OpfLadderRun lr =
+        lib.ladder(fm.toMont(BigUInt(mc.a24())), x1m, BigUInt(k), kbits,
+                   {one, OpfField::Words(fm.words(), 0), x1m, one});
+    if (lr.trap) {
+        out.trap = lr.trap;
         return out;
     }
 
-    BigUInt zc = fm.canonical(z2);
+    BigUInt zc = fm.canonical(lr.state.z2);
     if (zc.isZero()) {
         out.infinity = true;
         return out;
@@ -264,7 +207,7 @@ issLadderPass(OpfAvrLibrary &lib, const OpfField &fm,
         out.trap = ir.trap;
         return out;
     }
-    OpfRun xr = lib.mul(x2, ir.result);
+    OpfRun xr = lib.mul(lr.state.x2, ir.result);
     if (xr.trap) {
         out.trap = xr.trap;
         return out;

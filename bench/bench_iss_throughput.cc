@@ -27,7 +27,6 @@
 #include <functional>
 
 #include "avrgen/opf_harness.hh"
-#include "avrgen/secp160_harness.hh"
 #include "bench/bench_util.hh"
 #include "field/opf_field.hh"
 #include "nt/opf_prime.hh"
@@ -184,7 +183,7 @@ main()
 
     // Full secp160r1 field-op run (inversion dominates the cycles).
     {
-        Secp160AvrLibrary lib(CpuMode::FAST);
+        auto lib = OpfAvrLibrary::secp160r1(CpuMode::FAST);
         Rng rng(7);
         auto a = randomSecpWords(rng);
         auto b = randomSecpWords(rng);
@@ -198,7 +197,7 @@ main()
 
     // The MAC-ISE multiplication kernel (Algorithm 2 triggers).
     {
-        Secp160AvrLibrary lib(CpuMode::ISE);
+        auto lib = OpfAvrLibrary::secp160r1(CpuMode::ISE);
         Rng rng(9);
         auto a = randomSecpWords(rng);
         auto b = randomSecpWords(rng);

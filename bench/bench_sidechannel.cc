@@ -79,7 +79,8 @@ using W = OpfField::Words;
 /**
  * Host-model ladder for the scalar prefix @p bits (bit nbits-1
  * processed first): returns Z2 after *every* step — the exact word
- * values the ISS produces, since the generated routines are validated
+ * values the ISS produces, since the traces come from the same
+ * montLadder over the generated routines, which are validated
  * word-for-word against OpfField. Each snapshot is taken before the
  * next step's conditional swap: the attacked window is the Z2 store
  * inside the step, before the host-side renaming.
@@ -95,40 +96,16 @@ std::vector<W>
 hostLadderZ2Steps(const OpfField &fm, const W &a24m, const W &one,
                   const W &x1m, uint64_t bits, unsigned nbits)
 {
-    W zero(fm.words(), 0);
-    W x2 = one, z2 = zero, x3 = x1m, z3 = one;
     std::vector<W> snaps;
     snaps.reserve(nbits);
-    unsigned swap = 0;
-    for (int i = int(nbits) - 1; i >= 0; i--) {
-        unsigned bit = unsigned(bits >> i) & 1;
-        swap ^= bit;
-        if (swap) {
-            std::swap(x2, x3);
-            std::swap(z2, z3);
-        }
-        swap = bit;
-
-        W a = fm.add(x2, z2);
-        W aa = fm.montMul(a, a);
-        W b = fm.sub(x2, z2);
-        W bb = fm.montMul(b, b);
-        W e = fm.sub(aa, bb);
-        W c = fm.add(x3, z3);
-        W d = fm.sub(x3, z3);
-        W da = fm.montMul(d, a);
-        W cb = fm.montMul(c, b);
-        W t0 = fm.add(da, cb);
-        x3 = fm.montMul(t0, t0);
-        W t1 = fm.sub(da, cb);
-        W t2 = fm.montMul(t1, t1);
-        z3 = fm.montMul(x1m, t2);
-        x2 = fm.montMul(aa, bb);
-        W t3 = fm.montMul(a24m, e);
-        W t4 = fm.add(bb, t3);
-        z2 = fm.montMul(e, t4);
-        snaps.push_back(z2);
-    }
+    montLadder(OpfFieldOps{fm}, a24m, x1m,
+               LadderState<W>{one, W(fm.words(), 0), x1m, one},
+               BigUInt(bits), nbits,
+               [&](unsigned i, const LadderState<W> &s) {
+                   if (i > 0)
+                       snaps.push_back(s.z2);
+                   return true;
+               });
     return snaps;
 }
 
@@ -161,29 +138,12 @@ collectLadder(OpfAvrLibrary &lib, const OpfField &fm,
 
     W a24m = fm.toMont(BigUInt(mc.a24()));
     W one = fm.toMont(BigUInt(1));
-    W zero(fm.words(), 0);
+    auto mark = [&](unsigned i, const LadderState<W> &) {
+        tracer.mark(i < kbits ? csprintf("step%u", i) : "final");
+        return true;
+    };
 
     LadderSet set;
-    Trap trap;
-    auto mul = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.mul(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-    auto add = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.add(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-    auto sub = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.sub(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-
     for (unsigned t = 0; t < ntraces; t++) {
         BigUInt x1;
         do
@@ -191,7 +151,7 @@ collectLadder(OpfAvrLibrary &lib, const OpfField &fm,
         while (!validateX(mc, x1));
         W x1m = fm.toMont(x1);
 
-        W x2 = one, z2 = zero, x3 = x1m, z3 = one;
+        LadderState<W> start{one, W(fm.words(), 0), x1m, one};
         if (blind) {
             // Coron randomized projective coordinates: the neutral
             // element scales to (lambda : 0), the base to
@@ -204,54 +164,25 @@ collectLadder(OpfAvrLibrary &lib, const OpfField &fm,
                 mu = f.random(rng);
             while (mu.isZero());
             W mum = fm.toMont(mu);
-            x2 = fm.toMont(lam);
-            x3 = fm.montMul(x1m, mum);
-            z3 = mum;
+            start.x2 = fm.toMont(lam);
+            start.x3 = fm.montMul(x1m, mum);
+            start.z3 = mum;
         }
 
         tracer.begin(lib.machine(),
                      seed ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
-        unsigned swap = 0;
-        for (int i = int(kbits) - 1; i >= 0 && !trap; i--) {
-            tracer.mark(csprintf("step%u", kbits - 1 - unsigned(i)));
-            unsigned bit = unsigned(k >> i) & 1;
-            swap ^= bit;
-            if (swap) {
-                std::swap(x2, x3);
-                std::swap(z2, z3);
-            }
-            swap = bit;
-
-            W a = add(x2, z2);
-            W aa = mul(a, a);
-            W b = sub(x2, z2);
-            W bb = mul(b, b);
-            W e = sub(aa, bb);
-            W c = add(x3, z3);
-            W d = sub(x3, z3);
-            W da = mul(d, a);
-            W cb = mul(c, b);
-            W t0 = add(da, cb);
-            x3 = mul(t0, t0);
-            W t1 = sub(da, cb);
-            W t2 = mul(t1, t1);
-            z3 = mul(x1m, t2);
-            x2 = mul(aa, bb);
-            W t3 = mul(a24m, e);
-            W t4 = add(bb, t3);
-            z2 = mul(e, t4);
-        }
-        tracer.mark("final");
+        OpfLadderRun lr =
+            lib.ladder(a24m, x1m, BigUInt(k), kbits, start, mark);
         tracer.end();
-        if (trap)
+        if (lr.trap)
             panic("sidechannel: ISS trap during trace collection");
 
         // The blind must cancel: X2/Z2 equals the host ladder result.
-        BigUInt zc = fm.canonical(z2);
+        BigUInt zc = fm.canonical(lr.state.z2);
         auto host = mc.ladder(BigUInt(k), x1);
         if (zc.isZero() || !host)
             panic("sidechannel: unexpected ladder infinity");
-        if (f.mul(fm.canonical(x2), f.inv(zc)) != *host)
+        if (f.mul(fm.canonical(lr.state.x2), f.inv(zc)) != *host)
             panic("sidechannel: traced ladder disagrees with host");
 
         std::vector<size_t> bounds;

@@ -1,143 +1,162 @@
 #include "avrgen/opf_harness.hh"
 
+#include "avrgen/secp160_routines.hh"
 #include "support/logging.hh"
 
 namespace jaavr
 {
 
-OpfAvrLibrary::OpfAvrLibrary(const OpfPrime &prime, CpuMode mode)
-    : opf(prime), s(prime.k / 32 + 1), fieldModel(prime),
-      machine_(std::make_unique<Machine>(mode))
+namespace
 {
-    progAdd = assemble(genOpfAddSub(prime, false), "opf_add");
-    progSub = assemble(genOpfAddSub(prime, true), "opf_sub");
-    progMul = assemble(mode == CpuMode::ISE ? genOpfMulIse(prime)
-                                            : genOpfMulNative(prime),
-                       "opf_mul");
-    progInv = assemble(genOpfMontInverse(prime, invEntry), "opf_inv");
-    machine_->loadProgram(progAdd.words, addEntry);
-    machine_->loadProgram(progSub.words, subEntry);
-    machine_->loadProgram(progMul.words, mulEntry);
-    machine_->loadProgram(progInv.words, invEntry);
-}
 
-std::vector<uint8_t>
-OpfAvrLibrary::toBytes(const OpfField::Words &w)
+/** The library's routines under the ladder's names; keeps the first
+ *  trap any of them raises. */
+struct IssOps
 {
-    std::vector<uint8_t> out;
-    out.reserve(w.size() * 4);
-    for (uint32_t word : w) {
-        out.push_back(static_cast<uint8_t>(word));
-        out.push_back(static_cast<uint8_t>(word >> 8));
-        out.push_back(static_cast<uint8_t>(word >> 16));
-        out.push_back(static_cast<uint8_t>(word >> 24));
+    OpfAvrLibrary &lib;
+    Trap &trap;
+
+    OpfField::Words
+    keep(OpfRun r)
+    {
+        if (r.trap && !trap)
+            trap = r.trap;
+        return std::move(r.result);
     }
-    return out;
+
+    auto add(const auto &a, const auto &b) { return keep(lib.add(a, b)); }
+    auto sub(const auto &a, const auto &b) { return keep(lib.sub(a, b)); }
+    auto mul(const auto &a, const auto &b) { return keep(lib.mul(a, b)); }
+};
+
+} // anonymous namespace
+
+OpfAvrLibrary::OpfAvrLibrary(CpuMode mode, size_t words,
+                             const std::string &prefix,
+                             const std::vector<std::string> &src)
+    : s(words), prefix(prefix), machine_(std::make_unique<Machine>(mode))
+{
+    for (size_t r = 0; r < src.size(); r++) {
+        progs.push_back(assemble(src[r], prefix + kSuffix[r]));
+        machine_->loadProgram(progs.back().words, kEntry[r]);
+    }
 }
 
-OpfField::Words
-OpfAvrLibrary::fromBytes(const std::vector<uint8_t> &bytes) const
+OpfAvrLibrary::OpfAvrLibrary(const OpfPrime &prime, CpuMode mode)
+    : OpfAvrLibrary(mode, prime.k / 32 + 1, "opf",
+                    {genOpfAddSub(prime, false), genOpfAddSub(prime, true),
+                     mode == CpuMode::ISE ? genOpfMulIse(prime)
+                                          : genOpfMulNative(prime),
+                     genOpfMontInverse(prime, invEntry)})
+{}
+
+OpfAvrLibrary
+OpfAvrLibrary::secp160r1(CpuMode mode)
 {
-    OpfField::Words out(s, 0);
-    for (size_t i = 0; i < bytes.size(); i++)
-        out[i / 4] |= static_cast<uint32_t>(bytes[i]) << (8 * (i % 4));
-    return out;
+    std::vector<std::string> src = {genSecp160AddSub(false),
+                                    genSecp160AddSub(true),
+                                    genSecp160Mul(), genSecp160Inverse()};
+    if (mode == CpuMode::ISE)
+        src.push_back(genSecp160MulIse());
+    return OpfAvrLibrary(mode, 5, "secp160", src);
 }
 
 OpfRun
-OpfAvrLibrary::run(uint32_t entry, const OpfField::Words &a,
+OpfAvrLibrary::run(Routine r, const OpfField::Words &a,
                    const OpfField::Words &b)
 {
     if (a.size() != s || b.size() != s)
         panic("OpfAvrLibrary: operand word count mismatch");
-    machine_->writeBytes(OpfMemoryMap::aAddr, toBytes(a));
-    machine_->writeBytes(OpfMemoryMap::bAddr, toBytes(b));
+    // Operands and result are little-endian byte images of the words.
+    std::vector<uint8_t> bytes(4 * s);
+    auto put = [&](uint16_t addr, const OpfField::Words &w) {
+        for (size_t i = 0; i < bytes.size(); i++)
+            bytes[i] = static_cast<uint8_t>(w[i / 4] >> (8 * (i % 4)));
+        machine_->writeBytes(addr, bytes);
+    };
+    put(OpfMemoryMap::aAddr, a);
+    put(OpfMemoryMap::bAddr, b);
     machine_->setY(OpfMemoryMap::aAddr);
     machine_->setZ(OpfMemoryMap::bAddr);
     machine_->setSp(0x10ff);
     uint64_t insts = machine_->stats().instructions;
-    RunResult rr = machine_->call(entry);
+    RunResult rr = machine_->call(kEntry[r]);
     OpfRun out;
     out.cycles = rr.cycles;
     out.trap = rr.trap;
     out.instructions = machine_->stats().instructions - insts;
-    out.result = fromBytes(
-        machine_->readBytes(OpfMemoryMap::resultAddr, 4 * s));
+    bytes = machine_->readBytes(OpfMemoryMap::resultAddr, 4 * s);
+    out.result.assign(s, 0);
+    for (size_t i = 0; i < bytes.size(); i++)
+        out.result[i / 4] |= static_cast<uint32_t>(bytes[i]) << (8 * (i % 4));
     return out;
-}
-
-OpfCheckedRun
-OpfAvrLibrary::mulChecked(const OpfField::Words &a,
-                          const OpfField::Words &b)
-{
-    OpfCheckedRun out;
-    out.first = run(mulEntry, a, b);
-    OpfRun second = run(mulEntry, a, b);
-    out.redundantOk = second.result == out.first.result &&
-                      second.trap == out.first.trap;
-    out.coherentOk = coherent(out.first);
-    return out;
-}
-
-bool
-OpfAvrLibrary::coherent(const OpfRun &r) const
-{
-    if (r.trap.kind != TrapKind::None)
-        return false;
-    if (r.result.size() != s)
-        return false;
-    // The incomplete representation bounds the value by 2^(32 s);
-    // fromBytes() guarantees that structurally, so the meaningful
-    // remaining check is the Montgomery round trip on the canonical
-    // residue: canonical(r) must re-enter and leave the Montgomery
-    // domain unchanged under the host model.
-    BigUInt canonical = fieldModel.canonical(r.result);
-    if (!(canonical < fieldModel.modulus()))
-        return false;
-    OpfField::Words mont = fieldModel.toMont(canonical);
-    return fieldModel.fromMont(mont) == canonical;
 }
 
 OpfRun
 OpfAvrLibrary::add(const OpfField::Words &a, const OpfField::Words &b)
 {
-    return run(addEntry, a, b);
+    return run(Add, a, b);
 }
 
 OpfRun
 OpfAvrLibrary::sub(const OpfField::Words &a, const OpfField::Words &b)
 {
-    return run(subEntry, a, b);
+    return run(Sub, a, b);
 }
 
 OpfRun
 OpfAvrLibrary::mul(const OpfField::Words &a, const OpfField::Words &b)
 {
-    return run(mulEntry, a, b);
+    return run(Mul, a, b);
 }
 
 OpfRun
 OpfAvrLibrary::inv(const OpfField::Words &a)
 {
-    return run(invEntry, a, OpfField::Words(s, 0));
+    return run(Inv, a, OpfField::Words(s, 0));
+}
+
+OpfRun
+OpfAvrLibrary::mulIse(const OpfField::Words &a, const OpfField::Words &b)
+{
+    if (progs.size() <= MulIse)
+        panic("OpfAvrLibrary::mulIse requires ISE mode and the "
+              "secp160r1 routine set");
+    return run(MulIse, a, b);
+}
+
+OpfLadderRun
+OpfAvrLibrary::ladder(
+    const OpfField::Words &a24m, const OpfField::Words &x1m,
+    const BigUInt &k, unsigned kbits, LadderState<OpfField::Words> start,
+    const std::function<bool(unsigned,
+                             const LadderState<OpfField::Words> &)> &before)
+{
+    OpfLadderRun out;
+    out.state = montLadder(
+        IssOps{*this, out.trap}, a24m, x1m, std::move(start), k, kbits,
+        [&](unsigned i, const LadderState<OpfField::Words> &st) {
+            return !out.trap && (!before || before(i, st));
+        });
+    return out;
 }
 
 SymbolTable
 OpfAvrLibrary::symbols() const
 {
     SymbolTable st;
-    st.addProgram("opf_add", progAdd, addEntry);
-    st.addProgram("opf_sub", progSub, subEntry);
-    st.addProgram("opf_mul", progMul, mulEntry);
-    st.addProgram("opf_inv", progInv, invEntry);
+    for (size_t r = 0; r < progs.size(); r++)
+        st.addProgram(prefix + kSuffix[r], progs[r], kEntry[r]);
     return st;
 }
 
 size_t
 OpfAvrLibrary::romBytes() const
 {
-    return progAdd.romBytes() + progSub.romBytes() + progMul.romBytes() +
-           progInv.romBytes();
+    size_t n = 0;
+    for (unsigned r = Add; r <= Inv; r++)
+        n += progs[r].romBytes();
+    return n;
 }
 
 } // namespace jaavr

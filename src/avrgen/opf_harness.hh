@@ -1,26 +1,32 @@
 /**
  * @file
- * Harness binding the generated OPF assembly routines to the JAAVR
- * machine model: assembles them, loads them into flash, marshals
- * operands, and measures cycle counts. This is the measurement
- * apparatus behind Table I.
+ * Harness binding a generated field-routine set to the JAAVR machine
+ * model: assembles the routines, loads them into flash, marshals
+ * operands, and measures cycle counts. One class serves both sets,
+ * the OPF routines behind Table I and the secp160r1 reference set,
+ * and runs the x-only Montgomery ladder (avrgen/ladder.hh) on the ISS
+ * for the fault and side-channel campaigns.
  */
 
 #ifndef JAAVR_AVRGEN_OPF_HARNESS_HH
 #define JAAVR_AVRGEN_OPF_HARNESS_HH
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "avr/machine.hh"
 #include "avrasm/assembler.hh"
 #include "avrasm/symbol_table.hh"
+#include "avrgen/ladder.hh"
 #include "avrgen/opf_routines.hh"
 #include "field/opf_field.hh"
 
 namespace jaavr
 {
 
-/** Result of running one OPF routine on the simulator. */
+/** Result of running one routine on the simulator. */
 struct OpfRun
 {
     OpfField::Words result;
@@ -29,24 +35,12 @@ struct OpfRun
     Trap trap;                 ///< ISS trap, kind None on a clean run
 };
 
-/**
- * A time-redundant routine execution (see DESIGN.md, "Fault model &
- * hardening"): the routine runs twice and the results are compared.
- * A transient fault — the FaultInjector's plans fire exactly once —
- * perturbs at most one of the runs, so a mismatch or a trap in
- * either run flags the fault.
- */
-struct OpfCheckedRun
+/** Result of OpfAvrLibrary::ladder. */
+struct OpfLadderRun
 {
-    OpfRun first;          ///< the run whose result would be consumed
-    bool redundantOk;      ///< second run matched (result and trap)
-    bool coherentOk;       ///< structural self-check on the result
-
-    bool ok() const
-    {
-        return first.trap.kind == TrapKind::None && redundantOk &&
-               coherentOk;
-    }
+    /** After the final swap, or where a trap or the hook stopped it. */
+    LadderState<OpfField::Words> state;
+    Trap trap; ///< first trap of any routine, kind None on a clean run
 };
 
 class OpfAvrLibrary
@@ -59,8 +53,12 @@ class OpfAvrLibrary
      */
     OpfAvrLibrary(const OpfPrime &prime, CpuMode mode);
 
-    CpuMode mode() const { return machine_->mode(); }
-    const OpfPrime &prime() const { return opf; }
+    /**
+     * The secp160r1 routine set (avrgen/secp160_routines.hh): plain
+     * modular mul, Kaliski inverse a^-1 * 2^160; in ISE mode also the
+     * MAC-product multiplication behind mulIse().
+     */
+    static OpfAvrLibrary secp160r1(CpuMode mode);
 
     /** a + b (mod p), incompletely reduced; measured on the ISS. */
     OpfRun add(const OpfField::Words &a, const OpfField::Words &b);
@@ -68,29 +66,33 @@ class OpfAvrLibrary
     /** a - b (mod p). */
     OpfRun sub(const OpfField::Words &a, const OpfField::Words &b);
 
-    /** Montgomery product a * b * R^-1 (mod p). */
+    /** Montgomery product a * b * R^-1 (plain a * b for secp160r1). */
     OpfRun mul(const OpfField::Words &a, const OpfField::Words &b);
 
     /** Montgomery-domain inverse a^-1 * 2^n (mod p), n = 32 s. */
     OpfRun inv(const OpfField::Words &a);
 
-    /** Time-redundant multiplication with coherence self-check. */
-    OpfCheckedRun mulChecked(const OpfField::Words &a,
-                             const OpfField::Words &b);
+    /**
+     * The secp160r1 MAC-product multiplication (ISE mode only; panics
+     * otherwise). Used by the OPF ablation.
+     */
+    OpfRun mulIse(const OpfField::Words &a, const OpfField::Words &b);
 
     /**
-     * Structural coherence of @p r: no trap, the value is inside the
-     * incomplete s-word representation range, and its canonical
-     * residue survives a host-side Montgomery-domain round trip.
-     * These checks catch marshalling faults and gross corruption;
-     * arithmetic faults that stay inside the representation range
-     * need the time redundancy of mulChecked() (the incomplete
-     * representation admits any value in [0, 2^(32 s)), so a plain
-     * result < p test would reject legitimate clean results).
+     * montLadder() with every field operation a routine run on the
+     * ISS. The first trap is recorded and the ladder stops ahead of
+     * the next step (the trapping step finishes its calls); @p before
+     * is the ladder's hook and may stop it too.
      */
-    bool coherent(const OpfRun &r) const;
+    OpfLadderRun
+    ladder(const OpfField::Words &a24m, const OpfField::Words &x1m,
+           const BigUInt &k, unsigned kbits,
+           LadderState<OpfField::Words> start,
+           const std::function<bool(unsigned,
+                                    const LadderState<OpfField::Words> &)>
+               &before = nullptr);
 
-    /** Flash footprint of the four routines (paper: "ROM bytes"). */
+    /** Flash footprint of add, sub, mul and inv (paper: "ROM bytes"). */
     size_t romBytes() const;
 
     /** Underlying machine (for statistics inspection). */
@@ -99,22 +101,31 @@ class OpfAvrLibrary
     /** Symbols of the loaded routines (for profiler attribution). */
     SymbolTable symbols() const;
 
+    /** Flash word address the inverse is assembled for and loaded at. */
+    static constexpr uint32_t invEntry = 0x4000;
+
   private:
-    OpfRun run(uint32_t entry, const OpfField::Words &a,
+    /** The routine table: index, symbol suffix and load address. */
+    enum Routine : unsigned { Add, Sub, Mul, Inv, MulIse };
+    static constexpr const char *kSuffix[] = {"_add", "_sub", "_mul",
+                                              "_inv", "_mul_ise"};
+    static constexpr uint32_t kEntry[] = {0x0000, 0x1000, 0x2000,
+                                          invEntry, 0x6000};
+
+    /**
+     * Assemble and load @p src, indexed by Routine (MulIse optional),
+     * as "<prefix>_add", ... over @p words-word operands.
+     */
+    OpfAvrLibrary(CpuMode mode, size_t words, const std::string &prefix,
+                  const std::vector<std::string> &src);
+
+    OpfRun run(Routine r, const OpfField::Words &a,
                const OpfField::Words &b);
 
-    static std::vector<uint8_t> toBytes(const OpfField::Words &w);
-    OpfField::Words fromBytes(const std::vector<uint8_t> &bytes) const;
-
-    OpfPrime opf;
     size_t s;
-    OpfField fieldModel; ///< host-side model for coherence checks
+    std::string prefix;
     std::unique_ptr<Machine> machine_;
-    Program progAdd, progSub, progMul, progInv;
-    static constexpr uint32_t addEntry = 0x0000;
-    static constexpr uint32_t subEntry = 0x1000;
-    static constexpr uint32_t mulEntry = 0x2000;
-    static constexpr uint32_t invEntry = 0x4000;
+    std::vector<Program> progs; ///< indexed by Routine
 };
 
 } // namespace jaavr

@@ -151,8 +151,7 @@ emitSecpReduction(AsmBuilder &b, const std::string &prefix)
     emitMersenneFold(b, /*subtract=*/false, prefix);
 }
 
-} // anonymous namespace
-
+/** The prime 2^160 - 2^31 - 1 as little-endian bytes. */
 std::vector<uint8_t>
 secp160r1PrimeBytes()
 {
@@ -160,6 +159,8 @@ secp160r1PrimeBytes()
     p[3] = 0x7f;  // clear bit 31
     return p;
 }
+
+} // anonymous namespace
 
 std::string
 genSecp160AddSub(bool subtract)

@@ -17,8 +17,8 @@
 #ifndef JAAVR_AVRGEN_SECP160_ROUTINES_HH
 #define JAAVR_AVRGEN_SECP160_ROUTINES_HH
 
+#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace jaavr
 {
@@ -30,9 +30,6 @@ struct Secp160MemoryMap
     static constexpr uint16_t wBufAddr = 0x02f0;  ///< first fold (24 B)
     static constexpr uint16_t hsBufAddr = 0x0310; ///< h >> 1 scratch
 };
-
-/** The prime 2^160 - 2^31 - 1 as little-endian bytes. */
-std::vector<uint8_t> secp160r1PrimeBytes();
 
 /** Modular addition (subtraction when @p subtract). */
 std::string genSecp160AddSub(bool subtract);

@@ -1,9 +1,11 @@
 /**
  * @file
  * Per-field-operation cycle costs, measured on the instruction-set
- * simulator by running the generated OPF assembly routines
- * (DESIGN.md substitution #3: measured, not modeled, wherever we
- * have the assembly).
+ * simulator by running a generated routine set (OPF or secp160r1)
+ * through OpfAvrLibrary. Both fields share one probe, add/sub/mul on
+ * a seeded random operand pair and inv as the mean of five runs, and
+ * one memo cache (DESIGN.md substitution #3: measured, not modeled,
+ * wherever we have the assembly).
  */
 
 #ifndef JAAVR_MODEL_FIELD_COSTS_HH
@@ -50,15 +52,15 @@ struct FieldCycleCosts
 const FieldCycleCosts &opfFieldCosts(const OpfPrime &prime, CpuMode mode);
 
 /**
- * Costs for the standardized secp160r1 field, measured by running
- * the generated assembly routine set (product scanning + the
- * dedicated 2^160 = 2^31 + 1 reduction; see
- * avrgen/secp160_routines.hh) on the ISS. The paper evaluates
+ * Costs for the standardized secp160r1 field, measured the same way
+ * on its generated routine set (product scanning + the dedicated
+ * 2^160 = 2^31 + 1 reduction; see avrgen/secp160_routines.hh) and
+ * cached per mode; the entries derive as above. The paper evaluates
  * secp160r1 only on the plain ATmega128 (CA); all modes are provided
  * for completeness — the additive reduction is exactly why this
  * field profits less from the MAC unit than the OPFs do.
  */
-FieldCycleCosts secp160r1FieldCosts(CpuMode mode);
+const FieldCycleCosts &secp160r1FieldCosts(CpuMode mode);
 
 } // namespace jaavr
 

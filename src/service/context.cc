@@ -60,7 +60,7 @@ S()
 }
 } // namespace
 
-WorkerContext::WorkerContext(uint64_t rng_seed, CpuMode machine_mode)
+WorkerContext::WorkerContext(uint64_t rng_seed)
     : r1Field(),
       k1Field(),
       glvField(S().glvP),
@@ -74,8 +74,7 @@ WorkerContext::WorkerContext(uint64_t rng_seed, CpuMode machine_mode)
       ecdsaR1(secp160r1, S().r1G, S().r1N),
       ecdsaK1(secp160k1),
       ecdsaGlv(glvOpf),
-      rng(rng_seed),
-      machine(machine_mode)
+      rng(rng_seed)
 {}
 
 Ecdsa *

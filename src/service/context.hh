@@ -7,12 +7,9 @@
  * (the fields carry a per-instance mutable op-counter attachment, so
  * sharing one across threads would race), private curve objects
  * built from a snapshot of the standard-curve parameters, private
- * Ecdsa signers, a private seeded Rng, and a private AVR Machine
- * (the ISS is entirely member-state, so per-worker Machines run
- * concurrently with bit-identical results — the concurrency test
- * pins this). The only shared state is immutable: the parameter
- * snapshot and the fixed-base comb tables, both built once at
- * service startup.
+ * Ecdsa signers and a private seeded Rng. The only shared state is
+ * immutable: the parameter snapshot and the fixed-base comb tables,
+ * both built once at service startup.
  */
 
 #ifndef JAAVR_SERVICE_CONTEXT_HH
@@ -20,7 +17,6 @@
 
 #include <memory>
 
-#include "avr/machine.hh"
 #include "curves/ecdsa.hh"
 #include "curves/edwards.hh"
 #include "curves/fixed_base.hh"
@@ -77,8 +73,7 @@ bool serviceOrderKnown(ServiceCurve c);
 class WorkerContext
 {
   public:
-    explicit WorkerContext(uint64_t rng_seed,
-                           CpuMode machine_mode = CpuMode::ISE);
+    explicit WorkerContext(uint64_t rng_seed);
 
     WorkerContext(const WorkerContext &) = delete;
     WorkerContext &operator=(const WorkerContext &) = delete;
@@ -101,7 +96,6 @@ class WorkerContext
     Ecdsa ecdsaGlv;
 
     Rng rng;
-    Machine machine;  ///< per-worker ISS instance (poolable by design)
 
     /** The ECDSA signer for @p c, or nullptr if its order is unknown. */
     Ecdsa *signerFor(ServiceCurve c);

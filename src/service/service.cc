@@ -103,8 +103,7 @@ EccService::EccService(const ServiceConfig &config)
     if (cfg.batchMax == 0)
         fatal("EccService: batchMax must be >= 1");
     for (unsigned i = 0; i < cfg.workers; i++) {
-        contexts.push_back(std::make_unique<WorkerContext>(
-            cfg.rngSeed + i, cfg.machineMode));
+        contexts.push_back(std::make_unique<WorkerContext>(cfg.rngSeed + i));
         queues.push_back(std::make_unique<BoundedMpmcQueue<ServiceRequest *>>(
             cfg.queueCapacity));
         stats.push_back(std::make_unique<WorkerStats>(latencyBoundsUs(),

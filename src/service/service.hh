@@ -53,7 +53,6 @@ struct ServiceConfig
     size_t batchMax = 16;        ///< micro-batch drain limit (>= 1)
     bool amortize = true;        ///< comb tables + shared inversions
     uint64_t rngSeed = 1;        ///< base seed; worker i uses seed + i
-    CpuMode machineMode = CpuMode::ISE; ///< per-worker Machine mode
 };
 
 class EccService

@@ -1,4 +1,4 @@
-# Golden-output check for the deterministic bench binaries:
+# Golden-output check for the deterministic bench and tool binaries:
 #
 #   cmake -DBIN=<program> [-DARGS=<a;b>] -DGOLDEN=<file> -P golden_stdout.cmake
 #

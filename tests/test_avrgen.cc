@@ -10,6 +10,7 @@
 
 #include "avrgen/opf_harness.hh"
 #include "bigint/big_int.hh"
+#include "curves/standard_curves.hh"
 #include "nt/mont_inverse.hh"
 #include "nt/opf_prime.hh"
 #include "support/random.hh"
@@ -257,3 +258,102 @@ TEST(AvrGenCycles, RomBytesReported)
     EXPECT_GT(lib.romBytes(), 1000u);
     EXPECT_LT(lib.romBytes(), 32768u);
 }
+
+namespace
+{
+
+/** The shared x-only ladder (avrgen/ladder.hh) on the ISS and host. */
+class AvrLadderTest : public ::testing::TestWithParam<CpuMode>
+{};
+
+} // anonymous namespace
+
+TEST_P(AvrLadderTest, MatchesHostCurveAndModelStepByStep)
+{
+    const MontgomeryCurve &mc = montgomeryOpfCurve();
+    const BigUInt x1 = montgomeryOpfBasePoint().x;
+    OpfField fm(paperOpfPrime());
+    OpfAvrLibrary lib(paperOpfPrime(), GetParam());
+    auto a24m = fm.toMont(BigUInt(mc.a24()));
+    auto one = fm.toMont(BigUInt(1));
+    auto x1m = fm.toMont(x1);
+    const LadderState<OpfField::Words> start{
+        one, OpfField::Words(fm.words(), 0), x1m, one};
+
+    // (k, kbits): k = 1 and 2, 2^m - 1, a leading-zero window as in
+    // the fault campaign, and random odd and even scalars. Odd k ends
+    // on a pending swap, which the final swap must resolve.
+    Rng rng(0x1add);
+    uint64_t r = (rng.next64() >> 24) | (uint64_t(1) << 39);
+    std::vector<std::pair<uint64_t, unsigned>> cases = {
+        {1, 1}, {2, 2}, {3, 2}, {1, 8}, {0xffff, 16},
+        {(uint64_t(1) << 40) - 1, 40}, {r | 1, 40}, {r & ~uint64_t(1), 40}};
+    for (const auto &[k, kbits] : cases) {
+        std::vector<OpfField::Words> issZ2, hostZ2;
+        OpfLadderRun iss = lib.ladder(
+            a24m, x1m, BigUInt(k), kbits, start,
+            [&](unsigned i, const LadderState<OpfField::Words> &s) {
+                if (i > 0)
+                    issZ2.push_back(s.z2);
+                return true;
+            });
+        ASSERT_FALSE(iss.trap) << iss.trap.describe();
+        LadderState<OpfField::Words> host = montLadder(
+            OpfFieldOps{fm}, a24m, x1m, start, BigUInt(k), kbits,
+            [&](unsigned i, const LadderState<OpfField::Words> &s) {
+                if (i > 0)
+                    hostZ2.push_back(s.z2);
+                return true;
+            });
+        EXPECT_EQ(issZ2.size(), size_t(kbits)) << "k=" << k;
+        EXPECT_EQ(issZ2, hostZ2) << "k=" << k;
+        EXPECT_EQ(iss.state.x2, host.x2) << "k=" << k;
+        EXPECT_EQ(iss.state.z2, host.z2) << "k=" << k;
+
+        auto want = mc.ladder(BigUInt(k), x1);
+        ASSERT_TRUE(want.has_value()) << "k=" << k;
+        const PrimeField &f = mc.field();
+        EXPECT_EQ(f.mul(fm.canonical(iss.state.x2),
+                        f.inv(fm.canonical(iss.state.z2))),
+                  *want)
+            << "k=" << k;
+    }
+}
+
+TEST_P(AvrLadderTest, HookStopsAheadOfAStep)
+{
+    OpfField fm(paperOpfPrime());
+    OpfAvrLibrary lib(paperOpfPrime(), GetParam());
+    auto a24m = fm.toMont(BigUInt(montgomeryOpfCurve().a24()));
+    auto one = fm.toMont(BigUInt(1));
+    auto x1m = fm.toMont(montgomeryOpfBasePoint().x);
+    const LadderState<OpfField::Words> start{
+        one, OpfField::Words(fm.words(), 0), x1m, one};
+
+    // Stopped ahead of step 2, k = 0b1011 has run its top bits 0b10:
+    // the state of the 2-bit ladder stopped ahead of its final swap.
+    unsigned calls = 0;
+    OpfLadderRun cut = lib.ladder(
+        a24m, x1m, BigUInt(0xb), 4, start,
+        [&](unsigned i, const LadderState<OpfField::Words> &) {
+            calls++;
+            return i < 2;
+        });
+    LadderState<OpfField::Words> top = montLadder(
+        OpfFieldOps{fm}, a24m, x1m, start, BigUInt(0x2), 2,
+        [](unsigned i, const LadderState<OpfField::Words> &) {
+            return i < 2;
+        });
+    EXPECT_EQ(calls, 3u);
+    EXPECT_FALSE(cut.trap);
+    EXPECT_EQ(cut.state.x2, top.x2);
+    EXPECT_EQ(cut.state.z2, top.z2);
+    EXPECT_EQ(cut.state.x3, top.x3);
+    EXPECT_EQ(cut.state.z3, top.z3);
+}
+
+INSTANTIATE_TEST_SUITE_P(CaAndIse, AvrLadderTest,
+                         ::testing::Values(CpuMode::CA, CpuMode::ISE),
+                         [](const ::testing::TestParamInfo<CpuMode> &info) {
+                             return cpuModeName(info.param);
+                         });

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "avrgen/opf_harness.hh"
-#include "avrgen/secp160_harness.hh"
 #include "bigint/big_int.hh"
 #include "field/secp160.hh"
 #include "nt/mont_inverse.hh"
@@ -26,7 +25,8 @@ class Secp160AsmTest : public ::testing::TestWithParam<CpuMode>
 {
   protected:
     Secp160AsmTest()
-        : p(Secp160r1Field::primeValue()), lib(GetParam()),
+        : p(Secp160r1Field::primeValue()),
+          lib(OpfAvrLibrary::secp160r1(GetParam())),
           rng(0x5ec9 + int(GetParam()))
     {}
 
@@ -43,7 +43,7 @@ class Secp160AsmTest : public ::testing::TestWithParam<CpuMode>
     }
 
     BigUInt p;
-    Secp160AvrLibrary lib;
+    OpfAvrLibrary lib;
     Rng rng;
 };
 
@@ -120,7 +120,7 @@ TEST(Secp160AsmCycles, SlightlySlowerThanOpfMul)
     // Table II implies the secp160r1 multiplication costs a few
     // percent more than the OPF one on native AVR.
     Rng rng(150);
-    Secp160AvrLibrary sec(CpuMode::CA);
+    auto sec = OpfAvrLibrary::secp160r1(CpuMode::CA);
     OpfAvrLibrary opf(paperOpfPrime(), CpuMode::CA);
     OpfField f(paperOpfPrime());
 
@@ -138,7 +138,8 @@ TEST(Secp160AsmCycles, AdditiveReductionGainsNothingFromMac)
     // FAST->ISE transition changes nothing for secp160r1's reduction
     // (the generated routine uses no MAC), while the OPF mul drops 4x.
     Rng rng(151);
-    Secp160AvrLibrary fast(CpuMode::FAST), ise(CpuMode::ISE);
+    auto fast = OpfAvrLibrary::secp160r1(CpuMode::FAST);
+    auto ise = OpfAvrLibrary::secp160r1(CpuMode::ISE);
     BigUInt a = BigUInt::randomBits(rng, 159);
     BigUInt b = BigUInt::randomBits(rng, 159);
     EXPECT_EQ(fast.mul(a.toWords(5), b.toWords(5)).cycles,
@@ -151,7 +152,7 @@ TEST(Secp160AsmCycles, MacProductVariantValidatesAndSpeeds)
     // (correctness identical, reduction unchanged) and lands between
     // the native secp160r1 mul and the full-OPF ISE mul.
     Rng rng(152);
-    Secp160AvrLibrary ise(CpuMode::ISE);
+    auto ise = OpfAvrLibrary::secp160r1(CpuMode::ISE);
     const BigUInt p = Secp160r1Field::primeValue();
     for (int i = 0; i < 40; i++) {
         BigUInt a = BigUInt::randomBits(rng, 160);
@@ -176,7 +177,7 @@ TEST(Secp160AsmCycles, MacProductVariantValidatesAndSpeeds)
 TEST(Secp160AsmCycles, MulIseRequiresIseMode)
 {
     Rng rng(153);
-    Secp160AvrLibrary ca(CpuMode::CA);
+    auto ca = OpfAvrLibrary::secp160r1(CpuMode::CA);
     BigUInt a = BigUInt::randomBits(rng, 159);
     EXPECT_DEATH(ca.mulIse(a.toWords(5), a.toWords(5)),
                  "requires ISE");

@@ -21,7 +21,7 @@
 #include "avr/superblock.hh"
 #include "avr/timing.hh"
 #include "avrasm/assembler.hh"
-#include "avrgen/secp160_harness.hh"
+#include "avrgen/opf_harness.hh"
 #include "debug/target.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -707,7 +707,7 @@ TEST(Superblock, Secp160MulIseMatchesReference)
             word = rng.next32();
         (*v)[4] &= 0x7fffffff;
     }
-    Secp160AvrLibrary lib(CpuMode::ISE);
+    auto lib = OpfAvrLibrary::secp160r1(CpuMode::ISE);
     lib.machine().setBackend(IssBackend::Superblock);
     OpfRun s = lib.mulIse(a, b);
     lib.machine().setBackend(IssBackend::Reference);

@@ -28,6 +28,7 @@
 
 #include "avrasm/assembler.hh"
 #include "avrgen/ct_check.hh"
+#include "avrgen/opf_harness.hh"
 #include "avrgen/opf_routines.hh"
 #include "avrgen/secp160_routines.hh"
 #include "nt/opf_prime.hh"
@@ -53,7 +54,7 @@ loadAt(const Program &prog, uint32_t entry)
 std::vector<std::pair<uint8_t, uint8_t>>
 harnessEntryRegs()
 {
-    // OpfAvrLibrary::run / Secp160AvrLibrary::run calling convention.
+    // OpfAvrLibrary's calling convention.
     return {
         {28, uint8_t(OpfMemoryMap::aAddr & 0xff)},
         {29, uint8_t(OpfMemoryMap::aAddr >> 8)},
@@ -106,8 +107,6 @@ main(int argc, char **argv)
     const OpfPrime &prime = paperOpfPrime();
     const uint16_t opfBytes = uint16_t((prime.k + 16) / 8);
     const uint16_t secpBytes = 20;
-    // Harness load addresses (OpfAvrLibrary / Secp160AvrLibrary).
-    constexpr uint32_t invEntry = 0x4000;
 
     std::vector<Job> jobs;
     // The two fold rounds of emitFinalFold each branch on the rare
@@ -125,10 +124,11 @@ main(int argc, char **argv)
                     assemble(genOpfMulIse(prime), "opf_mul_ise"),
                     0, CtContract::ConstantTime, 2, true, opfBytes});
     jobs.push_back({"opf160_inv",
-                    assemble(genOpfMontInverse(prime, invEntry),
+                    assemble(genOpfMontInverse(prime,
+                                               OpfAvrLibrary::invEntry),
                              "opf_inv"),
-                    invEntry, CtContract::VariableTime, 0, false,
-                    opfBytes});
+                    OpfAvrLibrary::invEntry, CtContract::VariableTime, 0,
+                    false, opfBytes});
     jobs.push_back({"secp160r1_add",
                     assemble(genSecp160AddSub(false), "secp_add"),
                     0, CtContract::VariableTime, 0, true, secpBytes});
