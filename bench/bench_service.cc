@@ -5,13 +5,18 @@
  * single result against the single-call host golden model (the bench
  * exits nonzero on any mismatch, so its rows can be trusted).
  *
- *  1. Batch sweep: a fixed ECDSA-sign workload runs through the
- *     unamortized configuration (amortize = off — the pre-existing
- *     single-call library path, i.e. the batch-size-1 configuration)
- *     and the amortized one at several micro-batch limits. Reports
- *     ops/s per configuration plus the headline
- *     batched_speedup_vs_batch1 ratio the regression gate pins
- *     (acceptance: >= 2x).
+ *  1. Batch sweep: a fixed ECDSA-sign workload, queued before
+ *     start() on a 1-worker service, runs through the unamortized
+ *     configuration (amortize = off: no comb, one request per drain,
+ *     i.e. the batch-size-1 configuration of the same sign handler)
+ *     and the amortized one at several drain limits. Every run must
+ *     drain exactly as scheduled — one request per drain unamortized,
+ *     ceil(ops / batchMax) drains amortized — a deterministic check
+ *     of the worker's drain limit that holds under any host load (it
+ *     does not count inversions). The full sweep also reports ops/s
+ *     per configuration plus the headline batched_speedup_vs_batch1
+ *     ratio the regression gate pins (acceptance: >= 2x); --smoke
+ *     prints the timings but neither emits nor checks the ratio.
  *
  *  2. Offered-load sweep: submitter threads pace mixed sign/derive
  *     traffic at a fraction of the measured capacity into a running
@@ -121,11 +126,13 @@ struct SweepResult
     double opsPerSec = 0;
     double p50Us = 0;
     double p99Us = 0;
+    uint64_t drains = 0; ///< batch sweep: drains the worker published
 };
 
 /**
  * Run @p cases through a 1-worker service (so batch occupancy is the
- * drain limit, not scheduling luck), verifying every signature.
+ * drain limit, not scheduling luck), verifying every signature and
+ * the drain count the worker published.
  */
 SweepResult
 runBatchConfig(const std::vector<SignCase> &cases, bool amortize,
@@ -166,7 +173,17 @@ runBatchConfig(const std::vector<SignCase> &cases, bool amortize,
               "batched signature differs from the golden model");
     }
 
+    // Everything was queued before start(), so the worker drains
+    // min(left, limit) requests per wake: the limit is batchMax when
+    // amortizing and 1 otherwise.
+    MetricsRegistry reg;
+    svc.publishMetrics(reg);
     SweepResult res;
+    res.drains = reg.counter("service_batches", {{"worker", "0"}}).value();
+    size_t limit = amortize ? batch_max : 1;
+    check(res.drains == (cases.size() + limit - 1) / limit,
+          "drain count differs from the pre-submitted schedule");
+
     res.opsPerSec = double(cases.size()) / secs;
     res.p50Us = svc.latencyPercentileUs(50);
     res.p99Us = svc.latencyPercentileUs(99);
@@ -454,8 +471,9 @@ main(int argc, char **argv)
     std::vector<SignCase> cases = makeSignCases(batch_ops, seed);
 
     SweepResult batch1 = runBatchConfig(cases, false, 16, seed, &tracer);
-    rowMeasured("unamortized (single-call path)", batch1.opsPerSec,
+    rowMeasured("unamortized (one-request drains)", batch1.opsPerSec,
                 "ops/s");
+    rowMeasured("  drains", double(batch1.drains), "");
     emitRow("sign_secp160r1", "unamortized", 0, batch1);
 
     double best = 0;
@@ -464,6 +482,7 @@ main(int argc, char **argv)
         SweepResult r = runBatchConfig(cases, true, bm, seed, &tracer);
         rowMeasured("amortized, batchMax=" + std::to_string(bm),
                     r.opsPerSec, "ops/s");
+        rowMeasured("  drains", double(r.drains), "");
         emitRow("sign_secp160r1", "amortized", double(bm), r);
         if (double(bm) >= 16 && r.opsPerSec > best)
             best = r.opsPerSec;
@@ -472,15 +491,19 @@ main(int argc, char **argv)
     double speedup = best / batch1.opsPerSec;
     separator();
     rowMeasured("batched speedup vs batch-size-1", speedup, "x");
-    {
+    // The timed bound only on the full sweep: a smoke run is too short
+    // to time reliably on a loaded host. Its drain counts above check
+    // only how many requests each drain took, not that a drain shared
+    // its inversions.
+    if (!smoke) {
         JsonLine line = benchLine("service");
         line.str("workload", "sign_secp160r1")
             .str("config", "speedup")
             .num("batched_speedup_vs_batch1", speedup);
         appendJsonLine(kJsonPath, line);
+        check(speedup >= 2.0,
+              "amortized throughput below the 2x acceptance bound");
     }
-    check(speedup >= 2.0,
-          "amortized throughput below the 2x acceptance bound");
 
     heading("ECC service: offered-load sweep (" +
             std::to_string(load_workers) + " workers, mixed sign/derive)");

@@ -37,12 +37,18 @@ Ecdsa::hashToScalar(const std::string &message) const
     return e % n;
 }
 
+JacobianPoint
+Ecdsa::mulJacobian(const BigUInt &k, const AffinePoint &p) const
+{
+    if (glv)
+        return glv->mulGlvJsfJacobian(k, p);
+    return c.mulNafJacobian(k, p);
+}
+
 AffinePoint
 Ecdsa::mul(const BigUInt &k, const AffinePoint &p) const
 {
-    if (glv)
-        return glv->mulGlvJsf(k, p);
-    return c.mulNaf(k, p);
+    return c.toAffine(mulJacobian(k, p));
 }
 
 void
@@ -54,12 +60,18 @@ Ecdsa::attachFixedBase(const FixedBaseComb *table)
     comb = table;
 }
 
+JacobianPoint
+Ecdsa::mulGJacobian(const BigUInt &k) const
+{
+    if (comb)
+        return comb->mulJacobian(c, k);
+    return mulJacobian(k, g);
+}
+
 AffinePoint
 Ecdsa::mulG(const BigUInt &k) const
 {
-    if (comb)
-        return comb->mul(c, k);
-    return mul(k, g);
+    return c.toAffine(mulGJacobian(k));
 }
 
 EcdsaKeyPair

@@ -5,8 +5,12 @@
  * protocols — key establishment and authentication on IoT nodes).
  *
  * Works with any WeierstrassCurve subtype; when the curve is a
- * GlvCurve the verifier can use the endomorphism-accelerated scalar
- * multiplications.
+ * GlvCurve every variable-base multiplication uses the endomorphism
+ * (mulJacobian picks the method). The single-call functions — sign,
+ * signWithNonce, generateKey, verify — are the golden references the
+ * service's batch handlers (service.cc) are tested against; those
+ * handlers reuse mulJacobian/mulGJacobian and convert to affine once
+ * per batch.
  */
 
 #ifndef JAAVR_CURVES_ECDSA_HH
@@ -59,10 +63,9 @@ class Ecdsa
     /**
      * Sign with an explicit nonce @p k in [1, n). Returns nullopt for
      * the (negligible-probability) degenerate nonces that make r or s
-     * zero — the random-nonce sign() simply retries, and the service
-     * layer's batched path shares this assembly so single-call and
-     * batched signatures over the same (message, d, k) are
-     * bit-identical.
+     * zero — the random-nonce sign() simply retries. The service's
+     * sign handler computes the same assembly over a whole batch, so
+     * its signatures over the same (message, d, k) are bit-identical.
      */
     std::optional<EcdsaSignature>
     signWithNonce(const std::string &message, const BigUInt &d,
@@ -94,10 +97,23 @@ class Ecdsa
     /** Leftmost bits of the hash as an integer mod n. */
     BigUInt hashToScalar(const std::string &message) const;
 
-    /** k * P using the fastest available method. */
+    /**
+     * k * P in Jacobian coordinates: the one place that picks the
+     * curve's variable-base method — GLV + JSF on a GLV curve (the
+     * paper's "End, JSF", Table II), NAF otherwise. Batches convert
+     * many results with one toAffineBatch inversion; mul() converts
+     * one.
+     */
+    JacobianPoint mulJacobian(const BigUInt &k, const AffinePoint &p) const;
+
+    /** k * P in affine coordinates (mulJacobian + toAffine). */
     AffinePoint mul(const BigUInt &k, const AffinePoint &p) const;
 
-    /** k * G, through the comb table when one is attached. */
+    /** k * G in Jacobian coordinates: the comb table when one is
+     *  attached, mulJacobian otherwise. */
+    JacobianPoint mulGJacobian(const BigUInt &k) const;
+
+    /** k * G in affine coordinates (mulGJacobian + toAffine). */
     AffinePoint mulG(const BigUInt &k) const;
 
   private:

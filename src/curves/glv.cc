@@ -202,8 +202,14 @@ GlvCurve::phi(const AffinePoint &p) const
 AffinePoint
 GlvCurve::mulGlvJsf(const BigUInt &k, const AffinePoint &p) const
 {
+    return toAffine(mulGlvJsfJacobian(k, p));
+}
+
+JacobianPoint
+GlvCurve::mulGlvJsfJacobian(const BigUInt &k, const AffinePoint &p) const
+{
     if (p.inf)
-        return p;
+        return JacobianPoint::infinity();
     GlvSplit split = decomp.decompose(k % prm.order);
 
     AffineFe pf = AffineFe::from(*f, p);
@@ -238,7 +244,7 @@ GlvCurve::mulGlvJsf(const BigUInt &k, const AffinePoint &p) const
         if (u1 != 0 || u2 != 0)
             r = addMixed(r, table(u1, u2));
     }
-    return toAffine(r);
+    return r;
 }
 
 } // namespace jaavr

@@ -82,6 +82,14 @@ class GlvCurve : public WeierstrassCurve
      */
     AffinePoint mulGlvJsf(const BigUInt &k, const AffinePoint &p) const;
 
+    /**
+     * mulGlvJsf without the final affine conversion, as
+     * mulNafJacobian is to mulNaf: batches convert many results with
+     * one toAffineBatch inversion.
+     */
+    JacobianPoint mulGlvJsfJacobian(const BigUInt &k,
+                                    const AffinePoint &p) const;
+
     const GlvDecomposer &decomposer() const { return decomp; }
 
   private:

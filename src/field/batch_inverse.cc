@@ -9,14 +9,15 @@ invBatch(const PrimeField &f, std::vector<Fe> &elems)
     // Prefix products over the nonzero elements only: prefix[i] holds
     // the product of every nonzero element up to and including i, so
     // a zero at position i reuses prefix[i-1] and drops out of the
-    // unwind entirely.
+    // unwind entirely. The product starts at the first nonzero element
+    // itself, so m nonzero elements cost m - 1 multiplications here.
     std::vector<Fe> prefix;
     prefix.reserve(elems.size());
-    Fe acc = Fe::one();
+    Fe acc;
     size_t nonzero = 0;
     for (const Fe &e : elems) {
         if (!e.isZero()) {
-            acc = f.mul(acc, e);
+            acc = nonzero ? f.mul(acc, e) : e;
             nonzero++;
         }
         prefix.push_back(acc);
@@ -26,13 +27,17 @@ invBatch(const PrimeField &f, std::vector<Fe> &elems)
 
     // One inversion of the full product, then unwind: before step i,
     // inv_acc = (product of nonzero elems[0..i])^-1, so multiplying
-    // by the previous prefix isolates elems[i]^-1.
+    // by the previous prefix isolates elems[i]^-1. At the first
+    // nonzero element inv_acc is that element's inverse.
     Fe inv_acc = f.inv(acc);
-    for (size_t i = elems.size(); i-- > 0;) {
+    for (size_t i = elems.size(), left = nonzero; i-- > 0;) {
         if (elems[i].isZero())
             continue;
-        Fe prev = i == 0 ? Fe::one() : prefix[i - 1];
-        Fe inv_i = f.mul(inv_acc, prev);
+        if (--left == 0) {
+            elems[i] = inv_acc;
+            break;
+        }
+        Fe inv_i = f.mul(inv_acc, prefix[i - 1]);
         inv_acc = f.mul(inv_acc, elems[i]);
         elems[i] = inv_i;
     }

@@ -2,7 +2,8 @@
  * @file
  * Montgomery's simultaneous-inversion trick as a standalone field
  * driver: invert n elements with a single field inversion plus
- * 3(n-1) multiplications.
+ * 3(n-1) multiplications, so a batch of one costs exactly one
+ * inversion.
  *
  * This generalizes the inline prefix-product unwind that
  * WeierstrassCurve::toAffineBatch carried since the wNAF table work:
@@ -29,8 +30,9 @@ namespace jaavr
  * elements pass through unchanged (zero has no inverse; callers use
  * zero as their "skip" encoding — the point at infinity's Z, an
  * absent slot), and do not perturb the inverses of their neighbours.
- * Returns the number of elements actually inverted. Sizes 0 and 1
- * degenerate gracefully (size 1 is exactly one PrimeField::inv).
+ * Returns the number of elements actually inverted; the cost is one
+ * PrimeField::inv plus 3(m-1) multiplications for m nonzero elements
+ * (size 1, or one nonzero among zeros, is exactly one inversion).
  */
 size_t invBatch(const PrimeField &f, std::vector<Fe> &elems);
 

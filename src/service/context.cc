@@ -53,11 +53,16 @@ serviceOrderKnown(ServiceCurve c)
 
 namespace
 {
+
+/** Comb width of every service table: 2^5 - 1 precomputed points. */
+constexpr unsigned kCombWidth = 5;
+
 const ServiceCurveSet &
 S()
 {
     return ServiceCurveSet::instance();
 }
+
 } // namespace
 
 WorkerContext::WorkerContext(uint64_t rng_seed)
@@ -110,7 +115,7 @@ WorkerContext::weierstrassFor(ServiceCurve c) const
 }
 
 ServiceTables
-ServiceTables::build(const ServiceCurveSet &snap, unsigned width)
+ServiceTables::build(const ServiceCurveSet &snap)
 {
     // The combs store only plain affine point data, so the curve and
     // field objects used to build them can be transient.
@@ -119,19 +124,19 @@ ServiceTables::build(const ServiceCurveSet &snap, unsigned width)
         Secp160r1Field f;
         WeierstrassCurve c(f, snap.r1A, snap.r1B, "secp160r1");
         t.r1 = std::make_unique<FixedBaseComb>(
-            c, snap.r1G, snap.r1N.bitLength(), width);
+            c, snap.r1G, snap.r1N.bitLength(), kCombWidth);
     }
     {
         Secp160k1Field f;
         GlvCurve c(f, snap.k1Params, "secp160k1");
         t.k1 = std::make_unique<FixedBaseComb>(
-            c, c.generator(), snap.k1Params.order.bitLength(), width);
+            c, c.generator(), snap.k1Params.order.bitLength(), kCombWidth);
     }
     {
         PrimeField f(snap.glvP);
         GlvCurve c(f, snap.glvParams, "glv-opf");
         t.glv = std::make_unique<FixedBaseComb>(
-            c, c.generator(), snap.glvParams.order.bitLength(), width);
+            c, c.generator(), snap.glvParams.order.bitLength(), kCombWidth);
     }
     return t;
 }

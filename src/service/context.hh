@@ -105,9 +105,9 @@ class WorkerContext
 };
 
 /**
- * The fixed-base comb tables for the order-known generators, built
- * once per service (dogfooding the batched affine conversion) and
- * shared read-only by every worker.
+ * The fixed-base comb tables (width-5 Lim–Lee) for the order-known
+ * generators, built once per service (dogfooding the batched affine
+ * conversion) and shared read-only by every worker.
  */
 struct ServiceTables
 {
@@ -116,8 +116,7 @@ struct ServiceTables
     std::unique_ptr<FixedBaseComb> glv;
 
     /** Build all three from @p snap via a throwaway context. */
-    static ServiceTables build(const ServiceCurveSet &snap,
-                               unsigned width = 5);
+    static ServiceTables build(const ServiceCurveSet &snap);
 };
 
 } // namespace jaavr

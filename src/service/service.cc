@@ -240,8 +240,12 @@ EccService::workerLoop(unsigned idx)
     WorkerContext &ctx = *contexts[idx];
     BoundedMpmcQueue<ServiceRequest *> &q = *queues[idx];
     WorkerStats &st = *stats[idx];
+    // amortize = false drains one request per wake: every group is
+    // then a group of one, so nothing shares an inversion (and the
+    // constructor attached no comb).
+    const size_t drainMax = cfg.amortize ? cfg.batchMax : 1;
     std::vector<ServiceRequest *> batch;
-    batch.reserve(cfg.batchMax);
+    batch.reserve(drainMax);
     unsigned idle = 0;
 
     for (;;) {
@@ -251,7 +255,7 @@ EccService::workerLoop(unsigned idx)
         // exist while tracing, so the idle-tracer drain loop stays
         // pop + push_back.
         bool tracing = tracer && tracer->enabled();
-        while (batch.size() < cfg.batchMax && q.tryPop(req)) {
+        while (batch.size() < drainMax && q.tryPop(req)) {
             if (tracing)
                 req->poppedAtUs = tracer->nowUs();
             batch.push_back(req);
@@ -289,8 +293,8 @@ EccService::processBatch(WorkerContext &ctx, WorkerStats &st,
 {
     // Tracing context for this drain: one shared "drain" span, child
     // "request" spans carrying the queue-wait / drain-wait stage
-    // split, and one "amortize" child per batched group. All
-    // recording happens in this worker's own ring.
+    // split, and one "amortize" child per group. All recording
+    // happens in this worker's own ring.
     obs::SpanRing *ring =
         tracer && tracer->enabled() ? traceRings[idx] : nullptr;
     uint64_t drainBeginUs = 0, drainSpan = 0;
@@ -316,63 +320,55 @@ EccService::processBatch(WorkerContext &ctx, WorkerStats &st,
         ring->push(s);
     };
 
-    if (!cfg.amortize || batch.size() == 1) {
-        // The unamortized configuration: every request takes the
-        // pre-existing single-call library path.
-        for (ServiceRequest *r : batch)
-            processSingle(ctx, *r);
-    } else {
-        // Partition the micro-batch into amortizable groups. Verify
-        // and hardened requests have no cross-request amortization
-        // (beyond the shared comb inside verify) and run singly.
-        std::array<std::vector<ServiceRequest *>, 6> signG, deriveW;
-        std::vector<ServiceRequest *> deriveM, deriveE, singles;
-        for (ServiceRequest *rp : batch) {
-            ServiceRequest &r = *rp;
-            switch (r.op) {
-            case ServiceOp::Sign:
-            case ServiceOp::Keygen:
-                if (!serviceOrderKnown(r.curve))
-                    fail(r, ServiceStatus::InvalidRequest,
-                         "ECDSA requires a curve with a known order");
-                else
-                    signG[size_t(r.curve)].push_back(rp);
-                break;
-            case ServiceOp::Verify:
+    // Partition the drain into (op, curve) groups; a drain of one
+    // request is a group of one. Verify and hardened derives share no
+    // work across requests and run singly.
+    std::array<std::vector<ServiceRequest *>, 6> signG, deriveW;
+    std::vector<ServiceRequest *> deriveM, deriveE, singles;
+    for (ServiceRequest *rp : batch) {
+        ServiceRequest &r = *rp;
+        switch (r.op) {
+        case ServiceOp::Sign:
+        case ServiceOp::Keygen:
+        case ServiceOp::Verify:
+            if (!serviceOrderKnown(r.curve))
+                fail(r, ServiceStatus::InvalidRequest,
+                     "ECDSA requires a curve with a known order");
+            else if (r.op == ServiceOp::Verify)
                 singles.push_back(rp);
-                break;
-            case ServiceOp::Derive:
-                if (r.hardened)
-                    singles.push_back(rp);
-                else if (r.curve == ServiceCurve::MontgomeryOpf)
-                    deriveM.push_back(rp);
-                else if (r.curve == ServiceCurve::EdwardsOpf)
-                    deriveE.push_back(rp);
-                else
-                    deriveW[size_t(r.curve)].push_back(rp);
-                break;
-            }
+            else
+                signG[size_t(r.curve)].push_back(rp);
+            break;
+        case ServiceOp::Derive:
+            if (r.hardened)
+                singles.push_back(rp);
+            else if (r.curve == ServiceCurve::MontgomeryOpf)
+                deriveM.push_back(rp);
+            else if (r.curve == ServiceCurve::EdwardsOpf)
+                deriveE.push_back(rp);
+            else
+                deriveW[size_t(r.curve)].push_back(rp);
+            break;
         }
-        for (auto &g : signG)
-            if (!g.empty())
-                group("sign_batch", g.size(),
-                      [&] { processSignBatch(ctx, g); });
-        for (auto &g : deriveW)
-            if (!g.empty())
-                group("derive_w_batch", g.size(),
-                      [&] { processDeriveWeierstrassBatch(ctx, g); });
-        if (!deriveM.empty())
-            group("derive_m_batch", deriveM.size(),
-                  [&] { processDeriveMontgomeryBatch(ctx, deriveM); });
-        if (!deriveE.empty())
-            group("derive_e_batch", deriveE.size(),
-                  [&] { processDeriveEdwardsBatch(ctx, deriveE); });
-        if (!singles.empty())
-            group("singles", singles.size(), [&] {
-                for (ServiceRequest *r : singles)
-                    processSingle(ctx, *r);
-            });
     }
+    for (auto &g : signG)
+        if (!g.empty())
+            group("sign_batch", g.size(), [&] { processSignBatch(ctx, g); });
+    for (auto &g : deriveW)
+        if (!g.empty())
+            group("derive_w_batch", g.size(),
+                  [&] { processDeriveWeierstrassBatch(ctx, g); });
+    if (!deriveM.empty())
+        group("derive_m_batch", deriveM.size(),
+              [&] { processDeriveMontgomeryBatch(ctx, deriveM); });
+    if (!deriveE.empty())
+        group("derive_e_batch", deriveE.size(),
+              [&] { processDeriveEdwardsBatch(ctx, deriveE); });
+    if (!singles.empty())
+        group("singles", singles.size(), [&] {
+            for (ServiceRequest *r : singles)
+                processSingle(ctx, *r);
+        });
 
     for (ServiceRequest *r : batch)
         if (r->status == ServiceStatus::Pending)
@@ -476,155 +472,37 @@ EccService::processBatch(WorkerContext &ctx, WorkerStats &st,
 void
 EccService::processSingle(WorkerContext &ctx, ServiceRequest &r)
 {
-    Ecdsa *S = ctx.signerFor(r.curve);
-    switch (r.op) {
-    case ServiceOp::Sign: {
-        if (!S) {
-            fail(r, ServiceStatus::InvalidRequest,
-                 "ECDSA requires a curve with a known order");
-            return;
-        }
-        const BigUInt &n = S->order();
-        if (!validScalar(r.privateKey, n)) {
-            fail(r, ServiceStatus::InvalidRequest,
-                 "private key out of range");
-            return;
-        }
-        if (!r.nonce.isZero()) {
-            if (!validScalar(r.nonce, n)) {
-                fail(r, ServiceStatus::InvalidRequest, "nonce out of range");
-                return;
-            }
-            auto sig = S->signWithNonce(r.message, r.privateKey, r.nonce);
-            if (!sig) {
-                fail(r, ServiceStatus::InvalidRequest, "degenerate nonce");
-                return;
-            }
-            r.sigOut = *sig;
-        } else {
-            r.sigOut = S->sign(r.message, r.privateKey, ctx.rng);
-        }
-        r.status = ServiceStatus::Ok;
-        return;
-    }
-    case ServiceOp::Verify: {
-        if (!S) {
-            fail(r, ServiceStatus::InvalidRequest,
-                 "ECDSA requires a curve with a known order");
-            return;
-        }
-        r.verifyOk = S->verify(r.message, r.signature, r.peer);
-        r.status = ServiceStatus::Ok;
-        return;
-    }
-    case ServiceOp::Keygen: {
-        if (!S) {
-            fail(r, ServiceStatus::InvalidRequest,
-                 "ECDSA requires a curve with a known order");
-            return;
-        }
-        if (!r.privateKey.isZero()) {
-            if (!validScalar(r.privateKey, S->order())) {
-                fail(r, ServiceStatus::InvalidRequest,
-                     "forced private key out of range");
-                return;
-            }
-            r.keyOut.d = r.privateKey;
-            r.keyOut.q = S->mulG(r.privateKey);
-        } else {
-            r.keyOut = S->generateKey(ctx.rng);
-        }
-        r.status = ServiceStatus::Ok;
-        return;
-    }
-    case ServiceOp::Derive:
-        break;
-    }
-
-    // Derive.
-    if (r.hardened) {
-        HardenedMul h;
-        switch (r.curve) {
-        case ServiceCurve::Secp160r1:
-            h = hardenedMulWeierstrass(ctx.secp160r1, r.privateKey, r.peer,
-                                       ctx.ecdsaR1.order());
-            break;
-        case ServiceCurve::Secp160k1:
-            h = hardenedMulGlv(ctx.secp160k1, r.privateKey, r.peer);
-            break;
-        case ServiceCurve::GlvOpf:
-            h = hardenedMulGlv(ctx.glvOpf, r.privateKey, r.peer);
-            break;
-        default:
-            fail(r, ServiceStatus::InvalidRequest,
-                 "hardened derive requires a curve with a known order");
-            return;
-        }
-        if (!h.ok) {
-            fail(r, ServiceStatus::HardenedFailed, h.reason);
-            return;
-        }
-        r.pointOut = h.point;
+    if (r.op == ServiceOp::Verify) {
+        r.verifyOk =
+            ctx.signerFor(r.curve)->verify(r.message, r.signature, r.peer);
         r.status = ServiceStatus::Ok;
         return;
     }
 
+    // Hardened derive.
+    HardenedMul h;
     switch (r.curve) {
-    case ServiceCurve::MontgomeryOpf: {
-        if (!validateX(ctx.montgomeryOpf, r.peerX)) {
-            fail(r, ServiceStatus::InvalidRequest, "peer x invalid");
-            return;
-        }
-        if (r.privateKey.isZero()) {
-            fail(r, ServiceStatus::InvalidRequest, "zero scalar");
-            return;
-        }
-        auto x = ctx.montgomeryOpf.ladder(r.privateKey, r.peerX);
-        if (!x) {
-            fail(r, ServiceStatus::InvalidRequest,
-                 "derived the point at infinity");
-            return;
-        }
-        r.xOut = *x;
-        r.status = ServiceStatus::Ok;
+    case ServiceCurve::Secp160r1:
+        h = hardenedMulWeierstrass(ctx.secp160r1, r.privateKey, r.peer,
+                                   ctx.ecdsaR1.order());
+        break;
+    case ServiceCurve::Secp160k1:
+        h = hardenedMulGlv(ctx.secp160k1, r.privateKey, r.peer);
+        break;
+    case ServiceCurve::GlvOpf:
+        h = hardenedMulGlv(ctx.glvOpf, r.privateKey, r.peer);
+        break;
+    default:
+        fail(r, ServiceStatus::InvalidRequest,
+             "hardened derive requires a curve with a known order");
         return;
     }
-    case ServiceCurve::EdwardsOpf: {
-        if (!validatePoint(ctx.edwardsOpf, r.peer)) {
-            fail(r, ServiceStatus::InvalidRequest, "peer point invalid");
-            return;
-        }
-        if (r.privateKey.isZero()) {
-            fail(r, ServiceStatus::InvalidRequest, "zero scalar");
-            return;
-        }
-        r.pointOut = ctx.edwardsOpf.mulNaf(r.privateKey, r.peer);
-        r.status = ServiceStatus::Ok;
+    if (!h.ok) {
+        fail(r, ServiceStatus::HardenedFailed, h.reason);
         return;
     }
-    default: {
-        const WeierstrassCurve *c = ctx.weierstrassFor(r.curve);
-        const BigUInt *n = S ? &S->order() : nullptr;
-        if (!validatePoint(*c, r.peer, n)) {
-            fail(r, ServiceStatus::InvalidRequest, "peer point invalid");
-            return;
-        }
-        if (n ? !validScalar(r.privateKey, *n) : r.privateKey.isZero()) {
-            fail(r, ServiceStatus::InvalidRequest, "scalar out of range");
-            return;
-        }
-        AffinePoint out = S ? S->mul(r.privateKey, r.peer)
-                            : c->mulNaf(r.privateKey, r.peer);
-        if (out.inf) {
-            fail(r, ServiceStatus::InvalidRequest,
-                 "derived the point at infinity");
-            return;
-        }
-        r.pointOut = out;
-        r.status = ServiceStatus::Ok;
-        return;
-    }
-    }
+    r.pointOut = h.point;
+    r.status = ServiceStatus::Ok;
 }
 
 void
@@ -636,7 +514,6 @@ EccService::processSignBatch(WorkerContext &ctx,
     const WeierstrassCurve &c = S->curve();
     const PrimeField &fn = S->scalarField();
     const BigUInt &n = S->order();
-    const FixedBaseComb *comb = S->fixedBase();
 
     struct Item
     {
@@ -685,8 +562,7 @@ EccService::processSignBatch(WorkerContext &ctx,
             }
         }
         scalars.push_back(k);
-        points.push_back(comb ? comb->mulJacobian(c, k)
-                              : c.mulNafJacobian(k, S->generator()));
+        points.push_back(S->mulGJacobian(k));
         items.push_back(std::move(it));
     }
     if (items.empty())
@@ -763,7 +639,11 @@ EccService::processDeriveWeierstrassBatch(WorkerContext &ctx,
             fail(r, ServiceStatus::InvalidRequest, "scalar out of range");
             continue;
         }
-        points.push_back(c->mulNafJacobian(r.privateKey, r.peer));
+        // Order-known curves take their signer's variable-base method
+        // (Ecdsa::mulJacobian: GLV + JSF on the GLV curves);
+        // weierstrass-opf has neither a signer nor an endomorphism.
+        points.push_back(S ? S->mulJacobian(r.privateKey, r.peer)
+                           : c->mulNafJacobian(r.privateKey, r.peer));
         live.push_back(rp);
     }
     if (live.empty())
@@ -855,6 +735,13 @@ EccService::processDeriveEdwardsBatch(WorkerContext &ctx,
 
     std::vector<AffinePoint> affs = c.toAffineBatch(points);
     for (size_t i = 0; i < live.size(); i++) {
+        // (0, 1) is what the other curves call the point at infinity:
+        // a small-order peer times a multiple of its order.
+        if (c.isIdentity(affs[i])) {
+            fail(*live[i], ServiceStatus::InvalidRequest,
+                 "derived the neutral element");
+            continue;
+        }
         live[i]->pointOut = affs[i];
         live[i]->status = ServiceStatus::Ok;
     }

@@ -10,15 +10,19 @@
  * and workers never contend with each other.
  *
  * Amortization: a worker drains up to `batchMax` requests per wake
- * and processes them as a micro-batch. With `amortize` on (the
- * default), fixed-base multiplications go through comb tables built
- * once at startup, a batch's Jacobian/extended results are converted
- * to affine with one shared Montgomery batched inversion, the ECDSA
- * nonce inverses of a batch share one mod-n inversion, and the
- * x-only ladder results share one X/Z division. With `amortize` off
- * every request takes the pre-existing single-call library path —
- * that configuration is the "batch size 1" baseline bench_service
- * compares against.
+ * and partitions the drain into (op, curve) groups, one handler per
+ * op: Sign/Keygen, and Derive on Weierstrass, Montgomery and Edwards
+ * curves. A group's Jacobian/extended results are converted to
+ * affine with one shared Montgomery batched inversion, its ECDSA
+ * nonce inverses share one mod-n inversion, and its x-only ladder
+ * results share one X/Z division; a drain of one request is a group
+ * of one and costs what the single-call library path costs. Verify
+ * and hardened Derive share no work across requests and run singly.
+ * With `amortize` on (the default) fixed-base multiplications go
+ * through comb tables built once at startup. With `amortize` off no
+ * comb is built and a wake drains one request, so no inversion is
+ * shared — the "batch size 1" baseline bench_service compares
+ * against, on the same handlers.
  *
  * Completion is by request: the worker writes the outputs, then
  * release-stores ServiceRequest::done; EccService::wait spins on it
@@ -50,8 +54,8 @@ struct ServiceConfig
 {
     unsigned workers = 2;        ///< worker threads (>= 1)
     size_t queueCapacity = 1024; ///< per-worker queue slots (pow2-rounded)
-    size_t batchMax = 16;        ///< micro-batch drain limit (>= 1)
-    bool amortize = true;        ///< comb tables + shared inversions
+    size_t batchMax = 16;        ///< drain limit when amortizing (>= 1)
+    bool amortize = true;        ///< combs + multi-request drains
     uint64_t rngSeed = 1;        ///< base seed; worker i uses seed + i
 };
 
@@ -152,7 +156,9 @@ class EccService
     void processBatch(WorkerContext &ctx, WorkerStats &st,
                       std::vector<ServiceRequest *> &batch,
                       unsigned idx);
+    /** Verify (order-known curve) or hardened Derive: no shared work. */
     void processSingle(WorkerContext &ctx, ServiceRequest &req);
+    // One handler per amortizable op, over one curve's group.
     void processSignBatch(WorkerContext &ctx,
                           std::vector<ServiceRequest *> &reqs);
     void processDeriveWeierstrassBatch(WorkerContext &ctx,

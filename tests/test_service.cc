@@ -3,10 +3,13 @@
  * The ECC service end to end: the bounded lock-free queue's contract
  * (FIFO, capacity, backpressure), every op on every curve against
  * the single-call library golden path, bit-identical batched vs
- * single-call signatures (explicit nonces), error and hardened
- * paths, deterministic full-batch occupancy, and the idempotent
- * metrics publication.
+ * single-call signatures (explicit nonces), result-for-result
+ * agreement of the amortized and unamortized configurations, error
+ * and hardened paths, deterministic full-batch occupancy, and the
+ * idempotent metrics publication.
  */
+
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -208,36 +211,122 @@ TEST(Service, FullBatchIsBitIdenticalToSingleCalls)
 
 TEST(Service, UnamortizedConfigurationAgrees)
 {
-    // amortize = false is the pre-existing single-call path; the two
-    // configurations must produce identical signatures.
-    ServiceConfig amort = testConfig(1, true);
-    ServiceConfig plain = testConfig(1, false);
-    EccService a(amort), b(plain);
+    // amortize = false attaches no comb and drains one request per
+    // wake; amortize = true drains the whole pre-start queue into
+    // mixed (op, curve) groups. Every op on every curve the service
+    // accepts must give the same result either way.
+    Ecdsa r1(secp160r1Curve(), secp160r1Generator().g,
+             secp160r1Generator().order);
+    Ecdsa k1(secp160k1Curve());
+    Ecdsa glv(glvOpfCurve());
+    const std::pair<ServiceCurve, const Ecdsa *> signers[] = {
+        {ServiceCurve::Secp160r1, &r1},
+        {ServiceCurve::Secp160k1, &k1},
+        {ServiceCurve::GlvOpf, &glv},
+    };
+    Rng rng(4);
+    std::vector<std::function<void(ServiceRequest &)>> fills;
+    for (auto [curve, dsa] : signers) {
+        const BigUInt &n = dsa->order();
+        BigUInt d = scalarBelow(rng, n), k = scalarBelow(rng, n);
+        std::string msg = std::string("cfg ") + serviceCurveName(curve);
+        auto sig = dsa->signWithNonce(msg, d, k);
+        ASSERT_TRUE(sig.has_value());
+        AffinePoint q = dsa->mulG(d);
+        AffinePoint peer = dsa->mulG(scalarBelow(rng, n));
+        fills.push_back([=](ServiceRequest &r) {
+            r.op = ServiceOp::Sign;
+            r.curve = curve;
+            r.message = msg;
+            r.privateKey = d;
+            r.nonce = k;
+        });
+        fills.push_back([=](ServiceRequest &r) {
+            r.op = ServiceOp::Keygen;
+            r.curve = curve;
+            r.privateKey = d;
+        });
+        fills.push_back([=](ServiceRequest &r) {
+            r.op = ServiceOp::Verify;
+            r.curve = curve;
+            r.message = msg;
+            r.signature = *sig;
+            r.peer = q;
+        });
+        for (bool hardened : {false, true})
+            fills.push_back([=](ServiceRequest &r) {
+                r.op = ServiceOp::Derive;
+                r.curve = curve;
+                r.hardened = hardened;
+                r.privateKey = d;
+                r.peer = peer;
+            });
+    }
+    const BigUInt &p = weierstrassOpfCurve().field().modulus();
+    BigUInt kw = scalarBelow(rng, p), km = scalarBelow(rng, p),
+            ke = scalarBelow(rng, p);
+    AffinePoint wpeer = weierstrassOpfCurve().mulNaf(
+        scalarBelow(rng, p), weierstrassOpfBasePoint());
+    fills.push_back([=](ServiceRequest &r) {
+        r.op = ServiceOp::Derive;
+        r.curve = ServiceCurve::WeierstrassOpf;
+        r.privateKey = kw;
+        r.peer = wpeer;
+    });
+    fills.push_back([=](ServiceRequest &r) {
+        r.op = ServiceOp::Derive;
+        r.curve = ServiceCurve::MontgomeryOpf;
+        r.privateKey = km;
+        r.peerX = montgomeryOpfBasePoint().x;
+    });
+    fills.push_back([=](ServiceRequest &r) {
+        r.op = ServiceOp::Derive;
+        r.curve = ServiceCurve::EdwardsOpf;
+        r.privateKey = ke;
+        r.peer = edwardsOpfBasePoint();
+    });
+
+    EccService a(testConfig(1, true)), b(testConfig(1, false));
+    std::vector<ServiceRequest> ra(fills.size()), rb(fills.size());
+    for (size_t i = 0; i < fills.size(); i++) {
+        fills[i](ra[i]);
+        fills[i](rb[i]);
+        ASSERT_TRUE(a.trySubmit(&ra[i]));
+        ASSERT_TRUE(b.trySubmit(&rb[i]));
+    }
     a.start();
     b.start();
-    Rng rng(4);
-    const BigUInt &n = glvOpfCurve().order();
-    for (int i = 0; i < 4; i++) {
-        ServiceRequest ra, rb;
-        for (ServiceRequest *r : {&ra, &rb}) {
-            r->op = ServiceOp::Sign;
-            r->curve = ServiceCurve::GlvOpf;
-            r->message = "cfg";
-            r->privateKey = BigUInt(1234 + i);
-            r->nonce = scalarBelow(rng, n);
-        }
-        rb.nonce = ra.nonce;
-        ASSERT_TRUE(a.submit(&ra));
-        ASSERT_TRUE(b.submit(&rb));
-        EccService::wait(ra);
-        EccService::wait(rb);
-        ASSERT_EQ(ra.status, ServiceStatus::Ok) << ra.error;
-        ASSERT_EQ(rb.status, ServiceStatus::Ok) << rb.error;
-        EXPECT_EQ(ra.sigOut.r, rb.sigOut.r);
-        EXPECT_EQ(ra.sigOut.s, rb.sigOut.s);
-    }
     a.stop();
     b.stop();
+
+    for (size_t i = 0; i < fills.size(); i++) {
+        const ServiceRequest &x = ra[i], &y = rb[i];
+        SCOPED_TRACE(std::string(serviceOpName(x.op)) + " " +
+                     serviceCurveName(x.curve) +
+                     (x.hardened ? " hardened" : ""));
+        ASSERT_EQ(x.status, ServiceStatus::Ok) << x.error;
+        ASSERT_EQ(y.status, ServiceStatus::Ok) << y.error;
+        EXPECT_EQ(x.sigOut.r, y.sigOut.r);
+        EXPECT_EQ(x.sigOut.s, y.sigOut.s);
+        EXPECT_EQ(x.keyOut.d, y.keyOut.d);
+        EXPECT_EQ(x.keyOut.q.x, y.keyOut.q.x);
+        EXPECT_EQ(x.keyOut.q.y, y.keyOut.q.y);
+        EXPECT_EQ(x.verifyOk, y.verifyOk);
+        EXPECT_EQ(x.verifyOk, x.op == ServiceOp::Verify);
+        EXPECT_EQ(x.pointOut.inf, y.pointOut.inf);
+        EXPECT_EQ(x.pointOut.x, y.pointOut.x);
+        EXPECT_EQ(x.pointOut.y, y.pointOut.y);
+        EXPECT_EQ(x.xOut, y.xOut);
+    }
+
+    // 18 requests: two drains at batchMax 16, one per request without
+    // amortization.
+    MetricsRegistry ma, mb;
+    a.publishMetrics(ma);
+    b.publishMetrics(mb);
+    EXPECT_EQ(ma.counter("service_batches", {{"worker", "0"}}).value(), 2u);
+    EXPECT_EQ(mb.counter("service_batches", {{"worker", "0"}}).value(),
+              fills.size());
 }
 
 TEST(Service, SignVerifyKeygenRoundTrip)
@@ -522,6 +611,19 @@ TEST(Service, ErrorPaths)
     d2.peerX = BigUInt(0);
     roundTrip(d2);
     EXPECT_EQ(d2.status, ServiceStatus::InvalidRequest);
+
+    // The Edwards peer (0, -1) has order 2 and passes validation; an
+    // even scalar sends it to the neutral element (0, 1), which is no
+    // shared secret.
+    ServiceRequest d3;
+    d3.op = ServiceOp::Derive;
+    d3.curve = ServiceCurve::EdwardsOpf;
+    d3.privateKey = BigUInt(1234);
+    d3.peer = AffinePoint(BigUInt(0), edwardsOpfCurve().field().modulus() -
+                                          BigUInt(1));
+    roundTrip(d3);
+    EXPECT_EQ(d3.status, ServiceStatus::InvalidRequest);
+    EXPECT_FALSE(d3.error.empty());
 
     svc.stop();
 }
