@@ -67,12 +67,12 @@ OpfAvrLibrary::run(Routine r, const OpfField::Words &a,
 {
     if (a.size() != s || b.size() != s)
         panic("OpfAvrLibrary: operand word count mismatch");
-    // Operands and result are little-endian byte images of the words.
-    std::vector<uint8_t> bytes(4 * s);
+    // Operands and result are little-endian byte images of the words,
+    // staged byte by byte with no temporary buffer.
     auto put = [&](uint16_t addr, const OpfField::Words &w) {
-        for (size_t i = 0; i < bytes.size(); i++)
-            bytes[i] = static_cast<uint8_t>(w[i / 4] >> (8 * (i % 4)));
-        machine_->writeBytes(addr, bytes);
+        for (size_t i = 0; i < 4 * s; i++)
+            machine_->writeData(
+                addr + i, static_cast<uint8_t>(w[i / 4] >> (8 * (i % 4))));
     };
     put(OpfMemoryMap::aAddr, a);
     put(OpfMemoryMap::bAddr, b);
@@ -85,10 +85,12 @@ OpfAvrLibrary::run(Routine r, const OpfField::Words &a,
     out.cycles = rr.cycles;
     out.trap = rr.trap;
     out.instructions = machine_->stats().instructions - insts;
-    bytes = machine_->readBytes(OpfMemoryMap::resultAddr, 4 * s);
     out.result.assign(s, 0);
-    for (size_t i = 0; i < bytes.size(); i++)
-        out.result[i / 4] |= static_cast<uint32_t>(bytes[i]) << (8 * (i % 4));
+    for (size_t i = 0; i < 4 * s; i++)
+        out.result[i / 4] |=
+            static_cast<uint32_t>(
+                machine_->readData(OpfMemoryMap::resultAddr + i))
+            << (8 * (i % 4));
     return out;
 }
 
