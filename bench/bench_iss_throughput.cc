@@ -4,10 +4,11 @@
  * wall-second and simulated cycles per wall-second on representative
  * ECC workloads, measured through both ISS backends — the per-step
  * decode reference loop (step()) and the superblock-threaded trace
- * backend. The reference loop is measured exactly ONCE per workload
- * and that one sample anchors the speedup. Emits one JSON line per
- * (workload, backend) to BENCH_iss.json for trajectory tracking
- * across PRs.
+ * backend. Each workload is measured as 5 interleaved (reference,
+ * superblock) sample pairs; the speedup is the median of the five
+ * per-pair ratios, so one sample on a busy host cannot move it. Emits
+ * one JSON line per (workload, backend) to BENCH_iss.json for
+ * trajectory tracking across PRs.
  *
  * Workloads:
  *  - OPF Montgomery multiplication at 160/192/256 bits, all three
@@ -16,15 +17,18 @@
  *  - the secp160r1 MAC-ISE multiplication kernel (Fig. 1 datapath).
  *
  * Environment:
- *  - JAAVR_BENCH_SECONDS: min wall seconds per measurement (def 0.2)
+ *  - JAAVR_BENCH_SECONDS: min wall seconds per sample (def 0.2); a
+ *    workload takes ten samples
  *  - JAAVR_ISS_BACKEND selects the backend for ordinary runs
  *    elsewhere; this bench measures both legs explicitly and restores
  *    the environment's selection afterwards.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <vector>
 
 #include "avrgen/opf_harness.hh"
 #include "bench/bench_util.hh"
@@ -40,6 +44,9 @@ namespace
 {
 
 constexpr const char *kJsonPath = "BENCH_iss.json";
+
+/** Interleaved (reference, superblock) sample pairs per workload. */
+constexpr int kPairs = 5;
 
 double
 minSeconds()
@@ -59,6 +66,16 @@ struct Sample
 
     double ips() const { return simInstructions / wallSeconds; }
     double cps() const { return simCycles / wallSeconds; }
+
+    Sample &
+    operator+=(const Sample &o)
+    {
+        wallSeconds += o.wallSeconds;
+        simInstructions += o.simInstructions;
+        simCycles += o.simCycles;
+        ops += o.ops;
+        return *this;
+    }
 };
 
 /**
@@ -89,9 +106,11 @@ measure(Machine &m, const std::function<void()> &one_op)
 }
 
 /**
- * Measure both backends against ONE shared reference sample, report,
- * and emit one JSON line per backend. Returns the superblock speedup
- * (the acceptance metric).
+ * Measure both backends in kPairs interleaved (reference, superblock)
+ * sample pairs, report, and emit one JSON line per backend with the
+ * totals of its samples. The superblock line's speedup is the median
+ * of the per-pair ratios, with their quartiles; that median is
+ * returned (the acceptance metric).
  */
 double
 compare(const std::string &workload, CpuMode mode, Machine &m,
@@ -99,38 +118,49 @@ compare(const std::string &workload, CpuMode mode, Machine &m,
 {
     const IssBackend initial_backend = m.backend();
 
-    // The single anchoring reference measurement; the speedup below
-    // divides by this sample.
-    m.setBackend(IssBackend::Reference);
-    Sample ref = measure(m, one_op);
-    m.setBackend(IssBackend::Superblock);
-    Sample sb = measure(m, one_op);
-    m.setBackend(initial_backend);
-
-    double sb_speedup = ref.ips() > 0 ? sb.ips() / ref.ips() : 0.0;
-    std::printf("  %-22s %-4s  ref %7.2f  superblock %8.2f Minstr/s "
-                "(x%.2f)\n",
-                workload.c_str(), cpuModeName(mode), ref.ips() / 1e6,
-                sb.ips() / 1e6, sb_speedup);
-
-    for (const auto &[path, s, speedup] :
-         {std::tuple<const char *, const Sample &, double>{
-              "reference", ref, 1.0},
-          {"superblock", sb, sb_speedup}}) {
-        appendJsonLine(kJsonPath,
-                       benchLine("iss_throughput")
-                           .str("workload", workload)
-                           .str("mode", cpuModeName(mode))
-                           .str("path", path)
-                           .num("wall_s", s.wallSeconds)
-                           .num("ops", s.ops)
-                           .num("sim_instructions", s.simInstructions)
-                           .num("sim_cycles", s.simCycles)
-                           .num("sim_instructions_per_sec", s.ips())
-                           .num("sim_cycles_per_sec", s.cps())
-                           .num("speedup_vs_reference", speedup));
+    // The two legs of a pair run back to back, so they see nearly the
+    // same host load; a pair whose host was busier moves one ratio of
+    // five, not the median.
+    Sample ref, sb;
+    std::vector<double> ratios;
+    for (int i = 0; i < kPairs; i++) {
+        m.setBackend(IssBackend::Reference);
+        const Sample r = measure(m, one_op);
+        m.setBackend(IssBackend::Superblock);
+        const Sample s = measure(m, one_op);
+        ratios.push_back(s.ips() / r.ips());
+        ref += r;
+        sb += s;
     }
-    return sb_speedup;
+    m.setBackend(initial_backend);
+    std::sort(ratios.begin(), ratios.end());
+    const double q1 = ratios[kPairs / 4], median = ratios[kPairs / 2],
+                 q3 = ratios[kPairs - 1 - kPairs / 4];
+
+    std::printf("  %-22s %-4s  ref %7.2f  superblock %8.2f Minstr/s "
+                "(x%.2f, x%.2f-%.2f)\n",
+                workload.c_str(), cpuModeName(mode), ref.ips() / 1e6,
+                sb.ips() / 1e6, median, q1, q3);
+
+    auto row = [&](const char *path, const Sample &s, double speedup) {
+        return benchLine("iss_throughput")
+            .str("workload", workload)
+            .str("mode", cpuModeName(mode))
+            .str("path", path)
+            .num("pairs", uint64_t(kPairs))
+            .num("wall_s", s.wallSeconds)
+            .num("ops", s.ops)
+            .num("sim_instructions", s.simInstructions)
+            .num("sim_cycles", s.simCycles)
+            .num("sim_instructions_per_sec", s.ips())
+            .num("sim_cycles_per_sec", s.cps())
+            .num("speedup_vs_reference", speedup);
+    };
+    appendJsonLine(kJsonPath, row("reference", ref, 1.0));
+    appendJsonLine(kJsonPath, row("superblock", sb, median)
+                                  .num("speedup_q1", q1)
+                                  .num("speedup_q3", q3));
+    return median;
 }
 
 /** OPF Montgomery-mul workload at p = u * 2^k + 1 in @p mode. */
@@ -165,8 +195,9 @@ int
 main()
 {
     heading("ISS throughput: reference vs superblock backends");
-    note(csprintf("min %.2f wall seconds per measurement "
-                  "(JAAVR_BENCH_SECONDS)", minSeconds()));
+    note(csprintf("%d interleaved sample pairs per workload, min %.2f "
+                  "wall seconds per sample (JAAVR_BENCH_SECONDS)",
+                  kPairs, minSeconds()));
     std::printf("\n");
 
     // The acceptance workload: OPF 256-bit Montgomery multiplication.

@@ -221,7 +221,7 @@ Machine::setRegPair(unsigned i, uint16_t v)
 }
 
 uint8_t
-Machine::readData(uint16_t addr) const
+Machine::readRegIo(uint16_t addr) const
 {
     if (addr < 0x20)
         return regs[addr];
@@ -231,13 +231,11 @@ Machine::readData(uint16_t addr) const
             return sregBits;
         return io[ioaddr];
     }
-    if (addr < sramBase)
-        return 0;  // extended I/O, unused on this ASIP
-    return sram[addr - sramBase];
+    return 0;  // extended I/O, unused on this ASIP
 }
 
 void
-Machine::writeData(uint16_t addr, uint8_t v)
+Machine::writeRegIo(uint16_t addr, uint8_t v)
 {
     if (addr < 0x20) {
         regs[addr] = v;
@@ -252,11 +250,8 @@ Machine::writeData(uint16_t addr, uint8_t v)
         if (ioaddr == ioMaccr)
             macUnit.reset();
         io[ioaddr] = v;
-        return;
     }
-    if (addr < sramBase)
-        return;
-    sram[addr - sramBase] = v;
+    // Extended I/O (0x60..0xff), unused on this ASIP: writes vanish.
 }
 
 void

@@ -296,8 +296,22 @@ class Machine
     uint16_t y() const { return regPair(28); }
     uint16_t z() const { return regPair(30); }
 
-    uint8_t readData(uint16_t addr) const;
-    void writeData(uint16_t addr, uint8_t v);
+    /** Data-space access; SRAM inline, registers and I/O out of line. */
+    uint8_t
+    readData(uint16_t addr) const
+    {
+        if (addr >= sramBase) [[likely]]
+            return sram[addr - sramBase];
+        return readRegIo(addr);
+    }
+    void
+    writeData(uint16_t addr, uint8_t v)
+    {
+        if (addr >= sramBase) [[likely]]
+            sram[addr - sramBase] = v;
+        else
+            writeRegIo(addr, v);
+    }
     void writeBytes(uint16_t addr, const std::vector<uint8_t> &bytes);
     std::vector<uint8_t> readBytes(uint16_t addr, size_t len) const;
 
@@ -489,6 +503,10 @@ class Machine
      */
     void runSuperblock(uint64_t max_cycles);
 
+    /** readData()/writeData() below sramBase: registers and I/O. */
+    uint8_t readRegIo(uint16_t addr) const;
+    void writeRegIo(uint16_t addr, uint8_t v);
+
     friend class SuperblockCache;
 
     CpuMode cpuMode;
@@ -501,6 +519,14 @@ class Machine
     uint32_t pcWord = 0;
     MacUnit macUnit;
     ExecStats execStats;
+    /**
+     * runSuperblock()'s per-op retirements and extra cycles since its
+     * last flush into execStats. Every flush clears the entries it
+     * folds, so they are all zero between runs and a run starts
+     * without clearing them.
+     */
+    std::array<uint32_t, kNumOps> sbOpCount{};
+    std::array<uint32_t, kNumOps> sbOpExtra{};
     struct Attached
     {
         ExecObserver *obs;

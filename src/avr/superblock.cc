@@ -24,6 +24,10 @@
  *  - SREG flags are computed only where something reads them: the
  *    translator's liveness pass picks each flag writer's handler
  *    variant, and SREG is exact at every exit and trap;
+ *  - the native multiplier's product-scanning step `mul; add; adc;
+ *    adc` and carry catch `add; clr; rol` are one dispatch each
+ *    (superinstructions) wherever that pass left them computing at
+ *    most the last member's C;
  *  - in ISE mode the MAC shadow, hazard and stall checks are resolved
  *    at translate time: blocks are keyed by the MAC state at entry
  *    (sbMacKey) and the trace carries trigger, stall and hazard
@@ -134,6 +138,32 @@ flagVariant(SbOp h, uint8_t need)
       default:
         return h;
     }
+}
+
+/**
+ * The superinstruction the elements from @p i on form, or SbOp::Count.
+ * The members must be exactly `mul; add; adc; adc` or `add; clr; rol`
+ * by handler kind (the synonyms LSL and ROL never stand for an ADD or
+ * ADC), transparent ALU ops all, and the flag pass must have left MUL
+ * and CLR computing nothing and every other member at most C. Then
+ * Z N V S H are dead after the group, and the fused handler needs to
+ * compute only the last member's C.
+ */
+SbOp
+superinstruction(const std::vector<SbOp> &kinds,
+                 const std::vector<SbInst> &code, size_t i)
+{
+    auto is = [&](size_t k, SbOp h, uint8_t mask) {
+        return i + k < kinds.size() && kinds[i + k] == h &&
+               !(code[i + k].flags & ~mask);
+    };
+    if (is(0, SbOp::MUL, 0) && is(1, SbOp::ADD, sregC) &&
+        is(2, SbOp::ADC, sregC) && is(3, SbOp::ADC, sregC))
+        return SbOp::MUL_ADD_ADC_ADC;
+    if (is(0, SbOp::ADD, sregC) && is(1, SbOp::CLR, 0) &&
+        is(2, SbOp::ROL, sregC))
+        return SbOp::ADD_CLR_ROL;
+    return SbOp::Count;
 }
 
 } // anonymous namespace
@@ -469,6 +499,18 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
                                  (use.stickyZ ? si.flags & sregZ : 0));
     }
 
+    // Superinstructions, on the masks the pass chose: a group's first
+    // element dispatches the fused handler, which advances past the
+    // group. The other elements stay in place with their labels, so
+    // prefix sums, exit indices and the cap are untouched.
+    for (size_t i = 0; i < kinds.size(); i++) {
+        const SbOp h = superinstruction(kinds, blk->code, i);
+        if (h == SbOp::Count)
+            continue;
+        blk->code[i].lbl = labels[static_cast<size_t>(h)];
+        i += sbGroupSize(h) - 1;
+    }
+
     // Worst-case cycles of one pass: every element's base cost plus
     // the largest single taken-branch/skip extra (an exit leaves the
     // trace, so at most one extra applies per pass).
@@ -481,10 +523,13 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
 
 /**
  * The superblock-threaded run loop. Hot state (SREG, the register
- * file, the statistics accumulators) lives in locals — byte stores
- * into the simulated SRAM may alias any member through the uint8_t*,
- * so member accesses cannot be cached across them by the compiler —
- * and is flushed on every exit.
+ * file, the cycle and instruction accumulators) lives in locals —
+ * byte stores into the simulated SRAM may alias any member through
+ * the uint8_t*, so member accesses cannot be cached across them by
+ * the compiler — and is flushed on every exit. The per-op counters
+ * live in memory either way (they are indexed by op), so they are
+ * the Machine's, kept zero between runs: a run that retires a few
+ * ops folds and clears only those.
  */
 void
 Machine::runSuperblock(uint64_t max_cycles)
@@ -530,8 +575,9 @@ Machine::runSuperblock(uint64_t max_cycles)
 
     uint8_t sreg = sregBits;
     std::array<uint8_t, 32> r8 = regs;
-    std::array<uint32_t, kNumOps> op_count{};
-    std::array<uint32_t, kNumOps> op_extra{};
+    // Zero on entry (see sbOpCount); flush() folds and re-zeroes them.
+    std::array<uint32_t, kNumOps> &op_count = sbOpCount;
+    std::array<uint32_t, kNumOps> &op_extra = sbOpExtra;
     const uint16_t *const flash_data = flash.data();
     uint8_t *const sram_data = sram.data();
     SuperblockCache *const cache = sbCache.get();
@@ -561,15 +607,19 @@ Machine::runSuperblock(uint64_t max_cycles)
         pcWord = pc & 0xffff;
         sregBits = sreg_now;
         regs = r8;
+        // Only retired ops have entries to fold (an extra cycle comes
+        // with a retirement).
         const std::array<uint8_t, kNumOps> &base_tab =
             baseCycleTable(cpuMode);
         for (size_t i = 0; i < kNumOps; i++) {
+            if (!op_count[i])
+                continue;
             execStats.opCount[i] += op_count[i];
             execStats.opCycles[i] +=
                 uint64_t(op_count[i]) * base_tab[i] + op_extra[i];
+            op_count[i] = 0;
+            op_extra[i] = 0;
         }
-        op_count.fill(0);
-        op_extra.fill(0);
         execStats.macStallNops += mac_stall;
         mac_stall = 0;
         if (ise)
@@ -938,6 +988,41 @@ Machine::runSuperblock(uint64_t max_cycles)
 #undef SB_FLAG_OP_C0
 #undef SB_FLAG_OP_0
 #undef SB_FLAGS
+  // The superinstructions (see superinstruction() above). Each does
+  // its members' work in program order, reading the operands from the
+  // members' own elements after the previous member's writes, so any
+  // aliasing between them stays exact; the carries pass in a local,
+  // and only the last member's C is committed.
+  lbl_MUL_ADD_ADC_ADC: {
+    const uint16_t p = static_cast<uint16_t>(r8[ip->a]) * r8[ip->b];
+    r8[0] = static_cast<uint8_t>(p);
+    r8[1] = static_cast<uint8_t>(p >> 8);
+    unsigned s = unsigned(r8[ip[1].a]) + r8[ip[1].b];
+    r8[ip[1].a] = static_cast<uint8_t>(s);
+    s = unsigned(r8[ip[2].a]) + r8[ip[2].b] + (s >> 8);
+    r8[ip[2].a] = static_cast<uint8_t>(s);
+    s = unsigned(r8[ip[3].a]) + r8[ip[3].b] + (s >> 8);
+    r8[ip[3].a] = static_cast<uint8_t>(s);
+    sreg = static_cast<uint8_t>((sreg & ~sregC) | (s >> 8));
+    op_count[static_cast<size_t>(Op::MUL)]++;
+    op_count[static_cast<size_t>(Op::ADD)]++;
+    op_count[static_cast<size_t>(Op::ADC)] += 2;
+    ip += sbGroupSize(SbOp::MUL_ADD_ADC_ADC);
+    SB_NEXT();
+  }
+  lbl_ADD_CLR_ROL: {
+    unsigned s = unsigned(r8[ip->a]) + r8[ip->b];
+    r8[ip->a] = static_cast<uint8_t>(s);
+    r8[ip[1].a] = 0;
+    s = 2u * r8[ip[2].a] + (s >> 8);
+    r8[ip[2].a] = static_cast<uint8_t>(s);
+    sreg = static_cast<uint8_t>((sreg & ~sregC) | (s >> 8));
+    op_count[static_cast<size_t>(Op::ADD)]++;
+    op_count[static_cast<size_t>(Op::EOR)]++;
+    op_count[static_cast<size_t>(Op::ADC)]++;
+    ip += sbGroupSize(SbOp::ADD_CLR_ROL);
+    SB_NEXT();
+  }
   lbl_NEG: {
     uint8_t d = r8[ip->a];
     uint8_t r = -d;

@@ -19,6 +19,12 @@
  * each flag-writing element the handler variant that computes only
  * the SREG flags something reads before they are overwritten (C only
  * or none), where its op has one (DESIGN.md §11, "Flag liveness").
+ * A forward scan after it fuses the native multiplier's two ALU
+ * idioms, `mul; add; adc; adc` and `add; clr; rol`, where the pass
+ * left them computing at most the last member's C: the group's first
+ * element gets a superinstruction handler that does every member's
+ * work and skips the rest, which stay in the trace undispatched
+ * (DESIGN.md §11, "Superinstructions").
  *
  * Execution (Machine::runSuperblock in superblock.cc) dispatches the
  * trace through computed-goto threading; each SbInst carries its
@@ -58,7 +64,9 @@ class Machine;
  * its two MACs), the Algorithm-1 SWAP_MAC, NOP_STALL (a NOP retired
  * under a live shadow) and MAC_HAZARD. EXIT_STATIC, EXIT_SHADOW
  * (EXIT_STATIC with a pending shadow), EXIT_TRAP and MAC_HAZARD are
- * pseudo-instructions that do not retire.
+ * pseudo-instructions that do not retire. MUL_ADD_ADC_ADC and
+ * ADD_CLR_ROL are the superinstructions: each heads a group of
+ * sbGroupSize() elements, its members, and retires all of them.
  */
 #define JAAVR_SB_OPS(X)                                                  \
     X(ADD) X(ADC) X(SUB) X(SBC) X(AND) X(OR) X(EOR) X(MOV)               \
@@ -89,7 +97,8 @@ class Machine;
     X(LDD_Y_MAC) X(LD_Y_INC_MAC) X(LD_Y_DEC_MAC)                         \
     X(LDD_Z_MAC) X(LD_Z_INC_MAC) X(LD_Z_DEC_MAC)                         \
     X(LDS_MAC)                                                           \
-    X(SWAP_MAC) X(NOP_STALL) X(EXIT_SHADOW) X(MAC_HAZARD)
+    X(SWAP_MAC) X(NOP_STALL) X(EXIT_SHADOW) X(MAC_HAZARD)               \
+    X(MUL_ADD_ADC_ADC) X(ADD_CLR_ROL)
 
 /**
  * Flag writers with a handler per flag mask the liveness pass selects
@@ -118,6 +127,13 @@ enum class SbOp : uint8_t
 };
 
 constexpr std::size_t kNumSbOps = static_cast<std::size_t>(SbOp::Count);
+
+/** Trace elements handler @p h covers: its group for a superinstruction. */
+constexpr std::size_t
+sbGroupSize(SbOp h)
+{
+    return h == SbOp::MUL_ADD_ADC_ADC ? 4 : h == SbOp::ADD_CLR_ROL ? 3 : 1;
+}
 
 /**
  * ISE block key: MACCR's two mode bits plus the Algorithm-2 shadow
@@ -153,7 +169,10 @@ sbMacKey(uint8_t maccr, uint8_t shadow)
  *
  * `flags` is the set of arithmetic SREG flags (C Z N V S H) the
  * element's handler computes: every flag it writes, or the subset
- * the liveness pass kept. The handler leaves the others stale.
+ * the liveness pass kept. The handler leaves the others stale. The
+ * elements of a superinstruction's group keep the masks the pass
+ * chose; the fused handler commits only the last member's C, which
+ * may be dead too.
  */
 struct SbInst
 {
