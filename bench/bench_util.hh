@@ -66,10 +66,64 @@ issPathFromEnv()
 }
 
 /**
+ * The build the bench binary came from: its CMAKE_BUILD_TYPE and
+ * "<compiler id> <version>", both baked in by bench/CMakeLists.txt,
+ * else "unknown".
+ */
+inline const char *
+buildType()
+{
+#ifdef JAAVR_BUILD_TYPE
+    return JAAVR_BUILD_TYPE;
+#else
+    return "unknown";
+#endif
+}
+
+inline const char *
+compilerId()
+{
+#ifdef JAAVR_COMPILER
+    return JAAVR_COMPILER;
+#else
+    return "unknown";
+#endif
+}
+
+/** The host CPU: the first "model name" of /proc/cpuinfo, or "unknown". */
+inline std::string
+cpuModel()
+{
+    static const std::string model = [] {
+        std::string found = "unknown";
+        std::FILE *f = std::fopen("/proc/cpuinfo", "r");
+        if (!f)
+            return found;
+        char buf[512];
+        while (std::fgets(buf, sizeof buf, f)) {
+            const char *colon = std::strchr(buf, ':');
+            if (std::strncmp(buf, "model name", 10) != 0 || !colon)
+                continue;
+            std::string v(colon + 1);
+            const size_t b = v.find_first_not_of(" \t");
+            const size_t e = v.find_last_not_of(" \t\r\n");
+            if (b != std::string::npos && e != std::string::npos) {
+                found = v.substr(b, e - b + 1);
+                break;
+            }
+        }
+        std::fclose(f);
+        return found;
+    }();
+    return model;
+}
+
+/**
  * One JSON record pre-stamped with run metadata — schema version,
- * git revision, ISS path (the environment-selected backend) and the
- * emitting bench — so every line in a BENCH_*.json trajectory is
- * self-describing. All benches start their records here.
+ * git revision, ISS path (the environment-selected backend), the
+ * emitting bench, and the build type, compiler and CPU it ran with —
+ * so every line in a BENCH_*.json trajectory is self-describing. All
+ * benches start their records here.
  */
 inline JsonLine
 benchLine(const std::string &bench)
@@ -78,7 +132,10 @@ benchLine(const std::string &bench)
     line.num("schema_version", kBenchSchemaVersion)
         .str("git_sha", gitSha())
         .str("iss_path", issPathFromEnv())
-        .str("bench", bench);
+        .str("bench", bench)
+        .str("build_type", buildType())
+        .str("compiler", compilerId())
+        .str("cpu", cpuModel());
     return line;
 }
 

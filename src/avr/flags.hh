@@ -94,18 +94,7 @@ logicFlagsB(uint8_t &sreg, uint8_t r)
     commitFlags<M, sregZ | sregN | sregV | sregS>(sreg, f);
 }
 
-/** INC/DEC flags: S, V (given), N, Z; C and H untouched. */
-inline void
-incDecFlagsB(uint8_t &sreg, uint8_t r, bool v)
-{
-    uint8_t n = (r >> 7) & 1;
-    uint8_t vb = v ? 1 : 0;
-    uint8_t f = static_cast<uint8_t>(static_cast<uint8_t>(r == 0) << 1 |
-                                     n << 2 | vb << 3 | (n ^ vb) << 4);
-    sreg = (sreg & ~(sregZ | sregN | sregV | sregS)) | f;
-}
-
-/** ASR/LSR/ROR flags: S, V=N^C, N, Z, C; H untouched. */
+/** LSR/ROR flags: S, V=N^C, N, Z, C; H untouched. */
 inline void
 shiftFlagsB(uint8_t &sreg, uint8_t r, uint8_t carry_bit)
 {

@@ -472,10 +472,12 @@ Machine::execute()
     };
 
     // Guarded data-space access: the superblock loop mirrors these
-    // checks byte for byte in its loadMem/storeMem/pushB lambdas so a
-    // trapping instruction leaves identical partial state (e.g. a
-    // pre-decremented X pointer) on both loops. I/O-space accesses
-    // (IN/OUT/SBI/CBI, addresses < sramBase) stay unguarded.
+    // checks byte for byte in its loadMem/storeMem/pushB lambdas for
+    // the forms it has handlers for, so a trapping instruction leaves
+    // identical partial state (e.g. an SP moved by a call's first
+    // pushed byte) on both loops; every other form runs through here.
+    // I/O-space accesses (IN/OUT/SBI/CBI, addresses < sramBase) stay
+    // unguarded.
     TrapKind trap_kind = TrapKind::None;
     uint16_t trap_addr = 0;
     auto ldG = [&](uint16_t a) -> uint8_t {
@@ -1016,6 +1018,7 @@ Machine::runReference(uint64_t max_cycles)
         execute();
         if (pendingTrap)
             return;
+        execStats.referenceInstructions++;
         if (execStats.cycles - start >= max_cycles) {
             pendingTrap = Trap{TrapKind::CycleBudget, pcWord, 0};
             return;

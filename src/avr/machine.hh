@@ -115,6 +115,13 @@ struct ExecStats
     std::array<uint64_t, kNumOps> opCycles{};
     uint64_t instructions = 0;
     uint64_t cycles = 0;
+    /**
+     * Instructions run() retired through execute(), the reference
+     * semantics: all of them on the reference loop, and on the
+     * superblock loop those its STEP elements and budget handoffs ran.
+     * A generated field routine leaves it at 0 on the superblock.
+     */
+    uint64_t referenceInstructions = 0;
     /** NOPs retired while MAC micro-ops were pending (hazard stalls). */
     uint64_t macStallNops = 0;
     /** Traps raised by run()/call(), indexed by TrapKind. */
@@ -497,8 +504,9 @@ class Machine
      * Superblock-threaded run loop (superblock.cc): translated
      * traces over the decode cache, keyed in ISE mode by the MAC
      * state at entry, executed via computed-goto threaded dispatch
-     * with block-level statistics accumulation. A pass that could
-     * cross the cycle budget hands the rest of the run to
+     * with block-level statistics accumulation. Instructions without
+     * a handler run through execute() (a STEP element), and a pass
+     * that could cross the cycle budget hands the rest of the run to
      * runReference(); see DESIGN.md §11.
      */
     void runSuperblock(uint64_t max_cycles);

@@ -8,8 +8,10 @@
  * bit- and cycle-identical state over all 65536 opcode words, seeded
  * MAC-unit program soups and the OPF workloads. step() stays the
  * independent oracle: the handlers below are a second, separately
- * written copy of its semantics. What changes is the execution
- * structure:
+ * written copy of its semantics for the instruction forms the
+ * generated field routines execute, and a STEP element runs every
+ * other form through execute() itself (DESIGN.md §11, "The handler
+ * set"). What changes is the execution structure:
  *
  *  - dispatch is computed-goto threaded over pre-translated traces
  *    (SbInst carries the handler label and pre-extracted operands;
@@ -30,15 +32,20 @@
  *    most the last member's C;
  *  - in ISE mode the MAC shadow, hazard and stall checks are resolved
  *    at translate time: blocks are keyed by the MAC state at entry
- *    (sbMacKey) and the trace carries trigger, stall and hazard
- *    elements, so only the barrel counter and the accumulator stay
- *    dynamic.
+ *    (sbMacKey) and the trace carries trigger and stall elements, and
+ *    a STEP at each hazard, so only the barrel counter and the
+ *    accumulator stay dynamic.
  *
  * Side-exit contract (everything here funnels back to run() or the
  * reference loop, never the other way around):
  *  - traps: the trapping instruction does not retire; the exit
  *    charges the retired prefix and publishes the trap (and the
  *    pending shadow) exactly as step() does;
+ *  - STEP: the trace's prefix retires and the loop's state is
+ *    published, execute() runs the one instruction (or raises its
+ *    trap: an undecodable word, a MAC hazard, an out-of-bounds
+ *    access), and its cycles and instructions are folded back before
+ *    the run goes on at the PC it left;
  *  - MACCR stores: every store into MACCR resets the MAC unit, so it
  *    retires and the trace side-exits into the block keyed by the
  *    new MAC state with no shadow pending;
@@ -82,36 +89,31 @@ flagUse(SbOp h, const SbInst &si)
 {
     constexpr uint8_t znvs = sregZ | sregN | sregV | sregS;
     switch (h) {
-      case SbOp::ADD: case SbOp::LSL: case SbOp::SUB: case SbOp::SUBI:
-      case SbOp::CP: case SbOp::CPI: case SbOp::NEG:
+      case SbOp::ADD: case SbOp::SUB: case SbOp::SUBI: case SbOp::CP:
+      case SbOp::NEG:
         return {sregArith};
       case SbOp::ADC: case SbOp::ROL:
         return {sregArith, sregC};
       case SbOp::SBC: case SbOp::SBCI: case SbOp::CPC:
         return {sregArith, sregC, true};
-      case SbOp::AND: case SbOp::OR: case SbOp::EOR: case SbOp::TST:
-      case SbOp::CLR: case SbOp::ANDI: case SbOp::ORI: case SbOp::INC:
-      case SbOp::DEC:
+      case SbOp::AND: case SbOp::OR: case SbOp::TST: case SbOp::CLR:
+      case SbOp::ANDI:
         return {znvs};
-      case SbOp::COM: case SbOp::ASR: case SbOp::LSR: case SbOp::ADIW:
-      case SbOp::SBIW:
+      case SbOp::COM: case SbOp::LSR: case SbOp::ADIW: case SbOp::SBIW:
         return {znvs | sregC};
       case SbOp::ROR:
         return {znvs | sregC, sregC};
-      case SbOp::MUL: case SbOp::MULS: case SbOp::MULSU: case SbOp::FMUL:
-      case SbOp::FMULS: case SbOp::FMULSU:
+      case SbOp::MUL:
         return {sregC | sregZ};
-      case SbOp::BSET: case SbOp::BCLR:
+      case SbOp::BCLR:
         return {static_cast<uint8_t>((1u << si.a) & sregArith)};
-      // No flags, no trap, no exit (BST/BLD use only T).
-      case SbOp::MOV: case SbOp::MOVW: case SbOp::LDI: case SbOp::SWAP:
-      case SbOp::SWAP_MAC: case SbOp::BLD: case SbOp::BST:
-      case SbOp::LPM_R0: case SbOp::LPM: case SbOp::LPM_INC:
-      case SbOp::NOPLIKE: case SbOp::NOP_STALL: case SbOp::GHOST:
+      // No flags, no trap, no exit.
+      case SbOp::MOV: case SbOp::MOVW: case SbOp::LDI: case SbOp::SWAP_MAC:
+      case SbOp::NOP_STALL: case SbOp::GHOST:
         return {};
-      // Everything else can trap (loads, stores, PUSH/POP, calls),
-      // leave the trace (exits, branches, skips, MAC_HAZARD) or reach
-      // SREG through I/O or data space (IN/OUT/SBI/CBI).
+      // Everything else can trap (loads, stores, calls, STEP), leave
+      // the trace (exits, branches, SBRS, STEP) or reach SREG through
+      // I/O or data space (OUT, STS, STEP).
       default:
         return {.barrier = true};
     }
@@ -143,9 +145,9 @@ flagVariant(SbOp h, uint8_t need)
 /**
  * The superinstruction the elements from @p i on form, or SbOp::Count.
  * The members must be exactly `mul; add; adc; adc` or `add; clr; rol`
- * by handler kind (the synonyms LSL and ROL never stand for an ADD or
- * ADC), transparent ALU ops all, and the flag pass must have left MUL
- * and CLR computing nothing and every other member at most C. Then
+ * by handler kind (the synonym ROL never stands for an ADC),
+ * transparent ALU ops all, and the flag pass must have left MUL and
+ * CLR computing nothing and every other member at most C. Then
  * Z N V S H are dead after the group, and the fused handler needs to
  * compute only the last member's C.
  */
@@ -246,13 +248,22 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
         const uint32_t next = (pc + inst.words) & 0xffff;
         const bool trigger = load_mac && dc.macLoadForm;
 
+        // Terminal: the element retires, then the exit handler
+        // computes the continuation.
+        auto terminal = [&](SbOp h) {
+            emit(h, si);
+            total += dc.cycles;
+            open = false;
+        };
+        // Every form without a handler: execute() runs it, or raises
+        // its trap, and the trace ends.
+        auto step = [&] { terminal(SbOp::STEP); };
+
         // The hazard rule: under a live shadow the 13 MAC registers
         // are off limits, and a retrigger must wait until at most
-        // one MAC is pending (detail 1). The instruction does not
-        // retire.
+        // one MAC is pending (detail 1). execute() raises the trap.
         if (sh > 0 && (trigger ? sh >= 2 : dc.touchesMac)) {
-            si.addr = trigger;
-            emit(SbOp::MAC_HAZARD, si);
+            step();
             break;
         }
 
@@ -264,33 +275,16 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
             pc = succ;
         };
         auto simple = [&](SbOp h) { retire(h, next); };
-        // Loads become Algorithm-2 trigger elements in load mode.
-        auto load = [&](SbOp plain, SbOp mac) {
-            simple(trigger ? mac : plain);
-        };
-        // Skip instructions: the taken leg's target and extra cycles
-        // depend only on the skipped word's length, which the decode
-        // cache knows; flash writes invalidate the whole cache, so
-        // baking it in is safe.
-        auto skip = [&](SbOp h) {
-            bool two = m.decoded(next).inst.words == 2;
-            si.extra = static_cast<uint8_t>(skipExtra(two));
-            si.target = (next + (two ? 2u : 1u)) & 0xffff;
-            simple(h);
-        };
-        // Terminal: the element retires, then the exit handler
-        // computes the continuation.
-        auto terminal = [&](SbOp h) {
-            emit(h, si);
-            total += dc.cycles;
-            open = false;
-        };
 
         switch (inst.op) {
-          // Canonicalized synonym encodings get specialized
-          // single-operand handlers (see Synonym in avr/isa.hh).
+          // The synonym encodings ROL, TST and CLR get their own
+          // single-operand handlers (see Synonym in avr/isa.hh); LSL
+          // and a two-register EOR step.
           case Op::ADD:
-            simple(dc.synonym == Synonym::LSL ? SbOp::LSL : SbOp::ADD);
+            if (dc.synonym == Synonym::LSL)
+                step();
+            else
+                simple(SbOp::ADD);
             break;
           case Op::ADC:
             simple(dc.synonym == Synonym::ROL ? SbOp::ROL : SbOp::ADC);
@@ -299,7 +293,10 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
             simple(dc.synonym == Synonym::TST ? SbOp::TST : SbOp::AND);
             break;
           case Op::EOR:
-            simple(dc.synonym == Synonym::CLR ? SbOp::CLR : SbOp::EOR);
+            if (dc.synonym == Synonym::CLR)
+                simple(SbOp::CLR);
+            else
+                step();
             break;
           case Op::SUB: simple(SbOp::SUB); break;
           case Op::SBC: simple(SbOp::SBC); break;
@@ -308,113 +305,59 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
           case Op::CP: simple(SbOp::CP); break;
           case Op::CPC: simple(SbOp::CPC); break;
           case Op::MUL: simple(SbOp::MUL); break;
-          case Op::MULS: simple(SbOp::MULS); break;
-          case Op::MULSU: simple(SbOp::MULSU); break;
-          case Op::FMUL: simple(SbOp::FMUL); break;
-          case Op::FMULS: simple(SbOp::FMULS); break;
-          case Op::FMULSU: simple(SbOp::FMULSU); break;
           case Op::MOVW: simple(SbOp::MOVW); break;
           case Op::SUBI: simple(SbOp::SUBI); break;
           case Op::SBCI: simple(SbOp::SBCI); break;
           case Op::ANDI: simple(SbOp::ANDI); break;
-          case Op::ORI: simple(SbOp::ORI); break;
-          case Op::CPI: simple(SbOp::CPI); break;
           case Op::LDI: simple(SbOp::LDI); break;
           case Op::ADIW: simple(SbOp::ADIW); break;
           case Op::SBIW: simple(SbOp::SBIW); break;
           case Op::COM: simple(SbOp::COM); break;
           case Op::NEG: simple(SbOp::NEG); break;
-          case Op::SWAP:
-            simple(swap_mac ? SbOp::SWAP_MAC : SbOp::SWAP);
-            break;
-          case Op::INC: simple(SbOp::INC); break;
-          case Op::DEC: simple(SbOp::DEC); break;
-          case Op::ASR: simple(SbOp::ASR); break;
           case Op::LSR: simple(SbOp::LSR); break;
           case Op::ROR: simple(SbOp::ROR); break;
-          case Op::BSET:
-            si.a = inst.bit;
-            simple(SbOp::BSET);
-            break;
           case Op::BCLR:
             si.a = inst.bit;
             simple(SbOp::BCLR);
             break;
-          case Op::BLD:
-            si.b = inst.bit;
-            simple(SbOp::BLD);
-            break;
-          case Op::BST:
-            si.b = inst.bit;
-            simple(SbOp::BST);
-            break;
-          case Op::SBI:
-            si.b = inst.bit;
-            simple(SbOp::SBI);
-            break;
-          case Op::CBI:
-            si.b = inst.bit;
-            simple(SbOp::CBI);
-            break;
-          case Op::SBIC:
-            si.b = inst.bit;
-            skip(SbOp::SKIP_SBIC);
-            break;
-          case Op::SBIS:
-            si.b = inst.bit;
-            skip(SbOp::SKIP_SBIS);
-            break;
-          case Op::IN: simple(SbOp::IN); break;
           case Op::OUT: simple(SbOp::OUT); break;
-          case Op::LD_X: load(SbOp::LD_X, SbOp::LD_X_MAC); break;
-          case Op::LD_X_INC: load(SbOp::LD_X_INC, SbOp::LD_X_INC_MAC); break;
-          case Op::LD_X_DEC: load(SbOp::LD_X_DEC, SbOp::LD_X_DEC_MAC); break;
+          // In load mode the R24 loads are Algorithm-2 triggers; of
+          // those only LDD Z has a handler.
           case Op::LDD_Y:
             si.imm = static_cast<uint16_t>(inst.disp);
-            load(SbOp::LDD_Y, SbOp::LDD_Y_MAC);
+            if (trigger)
+                step();
+            else
+                simple(SbOp::LDD_Y);
             break;
-          case Op::LD_Y_INC: load(SbOp::LD_Y_INC, SbOp::LD_Y_INC_MAC); break;
-          case Op::LD_Y_DEC: load(SbOp::LD_Y_DEC, SbOp::LD_Y_DEC_MAC); break;
           case Op::LDD_Z:
             si.imm = static_cast<uint16_t>(inst.disp);
-            load(SbOp::LDD_Z, SbOp::LDD_Z_MAC);
+            simple(trigger ? SbOp::LDD_Z_MAC : SbOp::LDD_Z);
             break;
-          case Op::LD_Z_INC: load(SbOp::LD_Z_INC, SbOp::LD_Z_INC_MAC); break;
-          case Op::LD_Z_DEC: load(SbOp::LD_Z_DEC, SbOp::LD_Z_DEC_MAC); break;
           case Op::LDS:
             si.addr = static_cast<uint16_t>(inst.k);
-            load(SbOp::LDS, SbOp::LDS_MAC);
+            if (trigger)
+                step();
+            else
+                simple(SbOp::LDS);
             break;
-          case Op::ST_X: simple(SbOp::ST_X); break;
-          case Op::ST_X_INC: simple(SbOp::ST_X_INC); break;
-          case Op::ST_X_DEC: simple(SbOp::ST_X_DEC); break;
-          case Op::STD_Y:
-            si.imm = static_cast<uint16_t>(inst.disp);
-            simple(SbOp::STD_Y);
-            break;
-          case Op::ST_Y_INC: simple(SbOp::ST_Y_INC); break;
-          case Op::ST_Y_DEC: simple(SbOp::ST_Y_DEC); break;
-          case Op::STD_Z:
-            si.imm = static_cast<uint16_t>(inst.disp);
-            simple(SbOp::STD_Z);
-            break;
-          case Op::ST_Z_INC: simple(SbOp::ST_Z_INC); break;
-          case Op::ST_Z_DEC: simple(SbOp::ST_Z_DEC); break;
           case Op::STS:
             si.addr = static_cast<uint16_t>(inst.k);
             simple(SbOp::STS);
             break;
-          case Op::PUSH: simple(SbOp::PUSH); break;
-          case Op::POP: simple(SbOp::POP); break;
-          case Op::LPM_R0: simple(SbOp::LPM_R0); break;
-          case Op::LPM: simple(SbOp::LPM); break;
-          case Op::LPM_INC: simple(SbOp::LPM_INC); break;
+          // In swap mode a SWAP is Algorithm 1's trigger.
+          case Op::SWAP:
+            if (swap_mac)
+                simple(SbOp::SWAP_MAC);
+            else
+                step();
+            break;
           // A NOP retired under a live shadow is a counted MAC stall.
           case Op::NOP:
-            simple(sh > 0 ? SbOp::NOP_STALL : SbOp::NOPLIKE);
-            break;
-          case Op::SLEEP: case Op::WDR: case Op::BREAK:
-            simple(SbOp::NOPLIKE);
+            if (sh > 0)
+                simple(SbOp::NOP_STALL);
+            else
+                step();
             break;
 
           // Direct jumps stitch: the transfer retires as a "ghost"
@@ -448,44 +391,35 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
             si.target = (pc + 1 + inst.disp) & 0xffff;
             simple(SbOp::BRBC);
             break;
-          case Op::CPSE: skip(SbOp::SKIP_CPSE); break;
-          case Op::SBRC:
+          case Op::SBRS: {
+            // The taken leg's target and extra cycles depend only on
+            // the skipped word's length, which the decode cache knows;
+            // flash writes invalidate the whole cache, so baking it in
+            // is safe.
+            const bool two = m.decoded(next).inst.words == 2;
             si.b = inst.bit;
-            skip(SbOp::SKIP_SBRC);
+            si.extra = static_cast<uint8_t>(skipExtra(two));
+            si.target = (next + (two ? 2u : 1u)) & 0xffff;
+            simple(SbOp::SKIP_SBRS);
             break;
-          case Op::SBRS:
-            si.b = inst.bit;
-            skip(SbOp::SKIP_SBRS);
-            break;
+          }
 
-          // Indirect control flow terminates the trace.
           case Op::RET: terminal(SbOp::EXIT_RET); break;
-          case Op::RETI: terminal(SbOp::EXIT_RETI); break;
-          case Op::IJMP: terminal(SbOp::EXIT_IJMP); break;
-          case Op::ICALL:
-            si.addr = static_cast<uint16_t>((pc + 1) & 0xffff);
-            terminal(SbOp::EXIT_ICALL);
-            break;
 
-          case Op::INVALID:
-            // Non-retiring: the handler re-reads the flash word to
-            // discriminate FlashOutOfBounds from IllegalOpcode at
-            // run time, exactly like step().
-            emit(SbOp::EXIT_TRAP, si);
-            open = false;
-            break;
+          default: step(); break;
         }
     }
 
-    // Flag liveness, backward from the trace's end, where every flag
-    // is live. An element computes only the flags it writes that are
-    // live after it; the handler leaves the rest stale, and the
-    // element's own writes kill liveness above it. Before a barrier
-    // every flag is live again, so SREG is exact wherever a trap, an
-    // exit or an SREG access can observe it. SBC/SBCI/CPC read the
-    // incoming Z only when they compute their own (sticky Z); T and I
-    // are never elided.
-    uint8_t live = sregArith;
+    // Flag liveness, backward from the trace's end. An element
+    // computes only the flags it writes that are live after it; the
+    // handler leaves the rest stale, and the element's own writes
+    // kill liveness above it. Before a barrier every flag is live
+    // again, so SREG is exact wherever a trap, an exit, a STEP or an
+    // SREG access can observe it. Every trace ends in one of those
+    // barriers (an exit or a STEP), so nothing is live past it.
+    // SBC/SBCI/CPC read the incoming Z only when they compute their
+    // own (sticky Z); T and I are never elided.
+    uint8_t live = 0;
     for (size_t i = kinds.size(); i-- > 0;) {
         SbInst &si = blk->code[i];
         const FlagUse use = flagUse(kinds[i], si);
@@ -512,7 +446,8 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t key,
     }
 
     // Worst-case cycles of one pass: every element's base cost plus
-    // the largest single taken-branch/skip extra (an exit leaves the
+    // the largest single extra of a taken branch or skip, in a
+    // handler or in the STEP that ends the trace (either leaves the
     // trace, so at most one extra applies per pass).
     blk->maxCycles = total + 2;
     blk->next = table[blk->entry];
@@ -568,8 +503,8 @@ Machine::runSuperblock(uint64_t max_cycles)
     bool maccr_written = false;
     // ISE: the MAC shadow pending at the current block boundary. Block
     // entry keys on it and clears it; only a non-retiring continuation
-    // (EXIT_SHADOW) or a trap sets it again, since every retiring exit
-    // outlasts the shadow.
+    // (EXIT_SHADOW), a STEP or a trap sets it again, since every
+    // retiring exit outlasts the shadow.
     uint8_t mac_sh = macUnit.pendingShadow();
     uint64_t mac_stall = 0;
 
@@ -578,9 +513,11 @@ Machine::runSuperblock(uint64_t max_cycles)
     // Zero on entry (see sbOpCount); flush() folds and re-zeroes them.
     std::array<uint32_t, kNumOps> &op_count = sbOpCount;
     std::array<uint32_t, kNumOps> &op_extra = sbOpExtra;
-    const uint16_t *const flash_data = flash.data();
+    // No local copy of sbCache: with GCC 12 one more stack slot moved
+    // `r8` past the 8-bit displacement range of the handlers'
+    // stack-relative register accesses, and iss_ladder ran ~10 %
+    // slower.
     uint8_t *const sram_data = sram.data();
-    SuperblockCache *const cache = sbCache.get();
 
     auto pair = [&](unsigned i) -> uint16_t {
         return static_cast<uint16_t>(r8[i]) |
@@ -663,14 +600,6 @@ Machine::runSuperblock(uint64_t max_cycles)
         r8 = regs;
         if (a == ioBase + ioMaccr)
             maccr_written = true;
-    };
-    auto ioRead = [&](uint8_t ioaddr) -> uint8_t {
-        sregBits = sreg;
-        regs = r8;
-        uint8_t v = readData(ioBase + ioaddr);
-        sreg = sregBits;
-        r8 = regs;
-        return v;
     };
     auto ioWrite = [&](uint8_t ioaddr, uint8_t v) {
         sregBits = sreg;
@@ -757,13 +686,13 @@ Machine::runSuperblock(uint64_t max_cycles)
             // at entry, so that state is part of the key.
             const uint8_t key = sbMacKey(io[ioMaccr], mac_sh);
             mac_sh = 0;
-            b = cache->lookup(pc, key);
+            b = sbCache->lookup(pc, key);
             if (!b) [[unlikely]]
-                b = cache->translate(*this, pc, key, labels);
+                b = sbCache->translate(*this, pc, key, labels);
         } else {
-            b = cache->lookup(pc);
+            b = sbCache->lookup(pc);
             if (!b) [[unlikely]]
-                b = cache->translate(*this, pc, 0, labels);
+                b = sbCache->translate(*this, pc, 0, labels);
         }
         // Budget pre-check: if this pass could cross the budget, hand
         // the rest of the run to the reference loop for
@@ -802,14 +731,6 @@ Machine::runSuperblock(uint64_t max_cycles)
                      uint8_t r = d + s;
                      r8[ip->a] = r;
                      addFlagsB<kF>(sreg, d, s, r))
-  lbl_LSL: {
-    // Canonicalized LSL Rd == ADD Rd,Rd: single read, doubled.
-    uint8_t d = r8[ip->a];
-    uint8_t r = static_cast<uint8_t>(d + d);
-    r8[ip->a] = r;
-    addFlagsB(sreg, d, d, r);
-    SB_RETIRE();
-  }
   SB_FLAG_OP_C0(ADC, uint8_t d = r8[ip->a], s = r8[ip->b];
                      uint8_t r = d + s + (sreg & sregC);
                      r8[ip->a] = r;
@@ -847,12 +768,6 @@ Machine::runSuperblock(uint64_t max_cycles)
     logicFlagsB(sreg, r);
     SB_RETIRE();
   }
-  lbl_EOR: {
-    uint8_t r = r8[ip->a] ^ r8[ip->b];
-    r8[ip->a] = r;
-    logicFlagsB(sreg, r);
-    SB_RETIRE();
-  }
   // Canonicalized CLR Rd == EOR Rd,Rd: constant result and flags.
   SB_FLAG_OP_0(CLR, r8[ip->a] = 0; logicFlagsB<kF>(sreg, 0))
   lbl_MOV: {
@@ -874,55 +789,6 @@ Machine::runSuperblock(uint64_t max_cycles)
                     r8[0] = static_cast<uint8_t>(p);
                     r8[1] = static_cast<uint8_t>(p >> 8);
                     mulFlagsB<kF>(sreg, p, p & 0x8000))
-  lbl_MULS: {
-    int16_t p = static_cast<int16_t>(static_cast<int8_t>(r8[ip->a])) *
-                static_cast<int8_t>(r8[ip->b]);
-    uint16_t u = static_cast<uint16_t>(p);
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, u & 0x8000);
-    SB_RETIRE();
-  }
-  lbl_MULSU: {
-    int16_t p = static_cast<int16_t>(static_cast<int8_t>(r8[ip->a])) *
-                static_cast<uint8_t>(r8[ip->b]);
-    uint16_t u = static_cast<uint16_t>(p);
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, u & 0x8000);
-    SB_RETIRE();
-  }
-  lbl_FMUL: {
-    int32_t p = static_cast<uint16_t>(r8[ip->a]) * r8[ip->b];
-    uint16_t u = static_cast<uint16_t>(p);
-    bool c = u & 0x8000;
-    u <<= 1;
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, c);
-    SB_RETIRE();
-  }
-  lbl_FMULS: {
-    int32_t p = static_cast<int8_t>(r8[ip->a]) *
-                static_cast<int8_t>(r8[ip->b]);
-    uint16_t u = static_cast<uint16_t>(p);
-    bool c = u & 0x8000;
-    u <<= 1;
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, c);
-    SB_RETIRE();
-  }
-  lbl_FMULSU: {
-    int32_t p = static_cast<int8_t>(r8[ip->a]) * r8[ip->b];
-    uint16_t u = static_cast<uint16_t>(p);
-    bool c = u & 0x8000;
-    u <<= 1;
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, c);
-    SB_RETIRE();
-  }
   lbl_MOVW: {
     r8[ip->a] = r8[ip->b];
     r8[ip->a + 1] = r8[ip->b + 1];
@@ -946,18 +812,6 @@ Machine::runSuperblock(uint64_t max_cycles)
     uint8_t r = r8[ip->a] & static_cast<uint8_t>(ip->imm);
     r8[ip->a] = r;
     logicFlagsB(sreg, r);
-    SB_RETIRE();
-  }
-  lbl_ORI: {
-    uint8_t r = r8[ip->a] | static_cast<uint8_t>(ip->imm);
-    r8[ip->a] = r;
-    logicFlagsB(sreg, r);
-    SB_RETIRE();
-  }
-  lbl_CPI: {
-    uint8_t d = r8[ip->a];
-    subFlagsB(sreg, d, static_cast<uint8_t>(ip->imm),
-              d - static_cast<uint8_t>(ip->imm), false);
     SB_RETIRE();
   }
   lbl_LDI: {
@@ -1030,36 +884,12 @@ Machine::runSuperblock(uint64_t max_cycles)
     subFlagsB(sreg, 0, d, r, false);
     SB_RETIRE();
   }
-  lbl_SWAP: {
-    uint8_t d = r8[ip->a];
-    r8[ip->a] = static_cast<uint8_t>((d << 4) | (d >> 4));
-    SB_RETIRE();
-  }
   lbl_SWAP_MAC: {
     // Algorithm 1 (MACCR swap mode): the pre-swap low nibble is the
     // MAC digit.
     uint8_t d = r8[ip->a];
     macUnit.macSwap(r8, d & 0x0f);
     r8[ip->a] = static_cast<uint8_t>((d << 4) | (d >> 4));
-    SB_RETIRE();
-  }
-  lbl_INC: {
-    uint8_t r = r8[ip->a] + 1;
-    r8[ip->a] = r;
-    incDecFlagsB(sreg, r, r == 0x80);
-    SB_RETIRE();
-  }
-  lbl_DEC: {
-    uint8_t r = r8[ip->a] - 1;
-    r8[ip->a] = r;
-    incDecFlagsB(sreg, r, r == 0x7f);
-    SB_RETIRE();
-  }
-  lbl_ASR: {
-    uint8_t d = r8[ip->a];
-    uint8_t r = static_cast<uint8_t>((d >> 1) | (d & 0x80));
-    r8[ip->a] = r;
-    shiftFlagsB(sreg, r, d & 1);
     SB_RETIRE();
   }
   lbl_LSR: {
@@ -1077,190 +907,42 @@ Machine::runSuperblock(uint64_t max_cycles)
     shiftFlagsB(sreg, r, d & 1);
     SB_RETIRE();
   }
-  lbl_BSET: {
-    sreg |= static_cast<uint8_t>(1u << ip->a);
-    SB_RETIRE();
-  }
   lbl_BCLR: {
     sreg &= static_cast<uint8_t>(~(1u << ip->a));
-    SB_RETIRE();
-  }
-  lbl_BLD: {
-    if (sreg & sregT)
-        r8[ip->a] |= 1u << ip->b;
-    else
-        r8[ip->a] &= ~(1u << ip->b);
-    SB_RETIRE();
-  }
-  lbl_BST: {
-    sreg = static_cast<uint8_t>((sreg & ~sregT) |
-                                (((r8[ip->a] >> ip->b) & 1u) << 6));
-    SB_RETIRE();
-  }
-  lbl_SBI: {
-    ioWrite(static_cast<uint8_t>(ip->imm),
-            ioRead(static_cast<uint8_t>(ip->imm)) | (1u << ip->b));
-    SB_RETIRE_STORE();
-  }
-  lbl_CBI: {
-    ioWrite(static_cast<uint8_t>(ip->imm),
-            ioRead(static_cast<uint8_t>(ip->imm)) & ~(1u << ip->b));
-    SB_RETIRE_STORE();
-  }
-  lbl_IN: {
-    r8[ip->a] = ioRead(static_cast<uint8_t>(ip->imm));
     SB_RETIRE();
   }
   lbl_OUT: {
     ioWrite(static_cast<uint8_t>(ip->imm), r8[ip->a]);
     SB_RETIRE_STORE();
   }
-  lbl_SKIP_SBIC: {
-    if (!(ioRead(static_cast<uint8_t>(ip->imm)) & (1u << ip->b)))
-        goto take_skip;
-    SB_RETIRE();
-  }
-  lbl_SKIP_SBIS: {
-    if (ioRead(static_cast<uint8_t>(ip->imm)) & (1u << ip->b))
-        goto take_skip;
-    SB_RETIRE();
-  }
-  lbl_SKIP_CPSE: {
-    if (r8[ip->a] == r8[ip->b])
-        goto take_skip;
-    SB_RETIRE();
-  }
-  lbl_SKIP_SBRC: {
-    if (!(r8[ip->a] & (1u << ip->b)))
-        goto take_skip;
-    SB_RETIRE();
-  }
   lbl_SKIP_SBRS: {
     if (r8[ip->a] & (1u << ip->b))
         goto take_skip;
     SB_RETIRE();
   }
-// Each load form is written once and instantiated twice: the plain
-// handler and its Algorithm-2 trigger (rd is R24), which goes on to
-// apply the two shadow MACs (trigger_tail below).
-#define SB_LOAD(NAME, BODY)                                             \
-  lbl_##NAME: {                                                         \
-    BODY;                                                               \
-    SB_RETIRE_MEM();                                                    \
-  }                                                                     \
-  lbl_##NAME##_MAC: {                                                   \
-    BODY;                                                               \
-    goto trigger_tail;                                                  \
+  lbl_LDD_Y: {
+    r8[ip->a] = loadMem(static_cast<uint16_t>(pair(28) + ip->imm));
+    SB_RETIRE_MEM();
   }
-  SB_LOAD(LD_X, r8[ip->a] = loadMem(pair(26)))
-  SB_LOAD(LD_X_INC, uint16_t ea = pair(26); r8[ip->a] = loadMem(ea);
-                    setPair(26, ea + 1))
-  SB_LOAD(LD_X_DEC, uint16_t ea = pair(26) - 1; setPair(26, ea);
-                    r8[ip->a] = loadMem(ea))
-  SB_LOAD(LDD_Y, r8[ip->a] = loadMem(static_cast<uint16_t>(pair(28) +
-                                                            ip->imm)))
-  SB_LOAD(LD_Y_INC, uint16_t ea = pair(28); r8[ip->a] = loadMem(ea);
-                    setPair(28, ea + 1))
-  SB_LOAD(LD_Y_DEC, uint16_t ea = pair(28) - 1; setPair(28, ea);
-                    r8[ip->a] = loadMem(ea))
-  SB_LOAD(LDD_Z, r8[ip->a] = loadMem(static_cast<uint16_t>(pair(30) +
-                                                            ip->imm)))
-  SB_LOAD(LD_Z_INC, uint16_t ea = pair(30); r8[ip->a] = loadMem(ea);
-                    setPair(30, ea + 1))
-  SB_LOAD(LD_Z_DEC, uint16_t ea = pair(30) - 1; setPair(30, ea);
-                    r8[ip->a] = loadMem(ea))
-  SB_LOAD(LDS, r8[ip->a] = loadMem(ip->addr))
-#undef SB_LOAD
-  trigger_tail:
-    // The MACs apply before the trap check, as in step(), so a
+  lbl_LDD_Z: {
+    r8[ip->a] = loadMem(static_cast<uint16_t>(pair(30) + ip->imm));
+    SB_RETIRE_MEM();
+  }
+  lbl_LDS: {
+    r8[ip->a] = loadMem(ip->addr);
+    SB_RETIRE_MEM();
+  }
+  lbl_LDD_Z_MAC: {
+    // The Algorithm-2 trigger (rd is R24): the load, then its two
+    // MACs, which apply before the trap check, as in step(), so a
     // trapping trigger leaves the same accumulator.
+    r8[ip->a] = loadMem(static_cast<uint16_t>(pair(30) + ip->imm));
     macUnit.macLoad(r8, r8[24]);
     SB_RETIRE_MEM();
-  lbl_ST_X: {
-    storeMem(pair(26), r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_X_INC: {
-    uint16_t ea = pair(26);
-    storeMem(ea, r8[ip->a]);
-    setPair(26, ea + 1);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_X_DEC: {
-    uint16_t ea = pair(26);
-    setPair(26, --ea);
-    storeMem(ea, r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_STD_Y: {
-    storeMem(static_cast<uint16_t>(pair(28) + ip->imm), r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_Y_INC: {
-    uint16_t ea = pair(28);
-    storeMem(ea, r8[ip->a]);
-    setPair(28, ea + 1);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_Y_DEC: {
-    uint16_t ea = pair(28);
-    setPair(28, --ea);
-    storeMem(ea, r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_STD_Z: {
-    storeMem(static_cast<uint16_t>(pair(30) + ip->imm), r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_Z_INC: {
-    uint16_t ea = pair(30);
-    storeMem(ea, r8[ip->a]);
-    setPair(30, ea + 1);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_Z_DEC: {
-    uint16_t ea = pair(30);
-    setPair(30, --ea);
-    storeMem(ea, r8[ip->a]);
-    SB_RETIRE_STORE();
   }
   lbl_STS: {
     storeMem(ip->addr, r8[ip->a]);
     SB_RETIRE_STORE();
-  }
-  lbl_PUSH: {
-    pushB(storeMem, r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_POP: {
-    r8[ip->a] = popB(loadMem);
-    SB_RETIRE_MEM();
-  }
-  lbl_LPM_R0: {
-    uint16_t zv = pair(30);
-    uint16_t w = flash_data[(zv >> 1) & (flashWords - 1)];
-    r8[0] = (zv & 1) ? static_cast<uint8_t>(w >> 8)
-                     : static_cast<uint8_t>(w);
-    SB_RETIRE();
-  }
-  lbl_LPM: {
-    uint16_t zv = pair(30);
-    uint16_t w = flash_data[(zv >> 1) & (flashWords - 1)];
-    r8[ip->a] = (zv & 1) ? static_cast<uint8_t>(w >> 8)
-                         : static_cast<uint8_t>(w);
-    SB_RETIRE();
-  }
-  lbl_LPM_INC: {
-    uint16_t zv = pair(30);
-    uint16_t w = flash_data[(zv >> 1) & (flashWords - 1)];
-    r8[ip->a] = (zv & 1) ? static_cast<uint8_t>(w >> 8)
-                         : static_cast<uint8_t>(w);
-    setPair(30, zv + 1);
-    SB_RETIRE();
-  }
-  lbl_NOPLIKE: {
-    // NOP/SLEEP/WDR/BREAK.
-    SB_RETIRE();
   }
   lbl_NOP_STALL: {
     // A NOP retired while MAC micro-ops are pending (hazard stall).
@@ -1298,39 +980,6 @@ Machine::runSuperblock(uint64_t max_cycles)
     pc = ret & 0xffff;
     goto next_block;
   }
-  lbl_EXIT_RETI: {
-    uint32_t ret = popRet(loadMem);
-    sreg |= sregI;
-    if (trap_kind != TrapKind::None) [[unlikely]]
-        goto trap_exit;
-    op_count[ip->op]++;
-    consumed += ip->prefixCycles + ip->cycles;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
-    pc = ret & 0xffff;
-    goto next_block;
-  }
-  lbl_EXIT_IJMP: {
-    op_count[ip->op]++;
-    consumed += ip->prefixCycles + ip->cycles;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
-    pc = pair(30);
-    goto next_block;
-  }
-  lbl_EXIT_ICALL: {
-    // Push first, then read Z: a push that lands in the register
-    // file (SP below 0x20) must be visible to the target read,
-    // exactly as on the reference path.
-    pushRet(storeMem, ip->addr);
-    if (trap_kind != TrapKind::None) [[unlikely]]
-        goto trap_exit;
-    op_count[ip->op]++;
-    consumed += ip->prefixCycles + ip->cycles;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
-    pc = pair(30);
-    // A push into MACCR needs no side exit here: the next block is
-    // keyed by the MACCR it left behind.
-    goto next_block;
-  }
   lbl_EXIT_SHADOW:
     // EXIT_STATIC inside a live MAC shadow: the next block is keyed
     // by the shadow still pending.
@@ -1342,29 +991,34 @@ Machine::runSuperblock(uint64_t max_cycles)
     pc = ip->pc;
     goto next_block;
   }
-  lbl_EXIT_TRAP: {
-    // Undecodable word: re-read flash to discriminate erased flash
-    // from a reserved encoding, as step() does.
-    uint16_t w = flash_data[ip->pc & (flashWords - 1)];
+  lbl_STEP: {
+    // An instruction without a handler, an undecodable word or a MAC
+    // hazard: retire the prefix, publish the loop's state (the shadow
+    // pending before the element included) and run the instruction
+    // through execute(), the reference semantics, which also raises
+    // its trap. The run goes on from the state it leaves, keyed (ISE)
+    // by the live MACCR and shadow.
     consumed += ip->prefixCycles;
     insts += static_cast<uint64_t>(ip - code0);
     pc = ip->pc;
     mac_sh = ip->sh;
-    pendingTrap = Trap{w == 0xffff ? TrapKind::FlashOutOfBounds
-                                   : TrapKind::IllegalOpcode,
-                       ip->pc, w};
-    goto finish;
-  }
-  lbl_MAC_HAZARD: {
-    // step()'s shadow check, resolved at translate time: the
-    // instruction touches the MAC registers under a live shadow (or
-    // retriggers with two MACs pending) and does not retire.
-    consumed += ip->prefixCycles;
-    insts += static_cast<uint64_t>(ip - code0);
-    pc = ip->pc;
-    mac_sh = ip->sh;
-    pendingTrap = Trap{TrapKind::MacHazard, ip->pc, ip->addr};
-    goto finish;
+    flush(sreg);
+    const unsigned cycles = execute();
+    sreg = sregBits;
+    r8 = regs;
+    pc = pcWord;
+    if (ise)
+        mac_sh = macUnit.pendingShadow();
+    if (pendingTrap)
+        goto finish;
+    // It retired one instruction, already counted into execStats: add
+    // it to the locals and to the flush marks alike.
+    insts++;
+    flushed_insts++;
+    consumed += cycles;
+    flushed_cycles += cycles;
+    execStats.referenceInstructions++;
+    goto next_block;
   }
 
   take_branch: {
@@ -1397,9 +1051,8 @@ Machine::runSuperblock(uint64_t max_cycles)
   trap_exit: {
     // The trapping instruction does not retire: charge the retired
     // prefix only and leave PC at the instruction, exactly as
-    // step() does. Partial side effects (pre-decremented
-    // pointers, SP moves, a MAC reset by a first pushed byte) persist
-    // identically.
+    // step() does. Partial side effects (an SP move, a MAC reset by
+    // a first pushed byte) persist identically.
     consumed += ip->prefixCycles;
     insts += static_cast<uint64_t>(ip - code0);
     pc = ip->pc;

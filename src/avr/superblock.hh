@@ -9,11 +9,16 @@
  * Translation walks the decode cache from the entry, stitching across
  * direct control transfers (RJMP/JMP become zero-work "ghost"
  * retirements, RCALL/CALL continue into the callee), turning
- * conditional branches and skips into side exits, and terminating on
- * indirect control flow (RET/RETI/IJMP/ICALL), undecodable words, the
- * exit sentinel, a revisited PC (loop back-edge), a MAC hazard or the
+ * conditional branches and SBRS into side exits, and terminating on
+ * RET, the exit sentinel, a revisited PC (loop back-edge) or the
  * length cap. In ISE mode it follows the shadow along the trace, so
- * MAC triggers, stall NOPs and hazard traps are trace elements.
+ * LDD Z triggers, SWAP triggers and stall NOPs are trace elements.
+ *
+ * Only the instruction forms the generated field routines execute
+ * have handlers. Every other form, an undecodable word and a MAC
+ * hazard end the trace in a STEP element, which runs that one
+ * instruction through Machine::execute(), the reference semantics,
+ * and so raises the trap itself where there is one.
  *
  * A backward flag-liveness pass over the finished trace then gives
  * each flag-writing element the handler variant that computes only
@@ -54,50 +59,32 @@ namespace jaavr
 class Machine;
 
 /**
- * Superblock handler kinds. The synonym encodings (LSL/ROL/TST/CLR,
- * see Synonym in avr/isa.hh) get their own specialized single-operand
- * handlers; SKIP_* and BRBS/BRBC carry precomputed taken-exit
- * metadata; GHOST is a stitched RJMP/JMP (retires, costs only its
- * predecoded cycles, no runtime control transfer); CALL_THROUGH is a
- * stitched RCALL/CALL; EXIT_* terminate the trace. The ISE-only
- * elements are the Algorithm-2 trigger loads (*_MAC: the load plus
- * its two MACs), the Algorithm-1 SWAP_MAC, NOP_STALL (a NOP retired
- * under a live shadow) and MAC_HAZARD. EXIT_STATIC, EXIT_SHADOW
- * (EXIT_STATIC with a pending shadow), EXIT_TRAP and MAC_HAZARD are
- * pseudo-instructions that do not retire. MUL_ADD_ADC_ADC and
- * ADD_CLR_ROL are the superinstructions: each heads a group of
- * sbGroupSize() elements, its members, and retires all of them.
+ * Superblock handler kinds: one per instruction form the generated
+ * field routines execute (DESIGN.md §11, "The handler set"). The
+ * synonym encodings ROL/TST/CLR (see Synonym in avr/isa.hh) get their
+ * own single-operand handlers; SKIP_SBRS and BRBS/BRBC carry
+ * precomputed taken-exit metadata; GHOST is a stitched RJMP/JMP
+ * (retires, costs only its predecoded cycles, no runtime control
+ * transfer); CALL_THROUGH is a stitched RCALL/CALL; EXIT_* terminate
+ * the trace. The ISE-only elements are the Algorithm-2 trigger
+ * LDD_Z_MAC (the load plus its two MACs), the Algorithm-1 SWAP_MAC
+ * and NOP_STALL (a NOP retired under a live shadow). EXIT_STATIC and
+ * EXIT_SHADOW (EXIT_STATIC with a pending shadow) do not retire. STEP
+ * hands its instruction to Machine::execute() and ends the trace.
+ * MUL_ADD_ADC_ADC and ADD_CLR_ROL are the superinstructions: each
+ * heads a group of sbGroupSize() elements, its members, and retires
+ * all of them.
  */
 #define JAAVR_SB_OPS(X)                                                  \
-    X(ADD) X(ADC) X(SUB) X(SBC) X(AND) X(OR) X(EOR) X(MOV)               \
-    X(CP) X(CPC)                                                         \
-    X(LSL) X(ROL) X(TST) X(CLR)                                          \
-    X(MUL) X(MULS) X(MULSU) X(FMUL) X(FMULS) X(FMULSU) X(MOVW)           \
-    X(SUBI) X(SBCI) X(ANDI) X(ORI) X(CPI) X(LDI)                         \
-    X(ADIW) X(SBIW)                                                      \
-    X(COM) X(NEG) X(SWAP) X(INC) X(DEC) X(ASR) X(LSR) X(ROR)             \
-    X(BSET) X(BCLR) X(BLD) X(BST)                                        \
-    X(SBI) X(CBI) X(IN) X(OUT)                                           \
-    X(SKIP_SBIC) X(SKIP_SBIS) X(SKIP_CPSE) X(SKIP_SBRC) X(SKIP_SBRS)     \
-    X(LD_X) X(LD_X_INC) X(LD_X_DEC)                                      \
-    X(LDD_Y) X(LD_Y_INC) X(LD_Y_DEC)                                     \
-    X(LDD_Z) X(LD_Z_INC) X(LD_Z_DEC)                                     \
-    X(LDS)                                                               \
-    X(ST_X) X(ST_X_INC) X(ST_X_DEC)                                      \
-    X(STD_Y) X(ST_Y_INC) X(ST_Y_DEC)                                     \
-    X(STD_Z) X(ST_Z_INC) X(ST_Z_DEC)                                     \
-    X(STS)                                                               \
-    X(PUSH) X(POP) X(LPM_R0) X(LPM) X(LPM_INC)                           \
-    X(NOPLIKE)                                                           \
-    X(GHOST) X(CALL_THROUGH)                                             \
-    X(BRBS) X(BRBC)                                                      \
-    X(EXIT_RET) X(EXIT_RETI) X(EXIT_IJMP) X(EXIT_ICALL)                  \
-    X(EXIT_STATIC) X(EXIT_TRAP)                                          \
-    X(LD_X_MAC) X(LD_X_INC_MAC) X(LD_X_DEC_MAC)                          \
-    X(LDD_Y_MAC) X(LD_Y_INC_MAC) X(LD_Y_DEC_MAC)                         \
-    X(LDD_Z_MAC) X(LD_Z_INC_MAC) X(LD_Z_DEC_MAC)                         \
-    X(LDS_MAC)                                                           \
-    X(SWAP_MAC) X(NOP_STALL) X(EXIT_SHADOW) X(MAC_HAZARD)               \
+    X(ADD) X(ADC) X(SUB) X(SBC) X(AND) X(OR) X(MOV) X(CP) X(CPC)         \
+    X(ROL) X(TST) X(CLR) X(MUL) X(MOVW)                                  \
+    X(SUBI) X(SBCI) X(ANDI) X(LDI) X(ADIW) X(SBIW)                       \
+    X(COM) X(NEG) X(LSR) X(ROR) X(BCLR) X(OUT)                           \
+    X(SKIP_SBRS) X(LDD_Y) X(LDD_Z) X(LDS) X(STS)                         \
+    X(GHOST) X(CALL_THROUGH) X(BRBS) X(BRBC)                             \
+    X(EXIT_RET) X(EXIT_STATIC) X(EXIT_SHADOW)                            \
+    X(LDD_Z_MAC) X(SWAP_MAC) X(NOP_STALL)                                \
+    X(STEP)                                                              \
     X(MUL_ADD_ADC_ADC) X(ADD_CLR_ROL)
 
 /**
@@ -155,16 +142,15 @@ sbMacKey(uint8_t maccr, uint8_t shadow)
  * taken) on top.
  *
  * `pc` is the program counter of the instruction; for the
- * non-retiring pseudo-instructions it is the continuation / faulting
- * PC. Translation guarantees that for every retiring non-terminal
+ * non-retiring exits it is the continuation PC. Translation guarantees that for every retiring non-terminal
  * element, the next element's `pc` equals this instruction's static
  * fall-through successor — which is where the MACCR side exit resumes
  * after a store rewrites the MAC control register.
  *
  * `sh` is the MAC shadow pending before the element, known at
- * translate time (always 0 outside ISE). Non-retiring exits publish
- * it; a retiring exit always publishes 0, because every retiring exit
- * (RET/RETI/IJMP/ICALL, a taken branch or skip) costs at least 2
+ * translate time (always 0 outside ISE). Non-retiring exits and STEP
+ * publish it; a retiring exit always publishes 0, because every
+ * retiring exit (RET, a taken branch or skip) costs at least 2
  * cycles, the longest shadow.
  *
  * `flags` is the set of arithmetic SREG flags (C Z N V S H) the
@@ -181,12 +167,12 @@ struct SbInst
     uint32_t target = 0;      ///< taken-branch / skip target PC
     uint32_t prefixCycles = 0;///< base cycles retired before this element
     uint16_t imm = 0;         ///< immediate / I/O address / LDD disp
-    uint16_t addr = 0;        ///< LDS/STS address; return PC; hazard detail
+    uint16_t addr = 0;        ///< LDS/STS address; return PC
     uint8_t op = 0;           ///< architectural Op (for op_count[])
     uint8_t a = 0;            ///< rd / SREG bit
-    uint8_t b = 0;            ///< rr / bit number
+    uint8_t b = 0;            ///< rr / SBRS bit number
     uint8_t cycles = 0;       ///< predecoded base cycle cost
-    uint8_t extra = 0;        ///< taken-skip extra cycles (skipExtra)
+    uint8_t extra = 0;        ///< taken-SBRS extra cycles (skipExtra)
     uint8_t sh = 0;           ///< MAC shadow pending before this element
     uint8_t flags = 0;        ///< SREG flags the handler computes
 };

@@ -9,8 +9,10 @@
  * through the GDB flash-patch path, the JAAVR_ISS_BACKEND selection
  * switch, the decode canonicalization of synonyms, the
  * flag-liveness pass (seeded flag soups around every barrier kind,
- * sticky Z, and the elision pinned on the CA OPF multiplication) and
- * the superinstructions fused after it.
+ * STEP elements among them, sticky Z, and the elision pinned on the
+ * CA OPF multiplication), the superinstructions fused after it, and
+ * the handler set: the generated field routines never step, and each
+ * native handler kind carries some of their traffic.
  */
 
 #include <gtest/gtest.h>
@@ -299,68 +301,92 @@ macSoup(Rng &rng, unsigned items)
 }
 
 /**
- * One flag writer for flagSoup(): every arithmetic, logic, shift,
- * MUL and BSET/BCLR form, over r0..r25 (the pointers stay put), with
- * the carry chains that leave only C live weighted up. One writer in
- * eight is a group of the two idioms the translator fuses, the
- * product-scanning step `mul; add; adc; adc` and the carry catch
- * `add; clr; rol`, over registers that often are r0/r1 (MUL's
- * product) or alias each other.
+ * One flag writer for flagSoup(): every arithmetic, logic, shift, MUL
+ * and BCLR form with a superblock handler, over r0..r25 (the pointers
+ * stay put), with the carry chains that leave only C live weighted
+ * up. One writer in eight is a group of the two idioms the translator
+ * fuses, the product-scanning step `mul; add; adc; adc` and the carry
+ * catch `add; clr; rol`, over registers that often are r0/r1 (MUL's
+ * product) or alias each other. An ADD never names one register
+ * twice: that is LSL, which has no handler. With @p step set, one
+ * writer in eight is instead a form without a handler (EOR, LSL, INC,
+ * DEC, ASR, CPI, ORI, BSET), which ends its trace in a STEP.
  */
 std::string
-flagWriter(Rng &rng)
+flagWriter(Rng &rng, bool step)
 {
     auto r = [&](unsigned bound) {
         return static_cast<unsigned>(rng.below(bound));
     };
+    // A register other than @p a.
+    auto other = [&](unsigned a) { return (a + 1 + r(25)) % 26; };
+    if (step && r(8) == 0) {
+        static const char *const kOne[] = {"lsl", "inc", "dec", "asr"};
+        const unsigned a = r(26);
+        switch (r(4)) {
+          case 0: return csprintf("eor r%u, r%u", a, other(a));
+          case 1: return csprintf("%s r%u", kOne[r(std::size(kOne))], a);
+          case 2:
+            return csprintf("%s r%u, %u", r(2) ? "cpi" : "ori", 16 + r(10),
+                            r(256));
+          default: return csprintf("bset %u", r(8));
+        }
+    }
     if (r(8) == 0) {
         const unsigned pool[] = {r(2), r(26), r(26)};
         unsigned v[8];
         for (unsigned &x : v)
             x = r(2) ? pool[r(3)] : r(26);
-        if (r(2))
+        if (r(2)) {
+            if (v[2] == v[3])
+                v[3] = other(v[2]);
             return csprintf("mul r%u, r%u\nadd r%u, r%u\nadc r%u, r%u\n"
                             "adc r%u, r%u",
                             v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]);
+        }
+        if (v[0] == v[1])
+            v[1] = other(v[0]);
         return csprintf("add r%u, r%u\nclr r%u\nrol r%u", v[0], v[1], v[2],
                         v[3]);
     }
     static const char *const kChain[] = {"add", "adc", "sub", "sbc",
                                          "cp", "cpc"};
-    static const char *const kPair[] = {"and", "or", "eor", "mul"};
-    static const char *const kOne[] = {"lsl", "rol", "clr", "com", "neg",
-                                       "inc", "dec", "asr", "lsr", "ror",
-                                       "tst"};
-    static const char *const kImm[] = {"subi", "sbci", "cpi", "andi",
-                                       "ori"};
+    static const char *const kPair[] = {"and", "or", "mul"};
+    static const char *const kOne[] = {"rol", "clr", "com", "neg", "lsr",
+                                       "ror", "tst"};
+    static const char *const kImm[] = {"subi", "sbci", "andi"};
+    const unsigned a = r(26), b = r(26);
     switch (r(8)) {
-      case 0: case 1: case 2:
-        return csprintf("%s r%u, r%u", kChain[r(std::size(kChain))], r(26),
-                        r(26));
+      case 0: case 1: case 2: {
+        const unsigned op = r(std::size(kChain));
+        return csprintf("%s r%u, r%u", kChain[op], a,
+                        op == 0 && a == b ? other(a) : b);
+      }
       case 3:
-        return csprintf("%s r%u, r%u", kPair[r(std::size(kPair))], r(26),
-                        r(26));
+        return csprintf("%s r%u, r%u", kPair[r(std::size(kPair))], a, b);
       case 4:
-        return csprintf("%s r%u", kOne[r(std::size(kOne))], r(26));
+        return csprintf("%s r%u", kOne[r(std::size(kOne))], a);
       case 5:
         return csprintf("%s r%u, %u", kImm[r(std::size(kImm))], 16 + r(10),
                         r(256));
       case 6:
         return csprintf("%s r24, %u", r(2) ? "adiw" : "sbiw", r(64));
       default:
-        return csprintf("%s %u", r(2) ? "bset" : "bclr", r(8));
+        return csprintf("bclr %u", r(8));
     }
 }
 
 /**
  * One seeded "flag soup" program for the flag-liveness pass: @p lead
- * flag writers, then @p items of flag writers between the barriers
- * before which SREG must be exact — in-bounds loads and stores in
- * every form, PUSH/POP, IN/OUT on SREG (I/O 0x3f), LD/ST/LDS/STS at
- * SREG's data address 0x5f, BRBS/BRBC on every SREG bit, CPSE/SBRC
- * skips and RCALL/RET. With @p trap set it ends in flag writers and
- * one out-of-bounds LD/LDD/ST/STD/STS or an overflowing PUSH or
- * RCALL, which traps. X, Y and Z start inside the seeded window
+ * flag writers with handlers, then @p items of flag writers between
+ * the barriers before which SREG must be exact — in-bounds LDD/LDS/STS,
+ * OUT on SREG (I/O 0x3f), LDS/STS at SREG's data address 0x5f,
+ * BRBS/BRBC on every SREG bit and RCALL/RET, and, one item in eight,
+ * a barrier without a handler, which steps: LD/ST in the other
+ * addressing forms, PUSH/POP, IN on SREG, LD/ST at 0x5f and CPSE/SBRC
+ * skips. With @p trap set it ends in flag writers and one
+ * out-of-bounds LD/LDD/ST/STD/STS or an overflowing PUSH or RCALL,
+ * which traps. X, Y and Z start inside the seeded window
  * 0x200..0x2bf.
  */
 std::string
@@ -369,52 +395,62 @@ flagSoup(Rng &rng, unsigned lead, unsigned items, bool trap)
     auto r = [&](unsigned bound) {
         return static_cast<unsigned>(rng.below(bound));
     };
-    auto writers = [&](unsigned n) {
+    auto writers = [&](unsigned n, bool step = true) {
         std::string s;
         for (unsigned i = 0; i < n; i++)
-            s += flagWriter(rng) + "\n";
+            s += flagWriter(rng, step) + "\n";
         return s;
     };
     std::string src;
     src += "ldi r26, 0x00\nldi r27, 0x02\n";  // X = 0x0200
     src += "ldi r28, 0x40\nldi r29, 0x02\n";  // Y = 0x0240
     src += "ldi r30, 0x80\nldi r31, 0x02\n";  // Z = 0x0280
-    src += writers(lead);
+    src += writers(lead, false);
     for (unsigned i = 0; i < items; i++) {
         const unsigned a = r(26), b = r(26);
-        switch (r(24)) {
-          case 0: src += csprintf("ld r%u, X", a); break;
-          case 1: src += csprintf("ldd r%u, Y+%u", a, r(64)); break;
-          case 2: src += csprintf("ld r%u, Z+", a); break;
-          case 3: src += csprintf("lds r%u, 0x%x", a, 0x200 + r(0xc0)); break;
-          case 4: src += csprintf("st X, r%u", a); break;
-          case 5: src += csprintf("std Y+%u, r%u", r(64), a); break;
-          case 6: src += csprintf("st -Z, r%u", a); break;
-          case 7: src += csprintf("sts 0x%x, r%u", 0x200 + r(0xc0), a); break;
-          case 8:
-            src += csprintf("push r%u\n%spop r%u", a, writers(1).c_str(), b);
-            break;
-          case 9: src += csprintf("in r%u, 0x3f", a); break;
-          case 10: src += csprintf("out 0x3f, r%u", a); break;
-          case 11:
-            // Through X at SREG's data address, then X back in place.
-            src += "ldi r26, 0x5f\nldi r27, 0\n";
-            src += r(2) ? csprintf("ld r%u, X", a) : csprintf("st X, r%u", a);
-            src += "\nldi r26, 0x00\nldi r27, 0x02";
-            break;
-          case 12: src += csprintf("lds r%u, 0x5f", a); break;
-          case 13: src += csprintf("sts 0x5f, r%u", a); break;
-          case 14: case 15:
+        if (r(8) == 0) {
+            switch (r(10)) {
+              case 0: src += csprintf("ld r%u, X", a); break;
+              case 1: src += csprintf("ld r%u, Z+", a); break;
+              case 2: src += csprintf("st X, r%u", a); break;
+              case 3: src += csprintf("std Y+%u, r%u", r(64), a); break;
+              case 4: src += csprintf("st -Z, r%u", a); break;
+              case 5:
+                src += csprintf("push r%u\n%spop r%u", a,
+                                writers(1).c_str(), b);
+                break;
+              case 6: src += csprintf("in r%u, 0x3f", a); break;
+              case 7:
+                // Through X at SREG's data address, then X back in place.
+                src += "ldi r26, 0x5f\nldi r27, 0\n";
+                src += r(2) ? csprintf("ld r%u, X", a)
+                            : csprintf("st X, r%u", a);
+                src += "\nldi r26, 0x00\nldi r27, 0x02";
+                break;
+              case 8:
+                src += csprintf("cpse r%u, r%u\n%s", a, b,
+                                writers(1).c_str());
+                break;
+              default:
+                src += csprintf("sbrc r%u, %u\n%s", a, r(8),
+                                writers(1).c_str());
+                break;
+            }
+            src += "\n";
+            continue;
+        }
+        switch (r(14)) {
+          case 0: src += csprintf("ldd r%u, Y+%u", a, r(64)); break;
+          case 1: src += csprintf("lds r%u, 0x%x", a, 0x200 + r(0xc0)); break;
+          case 2: src += csprintf("sts 0x%x, r%u", 0x200 + r(0xc0), a); break;
+          case 3: src += csprintf("out 0x3f, r%u", a); break;
+          case 4: src += csprintf("lds r%u, 0x5f", a); break;
+          case 5: src += csprintf("sts 0x5f, r%u", a); break;
+          case 6: case 7:
             src += csprintf("%s %u, fl%u\n%sfl%u:", r(2) ? "brbs" : "brbc",
                             r(8), i, writers(1).c_str(), i);
             break;
-          case 16:
-            src += csprintf("cpse r%u, r%u\n%s", a, b, writers(1).c_str());
-            break;
-          case 17:
-            src += csprintf("sbrc r%u, %u\n%s", a, r(8), writers(1).c_str());
-            break;
-          case 18: src += "rcall fsub"; break;
+          case 8: src += "rcall fsub"; break;
           default: src += writers(1 + r(4)); break;
         }
         src += "\n";
@@ -455,9 +491,10 @@ flagSoup(Rng &rng, unsigned lead, unsigned items, bool trap)
 }
 
 /**
- * Every trace statically reachable from @p entry (side-exit targets
- * and continuations followed), translated outside any run loop. Each
- * label is a tag naming its handler kind.
+ * Every trace statically reachable from the entries @p todo (side-exit
+ * targets, continuations and the return addresses of stitched calls
+ * followed), translated outside any run loop. Each label is a tag
+ * naming its handler kind.
  */
 struct TraceSet
 {
@@ -466,11 +503,10 @@ struct TraceSet
     SuperblockCache cache;
     std::vector<const SbBlock *> blocks;
 
-    TraceSet(const Machine &m, uint32_t entry)
+    TraceSet(const Machine &m, std::vector<uint32_t> todo)
     {
         for (size_t i = 0; i < kNumSbOps; i++)
             labels[i] = &tags[i];
-        std::vector<uint32_t> todo = {entry};
         std::set<uint32_t> seen;
         while (!todo.empty()) {
             const uint32_t pc = todo.back();
@@ -481,13 +517,14 @@ struct TraceSet
             blocks.push_back(b);
             for (const SbInst &si : b->code) {
                 switch (kind(si)) {
-                  case SbOp::BRBS: case SbOp::BRBC: case SbOp::SKIP_CPSE:
-                  case SbOp::SKIP_SBRC: case SbOp::SKIP_SBRS:
-                  case SbOp::SKIP_SBIC: case SbOp::SKIP_SBIS:
+                  case SbOp::BRBS: case SbOp::BRBC: case SbOp::SKIP_SBRS:
                     todo.push_back(si.target);
                     break;
                   case SbOp::EXIT_STATIC: case SbOp::EXIT_SHADOW:
                     todo.push_back(si.pc);
+                    break;
+                  case SbOp::CALL_THROUGH:
+                    todo.push_back(si.addr);
                     break;
                   default:
                     break;
@@ -777,8 +814,8 @@ TEST(Superblock, TrapMidTraceIllegalAndFlashOob)
 
     Program head = assemble("add r0, r1\nadc r2, r3\n", "head");
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
-        // Illegal opcode mid-trace (EXIT_TRAP discriminates at run
-        // time on the flash word).
+        // Illegal opcode mid-trace (the STEP ending the trace raises
+        // it through execute(), which reads the flash word).
         Program ill = head;
         ill.words.push_back(illegal);
         expectBackendEquivalence(ill, mode);
@@ -1144,12 +1181,13 @@ TEST(Superblock, CallStitchingAndIndirectControlFlow)
  * 50 long enough to cross the 1,024-element trace cap, and a quarter
  * under small budgets that hand the run to the reference loop at a
  * block entry. SREG must match the reference at every stop, and the
- * translator must have elided flags and fused groups to test at all.
+ * translator must have elided flags, fused groups and ended traces in
+ * a STEP right after a flag writer to test at all.
  */
 TEST(Superblock, FlagLivenessSoup)
 {
     Rng rng(0xf1a95);
-    unsigned traps = 0, capped = 0, elided = 0, fused = 0;
+    unsigned traps = 0, capped = 0, elided = 0, fused = 0, stepped = 0;
     for (CpuMode mode : {CpuMode::CA, CpuMode::ISE}) {
         BothBackends t(mode);
         for (unsigned n = 0; n < 1500; n++) {
@@ -1169,7 +1207,7 @@ TEST(Superblock, FlagLivenessSoup)
             const TrapKind k = t.ref.trap().kind;
             traps += k == TrapKind::SramOutOfBounds ||
                      k == TrapKind::StackOverflow;
-            const TraceSet traces(t.sb, 0);
+            const TraceSet traces(t.sb, {0});
             for (const SbBlock *b : traces.blocks) {
                 capped += b->code.size() > SuperblockCache::kMaxInsts;
                 for (size_t i = 0; i + 1 < b->code.size(); i++) {
@@ -1177,6 +1215,8 @@ TEST(Superblock, FlagLivenessSoup)
                         flagsWritten(static_cast<Op>(b->code[i].op));
                     elided += w && b->code[i].flags != w;
                     fused += sbGroupSize(traces.kind(b->code[i])) > 1;
+                    stepped +=
+                        w && traces.kind(b->code[i + 1]) == SbOp::STEP;
                 }
             }
         }
@@ -1186,6 +1226,7 @@ TEST(Superblock, FlagLivenessSoup)
     EXPECT_GE(capped, 60u);
     EXPECT_GT(elided, 10000u);
     EXPECT_GT(fused, 4000u);
+    EXPECT_GT(stepped, 800u);
 }
 
 /*
@@ -1276,7 +1317,7 @@ TEST(Superblock, FusedGroupKeepsLiveZ)
                               Machine::defaultCycleBudget, 0x77, 1))
                 << src;
             unsigned fused = 0;
-            const TraceSet traces(t.sb, 0);
+            const TraceSet traces(t.sb, {0});
             for (const SbBlock *b : traces.blocks)
                 for (const SbInst &si : b->code)
                     fused += sbGroupSize(traces.kind(si)) > 1;
@@ -1314,7 +1355,7 @@ TEST(Superblock, FlagElisionInOpfMul)
     std::map<std::string, std::array<unsigned, 3>> masks;
     std::set<SbOp> selected;
     std::array<unsigned, 2> groups{}; // product-scanning steps, catches
-    const TraceSet traces(lib.machine(), entry);
+    const TraceSet traces(lib.machine(), {entry});
     for (const SbBlock *b : traces.blocks) {
         const std::vector<SbInst> &code = b->code;
         // The last element is the trace's exit, never a flag writer.
@@ -1380,4 +1421,117 @@ TEST(Superblock, FlagElisionInOpfMul)
                    "sub 3/0/0\n");
     EXPECT_EQ(groups[0], 438u) << "mul; add; adc; adc";
     EXPECT_EQ(groups[1], 168u) << "add; clr; rol";
+}
+
+/*
+ * ExecStats::referenceInstructions counts what run() retires through
+ * execute(): everything on the reference loop, and on the superblock
+ * only its STEP elements, here INC, LSL and a two-register EOR, each
+ * of which ends its trace. FieldRoutinesRunNatively requires it to
+ * stay 0.
+ */
+TEST(Superblock, StepCountsReferenceInstructions)
+{
+    const Program p = assemble("ldi r16, 1\ninc r16\nadd r16, r17\n"
+                               "lsl r17\neor r18, r19\nldi r20, 2\nret\n",
+                               "cold");
+    for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
+        BothBackends t(mode);
+        ASSERT_TRUE(t.run(p, Machine::defaultCycleBudget, 0x11, 2));
+        EXPECT_EQ(t.ref.stats().instructions, 14u);
+        EXPECT_EQ(t.ref.stats().referenceInstructions, 14u);
+        EXPECT_EQ(t.sb.stats().referenceInstructions, 6u);
+    }
+}
+
+/*
+ * The handler set is the generated field routines' census (DESIGN.md
+ * §11, "The handler set"). Seeded add, sub, mul and inv calls (and
+ * mulIse) of the paper's and the GLV OPF prime, the three
+ * bench_iss_throughput primes and secp160r1, in CA, FAST and ISE, run
+ * on the superblock without one instruction through execute(): no
+ * STEP and no budget handoff. The ISE calls apply both MAC algorithms
+ * and retire stall NOPs, so SWAP_MAC, LDD_Z_MAC, NOP_STALL and the
+ * MACCR OUTs carry them. The traces statically reachable from the CA
+ * and FAST routines dispatch every other kind but COM, whose
+ * full-flag handler only underlies COM_C and COM_0, so a handler that
+ * loses its traffic fails here.
+ */
+TEST(Superblock, FieldRoutinesRunNatively)
+{
+    const OpfPrime primes[] = {paperOpfPrime(), glvOpfPrime(),
+                               makeOpf(0xff4c, 144), makeOpf(0xff4c, 176),
+                               makeOpf(0xff4c, 240)};
+    std::set<SbOp> dispatched;
+    uint64_t alg1 = 0, alg2 = 0, stalls = 0;
+    for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
+        for (size_t l = 0; l <= std::size(primes); l++) {
+            const bool secp = l == std::size(primes);
+            OpfAvrLibrary lib = secp ? OpfAvrLibrary::secp160r1(mode)
+                                     : OpfAvrLibrary(primes[l], mode);
+            Machine &m = lib.machine();
+            m.setBackend(IssBackend::Superblock);
+            Rng rng(0xf1e1d + 8 * static_cast<unsigned>(l) +
+                    static_cast<unsigned>(mode));
+            auto operand = [&] {
+                if (!secp)
+                    return OpfField(primes[l]).fromBig(
+                        BigUInt::randomBits(rng, primes[l].k));
+                // Top bit clear keeps the value below p.
+                OpfField::Words w(5);
+                for (uint32_t &word : w)
+                    word = rng.next32();
+                w[4] &= 0x7fffffff;
+                return w;
+            };
+            for (unsigned n = 0; n < 20; n++) {
+                const OpfField::Words a = operand(), b = operand();
+                std::vector<OpfRun> runs = {lib.add(a, b), lib.sub(a, b),
+                                            lib.mul(a, b)};
+                if (secp && mode == CpuMode::ISE)
+                    runs.push_back(lib.mulIse(a, b));
+                if (n % 5 == 0)
+                    runs.push_back(lib.inv(a));
+                for (const OpfRun &r : runs)
+                    EXPECT_TRUE(r.trap.kind == TrapKind::None)
+                        << r.trap.describe();
+            }
+            const std::string what =
+                csprintf("%s library %zu", cpuModeName(mode), l);
+            EXPECT_GT(m.stats().instructions, 0u) << what;
+            EXPECT_EQ(m.stats().referenceInstructions, 0u) << what;
+            if (mode == CpuMode::ISE) {
+                alg1 += m.mac().alg1Macs();
+                alg2 += m.mac().alg2Macs();
+                stalls += m.stats().macStallNops;
+                continue;
+            }
+            std::vector<uint32_t> entries;
+            const SymbolTable symbols = lib.symbols();
+            for (const auto &[addr, name] : symbols.entries())
+                entries.push_back(addr);
+            const TraceSet traces(m, entries);
+            for (const SbBlock *b : traces.blocks)
+                for (size_t i = 0; i < b->code.size();
+                     i += sbGroupSize(traces.kind(b->code[i])))
+                    dispatched.insert(traces.kind(b->code[i]));
+        }
+    }
+    EXPECT_GT(alg1, 0u);
+    EXPECT_GT(alg2, 0u);
+    EXPECT_GT(stalls, 0u);
+    for (size_t k = 0; k < kNumSbOps; k++) {
+        const SbOp h = static_cast<SbOp>(k);
+        switch (h) {
+          case SbOp::OUT: case SbOp::EXIT_SHADOW: case SbOp::LDD_Z_MAC:
+          case SbOp::SWAP_MAC: case SbOp::NOP_STALL: case SbOp::COM:
+            break;
+          case SbOp::STEP:
+            EXPECT_FALSE(dispatched.count(h)) << "a field routine steps";
+            break;
+          default:
+            EXPECT_TRUE(dispatched.count(h)) << "kind " << k;
+            break;
+        }
+    }
 }
