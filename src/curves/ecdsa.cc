@@ -7,11 +7,28 @@
 namespace jaavr
 {
 
+namespace
+{
+
+/**
+ * The check that establishes n for every later validatePoint(c, P, &n):
+ * that one trusts n as a subgroup order and skips n * P when Hasse's
+ * bound makes the cofactor 1, so n * G = O is multiplied out here.
+ */
+bool
+generatesOrder(const WeierstrassCurve &c, const AffinePoint &g,
+               const BigUInt &n)
+{
+    return validatePoint(c, g) && c.mulBinary(n, g).inf;
+}
+
+} // anonymous namespace
+
 Ecdsa::Ecdsa(const WeierstrassCurve &curve, const AffinePoint &gen,
              const BigUInt &order)
     : c(curve), glv(nullptr), g(gen), n(order), fn(order)
 {
-    if (!validatePoint(c, g, &n))
+    if (!generatesOrder(c, g, n))
         fatal("Ecdsa: invalid generator (off curve or order mismatch)");
 }
 
@@ -19,7 +36,7 @@ Ecdsa::Ecdsa(const GlvCurve &curve)
     : c(curve), glv(&curve), g(curve.generator()), n(curve.order()),
       fn(curve.order())
 {
-    if (!validatePoint(c, g, &n))
+    if (!generatesOrder(c, g, n))
         fatal("Ecdsa: invalid GLV generator");
 }
 
@@ -43,12 +60,6 @@ Ecdsa::mulJacobian(const BigUInt &k, const AffinePoint &p) const
     if (glv)
         return glv->mulGlvJsfJacobian(k, p);
     return c.mulNafJacobian(k, p);
-}
-
-AffinePoint
-Ecdsa::mul(const BigUInt &k, const AffinePoint &p) const
-{
-    return c.toAffine(mulJacobian(k, p));
 }
 
 void
@@ -127,18 +138,25 @@ Ecdsa::verify(const std::string &message, const EcdsaSignature &sig,
     if (!validatePoint(c, q, &n))
         return false;
 
-    Fe r = fn.fromBig(sig.r);
     Fe w = fn.inv(fn.fromBig(sig.s));
     BigUInt u1 = fn.mul(fn.fromBig(hashToScalar(message)), w).toBig();
-    BigUInt u2 = fn.mul(r, w).toBig();
+    BigUInt u2 = fn.mul(fn.fromBig(sig.r), w).toBig();
 
-    // R = u1 * G + u2 * Q.
-    JacobianPoint acc = c.toJacobian(mulG(u1));
-    acc = c.addMixed(acc, mul(u2, q));
-    AffinePoint rp = c.toAffine(acc);
-    if (rp.inf)
+    // R = u1 * G + u2 * Q, left in Jacobian coordinates.
+    JacobianPoint rp = c.add(mulGJacobian(u1), mulJacobian(u2, q));
+    if (rp.isInfinity())
         return false;
-    return fn.fromBig(rp.x) == r;
+
+    // x(R) mod n == r without an inversion: x(R) = X / Z^2 lies in
+    // [0, p), so it must be some t = r + j * n below p, and each
+    // candidate is tested as t * Z^2 == X. Reducing r mod p instead
+    // would accept r in [p, n) (possible when n > p) for x(R) = r - p.
+    const PrimeField &f = c.field();
+    Fe zz = f.sqr(rp.z);
+    for (BigUInt t = sig.r; t < f.modulus(); t += n)
+        if (f.mul(f.fromBig(t), zz) == rp.x)
+            return true;
+    return false;
 }
 
 } // namespace jaavr

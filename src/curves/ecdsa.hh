@@ -43,14 +43,23 @@ class Ecdsa
 {
   public:
     /**
-     * @param curve curve with cofactor-1 generator of order n
+     * Establishes n for every later validatePoint(curve, P, &n) of
+     * this instance: checks that @p g is a valid curve point and
+     * multiplies n * g = O out with mulBinary (validatePoint itself
+     * trusts n and skips that product where the cofactor is 1).
+     * Fatal when either check fails.
+     *
+     * @param curve any short Weierstrass curve; its cofactor may
+     *              exceed 1 (the small pair's Weierstrass image has 4
+     *              or 8)
      * @param g     the generator
      * @param n     prime order of g
      */
     Ecdsa(const WeierstrassCurve &curve, const AffinePoint &g,
           const BigUInt &n);
 
-    /** Convenience constructor for GLV curves (uses their G and n). */
+    /** Convenience constructor for GLV curves (uses their G and n,
+     *  checked the same way). */
     explicit Ecdsa(const GlvCurve &curve);
 
     /** Fresh key pair from @p rng (not a CSPRNG: examples only). */
@@ -71,7 +80,13 @@ class Ecdsa
     signWithNonce(const std::string &message, const BigUInt &d,
                   const BigUInt &k) const;
 
-    /** Verify a signature on @p message. */
+    /**
+     * Verify a signature on @p message: r, s in [1, n), Q valid,
+     * R = u1 G + u2 Q summed in Jacobian coordinates (mulGJacobian +
+     * mulJacobian + add), and x(R) mod n == r tested in Jacobian form
+     * as t Z^2 == X for every t = r + j n below p: no inversion in the
+     * base field, and no n * Q product on cofactor-1 curves.
+     */
     bool verify(const std::string &message, const EcdsaSignature &sig,
                 const AffinePoint &q) const;
 
@@ -101,13 +116,10 @@ class Ecdsa
      * k * P in Jacobian coordinates: the one place that picks the
      * curve's variable-base method — GLV + JSF on a GLV curve (the
      * paper's "End, JSF", Table II), NAF otherwise. Batches convert
-     * many results with one toAffineBatch inversion; mul() converts
-     * one.
+     * many results with one toAffineBatch inversion; verify adds the
+     * result to u1 G without converting it.
      */
     JacobianPoint mulJacobian(const BigUInt &k, const AffinePoint &p) const;
-
-    /** k * P in affine coordinates (mulJacobian + toAffine). */
-    AffinePoint mul(const BigUInt &k, const AffinePoint &p) const;
 
     /** k * G in Jacobian coordinates: the comb table when one is
      *  attached, mulJacobian otherwise. */

@@ -10,6 +10,18 @@ validScalar(const BigUInt &k, const BigUInt &n)
 }
 
 bool
+hasseProvesCofactorOne(const BigUInt &p, const BigUInt &n)
+{
+    // 2n - p - 1 > 2 sqrt(p), squared on integers.
+    BigUInt twice = n + n;
+    BigUInt pp1 = p + BigUInt(1);
+    if (!(twice > pp1))
+        return false;
+    BigUInt gap = twice - pp1;
+    return gap * gap > (p << 2);
+}
+
+bool
 validatePoint(const WeierstrassCurve &c, const AffinePoint &p,
               const BigUInt *order)
 {
@@ -20,7 +32,8 @@ validatePoint(const WeierstrassCurve &c, const AffinePoint &p,
         return false;
     if (!c.onCurve(p))
         return false;
-    if (order && !c.mulBinary(*order, p).inf)
+    if (order && !hasseProvesCofactorOne(m, *order) &&
+        !c.mulBinary(*order, p).inf)
         return false;
     return true;
 }
@@ -53,7 +66,8 @@ validateX(const MontgomeryCurve &c, const BigUInt &x)
                                  BigUInt(1)));
     if (rhs.isZero())
         return false; // order <= 2
-    return f.isSquare(f.mul(rhs, f.inv(c.coeffB())));
+    // rhs/B is a square iff rhs*B is: 1/B = B * (1/B)^2.
+    return f.isSquare(f.mul(rhs, c.coeffB()));
 }
 
 namespace

@@ -37,10 +37,24 @@ namespace jaavr
 bool validScalar(const BigUInt &k, const BigUInt &n);
 
 /**
+ * True iff Hasse's bound proves that a curve over F_p with a point of
+ * order @p n has exactly n points: n divides #E <= p + 1 + 2 sqrt(p),
+ * so 2n > p + 1 + 2 sqrt(p) leaves no room for a cofactor above 1.
+ * Holds for secp160r1, secp160k1 and glv-opf (all have n > p); fails
+ * for the small pair's Weierstrass image (cofactor 4 or 8).
+ */
+bool hasseProvesCofactorOne(const BigUInt &p, const BigUInt &n);
+
+/**
  * Full public-point validation on a short Weierstrass curve: not the
  * point at infinity, both coordinates canonical (< p), and on the
  * curve. When @p order is given, additionally order * p == infinity
- * (prime-order subgroup membership).
+ * (prime-order subgroup membership). @p order must be the prime order
+ * of a subgroup of @p c, established by the caller (Ecdsa's and
+ * GlvCurve's constructors check n * G = O with mulBinary): when
+ * hasseProvesCofactorOne(p, order), every on-curve point already has
+ * that order and the multiplication is skipped (SEC 1 v2 §3.2.2.1
+ * asks for it only when the cofactor is not 1).
  */
 bool validatePoint(const WeierstrassCurve &c, const AffinePoint &p,
                    const BigUInt *order = nullptr);
@@ -56,7 +70,8 @@ bool validatePoint(const EdwardsCurve &c, const AffinePoint &p,
 /**
  * x-only validation for the Montgomery ladder: x < p and
  * x^3 + A x^2 + x = B y^2 is solvable with y != 0, i.e. rhs/B is a
- * nonzero square. A zero rhs (x = 0 or a 2-torsion x-coordinate)
+ * nonzero square, tested as rhs*B (the same quadratic character, with
+ * no inversion). A zero rhs (x = 0 or a 2-torsion x-coordinate)
  * is rejected: such points have order <= 2 and are useless and
  * dangerous as Diffie-Hellman inputs. Twist x-coordinates are
  * rejected too — the campaign's countermeasure is strict on-curve

@@ -2,12 +2,15 @@
  * @file
  * Unified scalar/point validation and the hardened multiplications:
  * canonical-range and on-curve rejection, subgroup membership via
- * the counted small-curve pair, agreement of the hardened paths with
+ * the counted small-curve pair, the Hasse cofactor rule that skips it
+ * on the service curves, agreement of the hardened paths with
  * the plain algorithms, and the Ecdsa integration (invalid private
  * scalars are fatal, invalid public keys unverifiable).
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "curves/ecdsa.hh"
 #include "curves/small_curves.hh"
@@ -69,6 +72,69 @@ TEST(Validate, SubgroupMembershipOnCofactorCurve)
     EXPECT_TRUE(rejected_full_order);
 }
 
+TEST(Validate, CofactorRuleSkipsOrderProduct)
+{
+    // Field ops of onCurve(q) and of validatePoint(c, q, &n).
+    auto counts = [](const WeierstrassCurve &c, const AffinePoint &q,
+                     const BigUInt &n) {
+        std::pair<FieldOpCounts, FieldOpCounts> ops;
+        c.field().attachCounter(&ops.first);
+        EXPECT_TRUE(c.onCurve(q));
+        c.field().attachCounter(&ops.second);
+        EXPECT_TRUE(validatePoint(c, q, &n));
+        c.field().attachCounter(nullptr);
+        return ops;
+    };
+
+    // On the three service curves Hasse's bound proves cofactor 1, so
+    // validatePoint(c, Q, &n) runs exactly onCurve's field ops.
+    struct Case
+    {
+        const WeierstrassCurve &c;
+        AffinePoint g;
+        BigUInt n;
+    };
+    const Case cases[] = {
+        {secp160r1Curve(), secp160r1Generator().g, secp160r1Generator().order},
+        {secp160k1Curve(), secp160k1Curve().generator(),
+         secp160k1Curve().order()},
+        {glvOpfCurve(), glvOpfCurve().generator(), glvOpfCurve().order()},
+    };
+    for (const Case &cs : cases) {
+        EXPECT_TRUE(hasseProvesCofactorOne(cs.c.field().modulus(), cs.n))
+            << cs.c.name();
+        auto [on_curve, validated] =
+            counts(cs.c, cs.c.mulNaf(BigUInt(0x1234567), cs.g), cs.n);
+        EXPECT_EQ(validated.mul, on_curve.mul) << cs.c.name();
+        EXPECT_EQ(validated.sqr, on_curve.sqr) << cs.c.name();
+        EXPECT_EQ(validated.add, on_curve.add) << cs.c.name();
+        EXPECT_EQ(validated.inv, 0u) << cs.c.name();
+    }
+
+    // The small pair's image (cofactor 4 or 8) keeps the product.
+    const SmallCurvePair &pair = smallCurvePair();
+    WeierstrassCurve w = pair.montgomery.toWeierstrass();
+    EXPECT_FALSE(hasseProvesCofactorOne(w.field().modulus(), pair.n));
+    auto [on_curve, validated] = counts(
+        w, pair.montgomery.mapToWeierstrass(pair.montBase), pair.n);
+    EXPECT_GT(validated.mul, on_curve.mul);
+}
+
+TEST(Validate, HasseCofactorRuleEdges)
+{
+    // p = 101: the bound is p + 1 + 2 sqrt(p) = 122.1, so 2n must be
+    // at least 123 (n >= 62); the squared test must not round.
+    BigUInt p(101);
+    EXPECT_FALSE(hasseProvesCofactorOne(p, BigUInt(50)));
+    EXPECT_FALSE(hasseProvesCofactorOne(p, BigUInt(61)));
+    EXPECT_TRUE(hasseProvesCofactorOne(p, BigUInt(62)));
+    EXPECT_TRUE(hasseProvesCofactorOne(p, BigUInt(103)));
+    // p = 121 (a square, for the arithmetic only): the bound is
+    // exactly 144, and 2n = 144 does not exceed it.
+    EXPECT_FALSE(hasseProvesCofactorOne(BigUInt(121), BigUInt(72)));
+    EXPECT_TRUE(hasseProvesCofactorOne(BigUInt(121), BigUInt(73)));
+}
+
 TEST(Validate, EdwardsPointChecks)
 {
     const SmallCurvePair &pair = smallCurvePair();
@@ -105,6 +171,41 @@ TEST(Validate, MontgomeryXChecks)
         if (!validateX(m, BigUInt(xi)))
             rejected_twist = true;
     EXPECT_TRUE(rejected_twist);
+}
+
+TEST(Validate, MontgomeryXMatchesInverseFormula)
+{
+    // validateX tests rhs * B for squareness; the old formula divided
+    // by B. Compare both on every x of the small pair and on seeded
+    // random x of the paper's OPF curve, curve and twist alike.
+    auto inverseFormula = [](const MontgomeryCurve &m, const BigUInt &x) {
+        const PrimeField &f = m.field();
+        if (!(x < f.modulus()))
+            return false;
+        BigUInt rhs = f.mul(x, f.add(f.add(f.sqr(x), f.mul(m.coeffA(), x)),
+                                     BigUInt(1)));
+        return !rhs.isZero() && f.isSquare(f.mul(rhs, f.inv(m.coeffB())));
+    };
+    const MontgomeryCurve &small = smallCurvePair().montgomery;
+    unsigned on_curve = 0;
+    for (uint64_t x = 0; x < small.field().modulus().limb(0) + 2u; x++) {
+        bool want = inverseFormula(small, BigUInt(x));
+        ASSERT_EQ(validateX(small, BigUInt(x)), want) << x;
+        on_curve += want;
+    }
+    EXPECT_GT(on_curve, 0u);
+
+    const MontgomeryCurve &opf = montgomeryOpfCurve();
+    Rng rng(31337);
+    unsigned curve_x = 0, twist_x = 0;
+    for (int i = 0; i < 200; i++) {
+        BigUInt x = opf.field().random(rng);
+        bool want = inverseFormula(opf, x);
+        ASSERT_EQ(validateX(opf, x), want) << x.toHex();
+        (want ? curve_x : twist_x)++;
+    }
+    EXPECT_GT(curve_x, 50u);
+    EXPECT_GT(twist_x, 50u);
 }
 
 TEST(Validate, SmallPairConstructionInvariants)
@@ -204,6 +305,18 @@ TEST(Validate, EcdsaSignRejectsOutOfRangeScalar)
     Rng rng(25);
     EXPECT_DEATH(dsa.sign("msg", BigUInt(0), rng), "out of range");
     EXPECT_DEATH(dsa.sign("msg", dsa.order(), rng), "out of range");
+}
+
+TEST(Validate, EcdsaConstructorChecksOrder)
+{
+    // validatePoint trusts n on cofactor-1 curves, so the constructor
+    // must multiply n * G out itself: a wrong n stays fatal.
+    const GlvCurve &k1 = secp160k1Curve();
+    EXPECT_DEATH(Ecdsa(k1, k1.generator(), k1.order() + BigUInt(2)),
+                 "order mismatch");
+    const CurveGenerator &r1 = secp160r1Generator();
+    EXPECT_DEATH(Ecdsa(secp160r1Curve(), r1.g, r1.order + BigUInt(2)),
+                 "order mismatch");
 }
 
 TEST(Validate, EcdsaVerifyRejectsNonCanonicalKey)
