@@ -37,66 +37,23 @@ pair16(const Machine &m, unsigned lo)
 
 /**
  * Reconstruct the data-space address touched by a retired load/store
- * from the post-retirement machine state. Returns false for
- * instructions without a reconstructable data-space access.
+ * from the post-retirement machine state and the form's access facts
+ * (its ISA row). Returns false for instructions without a data-space
+ * access.
  */
 bool
 busAddress(const Machine &m, const Inst &inst, uint16_t &addr)
 {
-    switch (inst.op) {
-      case Op::LDS:
-      case Op::STS:
-        addr = static_cast<uint16_t>(inst.k);
-        return true;
-      case Op::LDD_Y:
-      case Op::STD_Y:
-        addr = static_cast<uint16_t>(pair16(m, 28) + inst.disp);
-        return true;
-      case Op::LDD_Z:
-      case Op::STD_Z:
-        addr = static_cast<uint16_t>(pair16(m, 30) + inst.disp);
-        return true;
-      case Op::LD_X:
-      case Op::ST_X:
-        addr = pair16(m, 26);
-        return true;
-      // Post-increment: the pointer already moved past the access.
-      case Op::LD_X_INC:
-      case Op::ST_X_INC:
-        addr = static_cast<uint16_t>(pair16(m, 26) - 1);
-        return true;
-      case Op::LD_Y_INC:
-      case Op::ST_Y_INC:
-        addr = static_cast<uint16_t>(pair16(m, 28) - 1);
-        return true;
-      case Op::LD_Z_INC:
-      case Op::ST_Z_INC:
-        addr = static_cast<uint16_t>(pair16(m, 30) - 1);
-        return true;
-      // Pre-decrement: the pointer now equals the accessed address.
-      case Op::LD_X_DEC:
-      case Op::ST_X_DEC:
-        addr = pair16(m, 26);
-        return true;
-      case Op::LD_Y_DEC:
-      case Op::ST_Y_DEC:
-        addr = pair16(m, 28);
-        return true;
-      case Op::LD_Z_DEC:
-      case Op::ST_Z_DEC:
-        addr = pair16(m, 30);
-        return true;
-      // PUSH stored at SP+1 (SP post-decremented), POP loaded from
-      // the post-incremented SP.
-      case Op::PUSH:
-        addr = static_cast<uint16_t>(m.sp() + 1);
-        return true;
-      case Op::POP:
-        addr = m.sp();
-        return true;
-      default:
+    const IsaMem &a = isaForm(inst.op).mem;
+    if (a.kind == IsaMem::None)
         return false;
-    }
+    uint16_t ptr = a.ptr == IsaMem::ptrAbs ? static_cast<uint16_t>(inst.k)
+                 : a.ptr == IsaMem::ptrSP  ? m.sp()
+                                           : pair16(m, a.ptr);
+    // A post-update already moved the pointer past the access (PUSH
+    // stored at SP+1); a pre-update left it on the accessed byte.
+    addr = static_cast<uint16_t>(ptr + inst.disp - (a.pre ? 0 : a.step));
+    return true;
 }
 
 } // anonymous namespace

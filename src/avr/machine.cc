@@ -367,48 +367,6 @@ Machine::fetch(uint32_t word_addr) const
     return flash[word_addr & (flashWords - 1)];
 }
 
-bool
-Machine::touchesMacRegs(const Inst &inst) const
-{
-    auto in_set = [](unsigned r) { return r <= 8 || (r >= 16 && r <= 19); };
-
-    switch (inst.op) {
-      // MUL family writes R1:R0 and reads rd/rr.
-      case Op::MUL: case Op::MULS: case Op::MULSU:
-      case Op::FMUL: case Op::FMULS: case Op::FMULSU:
-        return true;
-      case Op::MOVW:
-        return in_set(inst.rd) || in_set(inst.rd + 1) ||
-               in_set(inst.rr) || in_set(inst.rr + 1);
-      case Op::ADIW: case Op::SBIW:
-        return in_set(inst.rd) || in_set(inst.rd + 1);
-      // Two-register ops.
-      case Op::ADD: case Op::ADC: case Op::SUB: case Op::SBC:
-      case Op::AND: case Op::OR: case Op::EOR: case Op::MOV:
-      case Op::CP: case Op::CPC: case Op::CPSE:
-        return in_set(inst.rd) || in_set(inst.rr);
-      // Single-register ops (loads/stores/immediates included).
-      case Op::SUBI: case Op::SBCI: case Op::ANDI: case Op::ORI:
-      case Op::CPI: case Op::LDI: case Op::COM: case Op::NEG:
-      case Op::SWAP: case Op::INC: case Op::DEC: case Op::ASR:
-      case Op::LSR: case Op::ROR: case Op::BLD: case Op::BST:
-      case Op::SBRC: case Op::SBRS: case Op::IN: case Op::OUT:
-      case Op::PUSH: case Op::POP: case Op::LDS: case Op::STS:
-      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
-      case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
-      case Op::LDD_Z: case Op::LD_Z_INC: case Op::LD_Z_DEC:
-      case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC:
-      case Op::STD_Y: case Op::ST_Y_INC: case Op::ST_Y_DEC:
-      case Op::STD_Z: case Op::ST_Z_INC: case Op::ST_Z_DEC:
-      case Op::LPM: case Op::LPM_INC:
-        return in_set(inst.rd);
-      case Op::LPM_R0:
-        return true;  // writes R0
-      default:
-        return false;
-    }
-}
-
 void
 Machine::triggerLoadMac(uint8_t value)
 {

@@ -178,6 +178,18 @@ isMacLoadForm(const Inst &inst)
 }
 
 /**
+ * True if @p inst reads or writes a register of Algorithm 2's hazard
+ * set {R0..R8, R16..R19}: by operand, or implicitly (the product of
+ * the MUL family in R1:R0, LPM's R0).
+ */
+inline bool
+touchesMacRegs(const Inst &inst)
+{
+    constexpr uint32_t macRegs = 0x000f01ff;
+    return (regsTouched(inst) & macRegs) != 0;
+}
+
+/**
  * The one execution-observer interface: profilers, the debugger, the
  * fault injector, the VCD and leakage writers and the flight recorder
  * all watch a Machine through it (DESIGN.md §6).
@@ -471,9 +483,6 @@ class Machine
     uint8_t pop8();
     void pushPc(uint32_t pc);
     uint32_t popPc();
-
-    /** True if @p inst reads or writes the MAC hazard register set. */
-    bool touchesMacRegs(const Inst &inst) const;
 
     /** Algorithm-2 trigger: apply the two shadow MACs for @p value. */
     void triggerLoadMac(uint8_t value);

@@ -14,107 +14,27 @@ cpuModeName(CpuMode mode)
     return "?";
 }
 
-unsigned
-baseCycles(Op op, CpuMode mode)
-{
-    bool fast = mode != CpuMode::CA;
-    switch (op) {
-      // Single-cycle ALU and register-move operations (all modes).
-      case Op::ADD: case Op::ADC: case Op::SUB: case Op::SBC:
-      case Op::AND: case Op::OR: case Op::EOR: case Op::MOV:
-      case Op::CP: case Op::CPC: case Op::SUBI: case Op::SBCI:
-      case Op::ANDI: case Op::ORI: case Op::CPI: case Op::LDI:
-      case Op::COM: case Op::NEG: case Op::SWAP: case Op::INC:
-      case Op::DEC: case Op::ASR: case Op::LSR: case Op::ROR:
-      case Op::BSET: case Op::BCLR: case Op::BLD: case Op::BST:
-      case Op::IN: case Op::OUT: case Op::MOVW: case Op::NOP:
-      case Op::SLEEP: case Op::WDR: case Op::BREAK:
-        return 1;
-
-      // The 8-bit multiplier: 2 cycles on the ATmega128, 1 in FAST.
-      case Op::MUL: case Op::MULS: case Op::MULSU:
-      case Op::FMUL: case Op::FMULS: case Op::FMULSU:
-        return fast ? 1 : 2;
-
-      // 16-bit immediate adds.
-      case Op::ADIW: case Op::SBIW:
-        return 2;
-
-      // Data memory: 2 cycles on the ATmega128, 1 in FAST (the
-      // optimization the paper quantifies with the 1.65x faster
-      // modular addition, Section V-A).
-      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
-      case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
-      case Op::LDD_Z: case Op::LD_Z_INC: case Op::LD_Z_DEC:
-      case Op::LDS:
-      case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC:
-      case Op::STD_Y: case Op::ST_Y_INC: case Op::ST_Y_DEC:
-      case Op::STD_Z: case Op::ST_Z_INC: case Op::ST_Z_DEC:
-      case Op::STS:
-      case Op::PUSH: case Op::POP:
-        return fast ? 1 : 2;
-
-      // Program memory loads.
-      case Op::LPM_R0: case Op::LPM: case Op::LPM_INC:
-        return 3;
-
-      // Bit set/clear in I/O space.
-      case Op::SBI: case Op::CBI:
-        return 2;
-
-      // Control flow.
-      case Op::RJMP: case Op::IJMP:
-        return 2;
-      case Op::JMP:
-        return 3;
-      case Op::RCALL: case Op::ICALL:
-        return 3;
-      case Op::CALL:
-        return 4;
-      case Op::RET: case Op::RETI:
-        return 4;
-
-      // Conditional branches / skips: base cost when not taken.
-      case Op::BRBS: case Op::BRBC:
-      case Op::CPSE: case Op::SBRC: case Op::SBRS:
-      case Op::SBIC: case Op::SBIS:
-        return 1;
-
-      case Op::INVALID:
-        return 1;
-    }
-    return 1;
-}
-
 namespace
 {
 
-std::array<uint8_t, kNumOps>
-makeCycleTable(CpuMode mode)
+constexpr std::array<uint8_t, kNumOps>
+cycleTable(bool fast)
 {
     std::array<uint8_t, kNumOps> table{};
     for (size_t i = 0; i < kNumOps; i++)
-        table[i] = static_cast<uint8_t>(
-            baseCycles(static_cast<Op>(i), mode));
+        table[i] = fast ? kIsaForms[i].fast : kIsaForms[i].ca;
     return table;
 }
+
+constexpr std::array<uint8_t, kNumOps> kCaCycles = cycleTable(false);
+constexpr std::array<uint8_t, kNumOps> kFastCycles = cycleTable(true);
 
 } // anonymous namespace
 
 const std::array<uint8_t, kNumOps> &
 baseCycleTable(CpuMode mode)
 {
-    static const std::array<uint8_t, kNumOps> ca = makeCycleTable(CpuMode::CA);
-    static const std::array<uint8_t, kNumOps> fast =
-        makeCycleTable(CpuMode::FAST);
-    static const std::array<uint8_t, kNumOps> ise =
-        makeCycleTable(CpuMode::ISE);
-    switch (mode) {
-      case CpuMode::CA: return ca;
-      case CpuMode::FAST: return fast;
-      case CpuMode::ISE: return ise;
-    }
-    return ca;
+    return mode == CpuMode::CA ? kCaCycles : kFastCycles;
 }
 
 unsigned

@@ -8,7 +8,9 @@
  *    multiplier complete in a single cycle.
  *
  * The ISE mode uses FAST timing; the MAC unit itself adds no cycles
- * (it retires in the shadow of the triggering instruction).
+ * (it retires in the shadow of the triggering instruction). The
+ * per-form counts are the CA and FAST columns of the ISA rows
+ * (avr/isa.hh).
  */
 
 #ifndef JAAVR_AVR_TIMING_HH
@@ -32,16 +34,20 @@ enum class CpuMode
 const char *cpuModeName(CpuMode mode);
 
 /**
- * Base cycle count of @p op in @p mode, excluding control-flow
- * penalties (branch taken / skip taken are added by the core).
+ * Base cycle count of @p op in @p mode (the CA or FAST column of its
+ * ISA row), excluding control-flow penalties (branch taken / skip
+ * taken are added by the core).
  */
-unsigned baseCycles(Op op, CpuMode mode);
+constexpr unsigned
+baseCycles(Op op, CpuMode mode)
+{
+    return mode == CpuMode::CA ? isaForm(op).ca : isaForm(op).fast;
+}
 
 /**
- * Flat per-op lookup table of baseCycles() for @p mode, indexed by
- * static_cast<size_t>(op). Built once per mode; this is what the
- * Machine's predecoder consults so the hot path never re-enters the
- * baseCycles() switch.
+ * Flat per-op table of baseCycles() for @p mode, indexed by
+ * static_cast<size_t>(op): what the Machine's predecoder and the
+ * superblock's statistics flush consult.
  */
 const std::array<uint8_t, kNumOps> &baseCycleTable(CpuMode mode);
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <optional>
+#include <span>
 #include <sstream>
 
+#include "avr/isa.hh"
 #include "support/logging.hh"
 
 namespace jaavr
@@ -212,6 +214,7 @@ struct Stmt
     int line;
     std::string mnemonic;               // lower-case
     std::vector<std::string> operands;  // raw text, trimmed
+    std::span<const IsaSpelling> spellings; // empty: directive or unknown
     uint32_t addr = 0;                  // word address (pass 1)
     unsigned words = 1;
 };
@@ -259,48 +262,192 @@ parseReg(const std::string &t)
     return v;
 }
 
-struct Encoder
+/** The operand tokens of a row's syntax ("d,Y+q" -> "d", "Y+q"; at
+ *  most two, which IsaForm checks). */
+struct SyntaxTokens
 {
-    const Ctx &c;
-    std::vector<uint16_t> out;
+    std::string_view tok[2];
+    size_t n = 0;
 
-    void emit(uint16_t w) { out.push_back(w); }
-
-    unsigned
-    reg(const std::string &t)
+    explicit SyntaxTokens(std::string_view syntax)
     {
-        auto r = parseReg(t);
-        if (!r)
-            err(c, "expected register, got '" + t + "'");
-        return *r;
+        size_t comma = syntax.find(',');
+        if (!syntax.empty())
+            tok[n++] = syntax.substr(0, comma);
+        if (comma != std::string_view::npos)
+            tok[n++] = syntax.substr(comma + 1);
     }
 
-    unsigned
-    regHigh(const std::string &t)
-    {
-        unsigned r = reg(t);
-        if (r < 16)
-            err(c, "register must be r16..r31, got '" + t + "'");
-        return r;
-    }
-
-    /** Two-register encoding 'oooo oord dddd rrrr'. */
-    void
-    rr(uint16_t opcode, unsigned d, unsigned r)
-    {
-        emit(opcode | ((r & 0x10) << 5) | (d << 4) | (r & 0x0f));
-    }
-
-    /** Immediate encoding 'oooo KKKK dddd KKKK' (d in 16..31). */
-    void
-    imm8(uint16_t opcode, unsigned d, int64_t k)
-    {
-        if (k < -128 || k > 255)
-            err(c, "immediate out of range");
-        uint16_t kk = static_cast<uint8_t>(k);
-        emit(opcode | ((kk & 0xf0) << 4) | ((d - 16) << 4) | (kk & 0x0f));
-    }
+    size_t size() const { return n; }
+    std::string_view operator[](size_t i) const { return tok[i]; }
 };
+
+/** Position of @p tok's field letter; npos for literal pointer text. */
+size_t
+fieldPos(std::string_view tok)
+{
+    return tok.find_first_not_of("XYZ+-");
+}
+
+bool
+ieq(std::string_view a, std::string_view b)
+{
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+               return std::tolower(static_cast<unsigned char>(x)) ==
+                      std::tolower(static_cast<unsigned char>(y));
+           });
+}
+
+/** Does operand text @p t fit token @p tok's literal pointer text? */
+bool
+fits(std::string_view tok, std::string_view t)
+{
+    size_t f = fieldPos(tok);
+    if (f == std::string_view::npos)
+        return ieq(tok, t);
+    return t.size() >= f && ieq(tok.substr(0, f), t.substr(0, f));
+}
+
+/** Register class of a register field, for diagnostics. */
+std::string
+regClass(unsigned base, unsigned shift, unsigned width)
+{
+    unsigned last = base + (((1u << width) - 1) << shift);
+    if (!shift)
+        return csprintf("r%u..r%u", base, last);
+    if (base == 0)
+        return "even registers";
+    std::string s;
+    for (unsigned r = base; r <= last; r += 2)
+        s += csprintf("%sr%u", s.empty() ? "" : "/", r);
+    return s;
+}
+
+/** The spelling of @p st its operands fit. */
+const IsaSpelling &
+pickSpelling(const Stmt &st, const Ctx &ctx)
+{
+    const auto &ops = st.operands;
+    const IsaSpelling *counted = nullptr;
+    if (ops.empty() || !ops.back().empty()) {
+        for (const IsaSpelling &s : st.spellings) {
+            SyntaxTokens toks(s.syntax);
+            if (toks.size() != ops.size())
+                continue;
+            counted = counted ? counted : &s;
+            size_t i = 0;
+            while (i < toks.size() && fits(toks[i], ops[i]))
+                i++;
+            if (i == toks.size())
+                return s;
+        }
+    }
+    if (!counted)
+        err(ctx, "wrong operand count for '" + st.mnemonic + "'");
+    // Right count, but a pointer operand fits none of the spellings.
+    SyntaxTokens toks(counted->syntax);
+    size_t p = 0;
+    while (p + 1 < toks.size() && fieldPos(toks[p]) == 0)
+        p++;
+    std::string alts;
+    for (const IsaSpelling &s : st.spellings) {
+        SyntaxTokens t(s.syntax);
+        if (t.size() == ops.size())
+            alts += (alts.empty() ? "" : " or ") + std::string(t[p]);
+    }
+    err(ctx, "bad pointer operand '" + ops[p] + "': " + st.mnemonic +
+                 " needs " + alts);
+}
+
+/** Parse @p st's operands into the instruction its spelling names. */
+Inst
+parseOperands(const Stmt &st, const IsaSpelling &sp,
+              const std::map<std::string, int64_t> &symbols, const Ctx &ctx)
+{
+    const IsaForm &f = isaForm(sp.op);
+    Inst inst;
+    inst.op = sp.op;
+    SyntaxTokens toks(sp.syntax);
+    for (size_t i = 0; i < toks.size(); i++) {
+        size_t fp = fieldPos(toks[i]);
+        if (fp == std::string_view::npos)
+            continue;
+        const char letter = toks[i][fp];
+        const IsaSlot slot = isaSlot(letter);
+        const unsigned width = f.field[slot].width;
+        const std::string text = st.operands[i].substr(fp);
+        auto expr = [&] { return ExprEval(text, symbols, ctx).eval(); };
+        auto ranged = [&](const char *what, int64_t lo, int64_t hi) {
+            int64_t v = expr();
+            if (v < lo || v > hi)
+                err(ctx, csprintf("%s out of range (%lld..%lld)", what,
+                                  static_cast<long long>(lo),
+                                  static_cast<long long>(hi)));
+            return v;
+        };
+        const int64_t top = (int64_t(1) << width) - 1;
+        switch (letter) {
+          case 'd': case 'D': case 'r': case 'R': {
+            auto r = parseReg(text);
+            if (!r)
+                err(ctx, "expected register, got '" + text + "'");
+            const unsigned base = f.regBase[slot], shift = f.regShift[slot];
+            if (*r < base || (*r - base) % (1u << shift) ||
+                ((*r - base) >> shift) > unsigned(top))
+                err(ctx, st.mnemonic + " requires " +
+                             regClass(base, shift, width) + ", got '" +
+                             text + "'");
+            (slot == slotRd ? inst.rd : inst.rr) = static_cast<uint8_t>(*r);
+            break;
+          }
+          // A byte immediate may also be written as a negative number.
+          case 'K':
+            inst.imm = static_cast<uint8_t>(
+                ranged("immediate", width == 8 ? -128 : 0, top));
+            break;
+          case 'A':
+            inst.imm = static_cast<uint8_t>(ranged("I/O address", 0, top));
+            break;
+          case 'b':
+            inst.bit = static_cast<uint8_t>(ranged("bit", 0, top));
+            break;
+          case 'q':
+            inst.disp = static_cast<int16_t>(ranged("displacement", 0, top));
+            break;
+          case 'k':
+            inst.k = static_cast<uint32_t>(ranged("address", 0, top));
+            break;
+          case 'o': {
+            // A label, or avr-objdump's ".+N"/".-N": N bytes from the
+            // next instruction.
+            int64_t off;
+            if (!text.empty() && text[0] == '.') {
+                std::string n = trim(text.substr(1));
+                int64_t bytes = ExprEval(n[0] == '+' ? n.substr(1) : n,
+                                         symbols, ctx).eval();
+                if (bytes % 2)
+                    err(ctx, "branch offset must be even");
+                off = bytes / 2;
+            } else {
+                off = expr() - (static_cast<int64_t>(st.addr) + 1);
+            }
+            int64_t lim = int64_t(1) << (width - 1);
+            if (off < -lim || off >= lim)
+                err(ctx, "branch target out of range");
+            inst.disp = static_cast<int16_t>(off);
+            break;
+          }
+        }
+    }
+    switch (sp.fixed) {
+      case 'r': inst.rr = inst.rd; break;
+      case 'K': inst.imm = sp.value; break;
+      case 'b': inst.bit = sp.value; break;
+      case 'q': inst.disp = sp.value; break;
+    }
+    return inst;
+}
 
 } // anonymous namespace
 
@@ -311,7 +458,6 @@ assemble(const std::string &source, const std::string &unit)
     std::vector<Stmt> stmts;
     std::map<std::string, int64_t> symbols;
     std::map<std::string, uint32_t> labels;
-    std::vector<std::pair<std::string, int>> pending_labels;
 
     Ctx ctx{&unit, 0};
 
@@ -333,10 +479,6 @@ assemble(const std::string &source, const std::string &unit)
         if (ds != std::string::npos)
             l = l.substr(0, ds);
         return trim(l);
-    };
-
-    auto is_two_word_mnem = [](const std::string &m) {
-        return m == "lds" || m == "sts" || m == "jmp" || m == "call";
     };
 
     for (const std::string &raw_line : lines) {
@@ -388,13 +530,14 @@ assemble(const std::string &source, const std::string &unit)
         st.line = lineno;
         st.mnemonic = mnem;
         st.operands = splitOperands(rest);
+        st.spellings = isaSpellings(mnem);
         st.addr = addr;
         if (mnem == ".dw")
             st.words = st.operands.size();
-        else
-            st.words = is_two_word_mnem(mnem) ? 2 : 1;
+        else if (!st.spellings.empty())
+            st.words = isaForm(st.spellings.front().op).words;
         addr += st.words;
-        stmts.push_back(st);
+        stmts.push_back(std::move(st));
     }
 
     // Labels become symbols (word addresses).
@@ -409,303 +552,22 @@ assemble(const std::string &source, const std::string &unit)
 
     for (const Stmt &st : stmts) {
         ctx.line = st.line;
-        Encoder e{ctx, {}};
-        const auto &ops = st.operands;
-        const std::string &m = st.mnemonic;
-
-        auto nops = [&](size_t n) {
-            if (ops.size() != n ||
-                (n > 0 && ops.back().empty()))
-                err(ctx, "wrong operand count for '" + m + "'");
-        };
-        auto expr = [&](const std::string &t) {
-            return ExprEval(t, symbols, ctx).eval();
-        };
-        auto branch_off = [&](const std::string &t, int range_bits) {
-            int64_t target = expr(t);
-            int64_t off = target - (static_cast<int64_t>(st.addr) + 1);
-            int64_t lim = 1 << (range_bits - 1);
-            if (off < -lim || off >= lim)
-                err(ctx, "branch target out of range");
-            return static_cast<uint16_t>(off & ((1 << range_bits) - 1));
-        };
-
-        // Register-register group.
-        static const std::map<std::string, uint16_t> rr_ops = {
-            {"add", 0x0c00}, {"adc", 0x1c00}, {"sub", 0x1800},
-            {"sbc", 0x0800}, {"and", 0x2000}, {"or", 0x2800},
-            {"eor", 0x2400}, {"mov", 0x2c00}, {"cp", 0x1400},
-            {"cpc", 0x0400}, {"cpse", 0x1000}, {"mul", 0x9c00},
-        };
-        static const std::map<std::string, uint16_t> imm_ops = {
-            {"subi", 0x5000}, {"sbci", 0x4000}, {"andi", 0x7000},
-            {"ori", 0x6000}, {"cpi", 0x3000}, {"ldi", 0xe000},
-        };
-        static const std::map<std::string, uint16_t> one_ops = {
-            {"com", 0x9400}, {"neg", 0x9401}, {"swap", 0x9402},
-            {"inc", 0x9403}, {"asr", 0x9405}, {"lsr", 0x9406},
-            {"ror", 0x9407}, {"dec", 0x940a},
-        };
-        // SREG set/clear aliases: se?/cl? with bit index.
-        static const std::map<std::string, int> sreg_bits = {
-            {"c", 0}, {"z", 1}, {"n", 2}, {"v", 3},
-            {"s", 4}, {"h", 5}, {"t", 6}, {"i", 7},
-        };
-        static const std::map<std::string, int> branch_alias = {
-            // BRBS aliases (flag set).
-            {"brcs", 0x00}, {"brlo", 0x00}, {"breq", 0x01},
-            {"brmi", 0x02}, {"brvs", 0x03}, {"brlt", 0x04},
-            {"brhs", 0x05}, {"brts", 0x06}, {"brie", 0x07},
-            // BRBC aliases (flag clear) -- offset by 0x10.
-            {"brcc", 0x10}, {"brsh", 0x10}, {"brne", 0x11},
-            {"brpl", 0x12}, {"brvc", 0x13}, {"brge", 0x14},
-            {"brhc", 0x15}, {"brtc", 0x16}, {"brid", 0x17},
-        };
-
-        if (m == ".dw") {
-            for (const std::string &t : ops) {
-                int64_t v = expr(t);
+        if (st.mnemonic == ".dw") {
+            for (size_t i = 0; i < st.operands.size(); i++) {
+                int64_t v = ExprEval(st.operands[i], symbols, ctx).eval();
                 if (v < 0 || v > 0xffff)
                     err(ctx, ".dw value out of range");
-                e.emit(static_cast<uint16_t>(v));
+                image[st.addr + i] = static_cast<uint16_t>(v);
             }
-        } else if (auto it = rr_ops.find(m); it != rr_ops.end()) {
-            nops(2);
-            e.rr(it->second, e.reg(ops[0]), e.reg(ops[1]));
-        } else if (m == "lsl" || m == "rol" || m == "tst" || m == "clr") {
-            nops(1);
-            unsigned d = e.reg(ops[0]);
-            uint16_t base = m == "lsl" ? 0x0c00
-                          : m == "rol" ? 0x1c00
-                          : m == "tst" ? 0x2000 : 0x2400;
-            e.rr(base, d, d);
-        } else if (m == "ser") {
-            nops(1);
-            e.imm8(0xe000, e.regHigh(ops[0]), 0xff);
-        } else if (auto it = imm_ops.find(m); it != imm_ops.end()) {
-            nops(2);
-            e.imm8(it->second, e.regHigh(ops[0]), expr(ops[1]));
-        } else if (auto it = one_ops.find(m); it != one_ops.end()) {
-            nops(1);
-            e.emit(it->second | (e.reg(ops[0]) << 4));
-        } else if (m == "movw") {
-            nops(2);
-            unsigned d = e.reg(ops[0]), r = e.reg(ops[1]);
-            if (d % 2 || r % 2)
-                err(ctx, "movw requires even registers");
-            e.emit(0x0100 | ((d / 2) << 4) | (r / 2));
-        } else if (m == "muls") {
-            nops(2);
-            unsigned d = e.regHigh(ops[0]), r = e.regHigh(ops[1]);
-            e.emit(0x0200 | ((d - 16) << 4) | (r - 16));
-        } else if (m == "mulsu" || m == "fmul" || m == "fmuls" ||
-                   m == "fmulsu") {
-            nops(2);
-            unsigned d = e.reg(ops[0]), r = e.reg(ops[1]);
-            if (d < 16 || d > 23 || r < 16 || r > 23)
-                err(ctx, m + " requires r16..r23");
-            uint16_t sel = m == "mulsu" ? 0x0000
-                         : m == "fmul" ? 0x0008
-                         : m == "fmuls" ? 0x0080 : 0x0088;
-            e.emit(0x0300 | sel | ((d - 16) << 4) | (r - 16));
-        } else if (m == "adiw" || m == "sbiw") {
-            nops(2);
-            unsigned d = e.reg(ops[0]);
-            if (d != 24 && d != 26 && d != 28 && d != 30)
-                err(ctx, m + " requires r24/r26/r28/r30");
-            int64_t k = expr(ops[1]);
-            if (k < 0 || k > 63)
-                err(ctx, m + " immediate must be 0..63");
-            uint16_t base = m == "adiw" ? 0x9600 : 0x9700;
-            e.emit(base | ((static_cast<uint16_t>(k) & 0x30) << 2) |
-                   (((d - 24) / 2) << 4) | (k & 0x0f));
-        } else if (m == "bset" || m == "bclr") {
-            nops(1);
-            int64_t b = expr(ops[0]);
-            if (b < 0 || b > 7)
-                err(ctx, "bit out of range");
-            e.emit((m == "bset" ? 0x9408 : 0x9488) | (b << 4));
-        } else if (m.size() == 3 && (m[0] == 's' || m[0] == 'c') &&
-                   m[1] == 'e' + (m[0] == 'c' ? 'l' - 'e' : 0) &&
-                   sreg_bits.count(m.substr(2))) {
-            // se?/cl? one-letter flag aliases (sec, clz, set, cli...).
-            nops(0);
-            int b = sreg_bits.at(m.substr(2));
-            e.emit((m[0] == 's' ? 0x9408 : 0x9488) | (b << 4));
-        } else if (m == "bld" || m == "bst" || m == "sbrc" || m == "sbrs") {
-            nops(2);
-            unsigned d = e.reg(ops[0]);
-            int64_t b = expr(ops[1]);
-            if (b < 0 || b > 7)
-                err(ctx, "bit out of range");
-            uint16_t base = m == "bld" ? 0xf800
-                          : m == "bst" ? 0xfa00
-                          : m == "sbrc" ? 0xfc00 : 0xfe00;
-            e.emit(base | (d << 4) | b);
-        } else if (m == "sbi" || m == "cbi" || m == "sbic" || m == "sbis") {
-            nops(2);
-            int64_t a = expr(ops[0]);
-            int64_t b = expr(ops[1]);
-            if (a < 0 || a > 31 || b < 0 || b > 7)
-                err(ctx, "sbi/cbi operand out of range");
-            uint16_t base = m == "cbi" ? 0x9800
-                          : m == "sbic" ? 0x9900
-                          : m == "sbi" ? 0x9a00 : 0x9b00;
-            e.emit(base | (a << 3) | b);
-        } else if (m == "in" || m == "out") {
-            nops(2);
-            unsigned d;
-            int64_t a;
-            if (m == "in") {
-                d = e.reg(ops[0]);
-                a = expr(ops[1]);
-            } else {
-                a = expr(ops[0]);
-                d = e.reg(ops[1]);
-            }
-            if (a < 0 || a > 63)
-                err(ctx, "I/O address out of range");
-            uint16_t base = m == "in" ? 0xb000 : 0xb800;
-            e.emit(base | ((a & 0x30) << 5) | (d << 4) | (a & 0x0f));
-        } else if (m == "ld" || m == "st") {
-            nops(2);
-            bool store = m == "st";
-            const std::string &rt = store ? ops[1] : ops[0];
-            std::string pt = lower(store ? ops[0] : ops[1]);
-            unsigned d = e.reg(rt);
-            uint16_t w;
-            if (pt == "x")
-                w = 0x900c;
-            else if (pt == "x+")
-                w = 0x900d;
-            else if (pt == "-x")
-                w = 0x900e;
-            else if (pt == "y")
-                w = 0x8008;  // ldd Y+0
-            else if (pt == "y+")
-                w = 0x9009;
-            else if (pt == "-y")
-                w = 0x900a;
-            else if (pt == "z")
-                w = 0x8000;  // ldd Z+0
-            else if (pt == "z+")
-                w = 0x9001;
-            else if (pt == "-z")
-                w = 0x9002;
-            else
-                err(ctx, "bad pointer operand '" + pt + "'");
-            if (store)
-                w |= 0x0200;
-            e.emit(w | (d << 4));
-        } else if (m == "ldd" || m == "std") {
-            nops(2);
-            bool store = m == "std";
-            const std::string &rt = store ? ops[1] : ops[0];
-            std::string pt = lower(trim(store ? ops[0] : ops[1]));
-            unsigned d = e.reg(rt);
-            if (pt.size() < 3 || (pt[0] != 'y' && pt[0] != 'z') ||
-                pt[1] != '+')
-                err(ctx, "ldd/std needs Y+q or Z+q");
-            Ctx c2 = ctx;
-            int64_t q = ExprEval(pt.substr(2), symbols, c2).eval();
-            if (q < 0 || q > 63)
-                err(ctx, "displacement must be 0..63");
-            uint16_t w = 0x8000 | (store ? 0x0200 : 0) |
-                         (pt[0] == 'y' ? 0x0008 : 0);
-            w |= ((q & 0x20) << 8) | ((q & 0x18) << 7) | (q & 0x07);
-            e.emit(w | (d << 4));
-        } else if (m == "lds" || m == "sts") {
-            nops(2);
-            unsigned d;
-            int64_t k;
-            if (m == "lds") {
-                d = e.reg(ops[0]);
-                k = expr(ops[1]);
-            } else {
-                k = expr(ops[0]);
-                d = e.reg(ops[1]);
-            }
-            if (k < 0 || k > 0xffff)
-                err(ctx, "lds/sts address out of range");
-            e.emit((m == "lds" ? 0x9000 : 0x9200) | (d << 4));
-            e.emit(static_cast<uint16_t>(k));
-        } else if (m == "push" || m == "pop") {
-            nops(1);
-            unsigned d = e.reg(ops[0]);
-            e.emit((m == "push" ? 0x920f : 0x900f) | (d << 4));
-        } else if (m == "lpm") {
-            if (ops.empty()) {
-                e.emit(0x95c8);
-            } else {
-                nops(2);
-                unsigned d = e.reg(ops[0]);
-                std::string pt = lower(ops[1]);
-                if (pt == "z")
-                    e.emit(0x9004 | (d << 4));
-                else if (pt == "z+")
-                    e.emit(0x9005 | (d << 4));
-                else
-                    err(ctx, "lpm needs Z or Z+");
-            }
-        } else if (m == "rjmp" || m == "rcall") {
-            nops(1);
-            uint16_t off = branch_off(ops[0], 12);
-            e.emit((m == "rjmp" ? 0xc000 : 0xd000) | off);
-        } else if (m == "jmp" || m == "call") {
-            nops(1);
-            int64_t k = expr(ops[0]);
-            if (k < 0 || k > 0x3fffff)
-                err(ctx, "jmp/call target out of range");
-            uint16_t hi = (m == "jmp" ? 0x940c : 0x940e) |
-                          (((k >> 17) & 0x1f) << 4) | ((k >> 16) & 1);
-            e.emit(hi);
-            e.emit(static_cast<uint16_t>(k));
-        } else if (m == "ret") {
-            nops(0);
-            e.emit(0x9508);
-        } else if (m == "reti") {
-            nops(0);
-            e.emit(0x9518);
-        } else if (m == "ijmp") {
-            nops(0);
-            e.emit(0x9409);
-        } else if (m == "icall") {
-            nops(0);
-            e.emit(0x9509);
-        } else if (m == "brbs" || m == "brbc") {
-            nops(2);
-            int64_t b = expr(ops[0]);
-            if (b < 0 || b > 7)
-                err(ctx, "bit out of range");
-            uint16_t off = branch_off(ops[1], 7);
-            e.emit((m == "brbs" ? 0xf000 : 0xf400) | (off << 3) | b);
-        } else if (auto it = branch_alias.find(m);
-                   it != branch_alias.end()) {
-            nops(1);
-            int sel = it->second;
-            uint16_t off = branch_off(ops[0], 7);
-            e.emit((sel & 0x10 ? 0xf400 : 0xf000) | (off << 3) |
-                   (sel & 0x07));
-        } else if (m == "nop") {
-            nops(0);
-            e.emit(0x0000);
-        } else if (m == "sleep") {
-            nops(0);
-            e.emit(0x9588);
-        } else if (m == "wdr") {
-            nops(0);
-            e.emit(0x95a8);
-        } else if (m == "break") {
-            nops(0);
-            e.emit(0x9598);
-        } else {
-            err(ctx, "unknown mnemonic '" + m + "'");
+            continue;
         }
-
-        if (e.out.size() != st.words)
-            err(ctx, "internal: size mismatch for '" + m + "'");
-        for (size_t i = 0; i < e.out.size(); i++)
-            image[st.addr + i] = e.out[i];
+        if (st.spellings.empty())
+            err(ctx, "unknown mnemonic '" + st.mnemonic + "'");
+        const uint32_t v =
+            encode(parseOperands(st, pickSpelling(st, ctx), symbols, ctx));
+        image[st.addr] = static_cast<uint16_t>(v >> 16);
+        if (st.words == 2)
+            image[st.addr + 1] = static_cast<uint16_t>(v);
     }
 
     Program prog;

@@ -271,31 +271,34 @@ Walker::step(const StateKey &key)
         return uint32_t(next + fetch(next).words);
     };
 
-    // Effective address of the LD/LDD/ST/STD families: pointer pair
-    // base register, optional displacement, optional post-inc /
-    // pre-dec pointer update.
-    auto pointerBase = [&](Op op) -> unsigned {
-        switch (op) {
-          case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
-          case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC:
-            return 26;
-          case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
-          case Op::STD_Y: case Op::ST_Y_INC: case Op::ST_Y_DEC:
-            return 28;
-          default:
-            return 30;
+    // LD/LDD/ST/STD through X, Y or Z: the pointer pair, displacement
+    // and pre-decrement/post-increment come from the form's ISA row.
+    if (const IsaMem &mem = isaForm(inst.op).mem; mem.pointer()) {
+        uint16_t ptr = 0;
+        bool k = pairKnown(st, mem.ptr, ptr);
+        bool at = pairTaint(st, mem.ptr);
+        if (at)
+            finding(pc, CtFindingClass::TaintedAddress, inst);
+        if (mem.pre) {
+            ptr = uint16_t(ptr + mem.step);
+            setPair(st, mem.ptr, k, ptr, at);
         }
-    };
-    auto isInc = [](Op op) {
-        return op == Op::LD_X_INC || op == Op::LD_Y_INC ||
-               op == Op::LD_Z_INC || op == Op::ST_X_INC ||
-               op == Op::ST_Y_INC || op == Op::ST_Z_INC;
-    };
-    auto isDec = [](Op op) {
-        return op == Op::LD_X_DEC || op == Op::LD_Y_DEC ||
-               op == Op::LD_Z_DEC || op == Op::ST_X_DEC ||
-               op == Op::ST_Y_DEC || op == Op::ST_Z_DEC;
-    };
+        const bool load = mem.kind == IsaMem::Load;
+        uint16_t addr = uint16_t(ptr + inst.disp);
+        bool t = false;
+        if (load) {
+            t = memLoad(st, pc, inst, k, addr, at);
+            st.regs[inst.rd] = RegVal{t, false, 0};
+        } else {
+            memStore(pc, inst, k, addr, at, st.regs[inst.rd].taint);
+        }
+        if (!mem.pre && mem.step)
+            setPair(st, mem.ptr, k, uint16_t(ptr + mem.step), at);
+        if (load && loadArmed(st) && inst.rd == 24)
+            macTrigger(st, t);
+        enqueue(next, cs, st);
+        return;
+    }
 
     switch (inst.op) {
       // --- moves and immediates ------------------------------------
@@ -509,59 +512,12 @@ Walker::step(const StateKey &key)
             macTrigger(st, t);
         break;
       }
-      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
-      case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
-      case Op::LDD_Z: case Op::LD_Z_INC: case Op::LD_Z_DEC: {
-        unsigned base = pointerBase(inst.op);
-        uint16_t ptr = 0;
-        bool k = pairKnown(st, base, ptr);
-        bool at = pairTaint(st, base);
-        if (at)
-            finding(pc, CtFindingClass::TaintedAddress, inst);
-        if (isDec(inst.op)) {
-            ptr = uint16_t(ptr - 1);
-            setPair(st, base, k, ptr, at);
-        }
-        uint16_t addr = uint16_t(ptr + (inst.op == Op::LDD_Y ||
-                                                inst.op == Op::LDD_Z
-                                            ? inst.disp
-                                            : 0));
-        bool t = memLoad(st, pc, inst, k, addr, at);
-        st.regs[inst.rd] = RegVal{t, false, 0};
-        if (isInc(inst.op))
-            setPair(st, base, k, uint16_t(ptr + 1), at);
-        if (loadArmed(st) && inst.rd == 24)
-            macTrigger(st, t);
-        break;
-      }
 
       // --- stores --------------------------------------------------
       case Op::STS:
         memStore(pc, inst, true, uint16_t(inst.k), false,
                  st.regs[inst.rd].taint);
         break;
-      case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC:
-      case Op::STD_Y: case Op::ST_Y_INC: case Op::ST_Y_DEC:
-      case Op::STD_Z: case Op::ST_Z_INC: case Op::ST_Z_DEC: {
-        unsigned base = pointerBase(inst.op);
-        uint16_t ptr = 0;
-        bool k = pairKnown(st, base, ptr);
-        bool at = pairTaint(st, base);
-        if (at)
-            finding(pc, CtFindingClass::TaintedAddress, inst);
-        if (isDec(inst.op)) {
-            ptr = uint16_t(ptr - 1);
-            setPair(st, base, k, ptr, at);
-        }
-        uint16_t addr = uint16_t(ptr + (inst.op == Op::STD_Y ||
-                                                inst.op == Op::STD_Z
-                                            ? inst.disp
-                                            : 0));
-        memStore(pc, inst, k, addr, at, st.regs[inst.rd].taint);
-        if (isInc(inst.op))
-            setPair(st, base, k, uint16_t(ptr + 1), at);
-        break;
-      }
 
       case Op::PUSH:
         st.stack.push_back(st.regs[inst.rd]);

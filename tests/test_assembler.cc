@@ -1,8 +1,12 @@
 /**
  * @file
- * Tests for the two-pass assembler: encodings round-trip through the
- * independent decoder, labels and directives resolve, and operand
- * violations are diagnosed.
+ * Tests for the two-pass assembler: what it assembles decodes to the
+ * intended operands, every canonical word survives disassembly and
+ * re-assembly, labels and directives resolve, and operand violations
+ * are diagnosed. The assembler and the decoder read the same ISA
+ * table (avr/isa.hh), so these tests cannot catch a wrong row;
+ * test_isa_table.cc pins the exact words from the instruction-set
+ * manual.
  */
 
 #include <gtest/gtest.h>
@@ -255,31 +259,91 @@ TEST(Assembler, DiagnosesErrors)
     EXPECT_DEATH(assemble("rjmp nowhere", "e"), "undefined symbol");
     EXPECT_DEATH(assemble("movw r1, r2", "e"), "even");
     EXPECT_DEATH(assemble("x: nop\nx: nop", "e"), "duplicate label");
+
+    // One bad operand per operand kind.
+    EXPECT_DEATH(assemble("mulsu r15, r16", "e"), "r16..r23");
+    EXPECT_DEATH(assemble("fmul r24, r16", "e"), "r16..r23");
+    EXPECT_DEATH(assemble("sbi 32, 0", "e"), "out of range");
+    EXPECT_DEATH(assemble("in r0, 64", "e"), "I/O address out of range");
+    EXPECT_DEATH(assemble("out 64, r0", "e"), "I/O address out of range");
+    EXPECT_DEATH(assemble("bset 8", "e"), "bit out of range");
+    EXPECT_DEATH(assemble("adiw r24, 64", "e"), "0..63");
+    EXPECT_DEATH(assemble("sbiw r23, 1", "e"), "r24/r26/r28/r30");
+    EXPECT_DEATH(assemble("lds r0, 0x10000", "e"), "address out of range");
+    EXPECT_DEATH(assemble("jmp 0x400000", "e"), "out of range");
+    EXPECT_DEATH(assemble("ld r0, W", "e"), "bad pointer operand");
+    EXPECT_DEATH(assemble("st W, r0", "e"), "bad pointer operand");
+    EXPECT_DEATH(assemble("lpm r0, Y", "e"), "lpm needs Z or Z\\+");
+    EXPECT_DEATH(assemble("std Y+64, r0", "e"), "displacement");
+    EXPECT_DEATH(assemble("ldi r16, 256", "e"), "immediate out of range");
+    EXPECT_DEATH(assemble("bld r0, 8", "e"), "bit out of range");
+    EXPECT_DEATH(assemble("push r32", "e"), "expected register");
+    EXPECT_DEATH(assemble("add r1", "e"), "wrong operand count");
+    EXPECT_DEATH(assemble("nop r1", "e"), "wrong operand count");
+    EXPECT_DEATH(assemble("x: brne y\n.org 0x41\ny:", "e"),
+                 "branch target out of range");
+    EXPECT_DEATH(assemble("brbs 8, x", "e"), "bit out of range");
 }
 
 TEST(Assembler, DisassemblyRoundTrip)
 {
-    // Assemble a sampler, disassemble, re-assemble: encodings match.
-    const char *src = R"(
-        ldi r24, 0x42
-        add r0, r1
-        ldd r16, Y+9
-        std Z+5, r17
-        mul r20, r21
-        adiw r30, 12
-        push r2
-        ret
-    )";
-    Program p1 = assemble(src, "rt1");
-    std::string redis;
-    for (size_t i = 0; i < p1.words.size();) {
-        Inst inst = decode(p1.words[i],
-                           i + 1 < p1.words.size() ? p1.words[i + 1] : 0);
-        redis += disassemble(inst) + "\n";
-        i += inst.words;
+    // Every canonical first word, disassembled and re-assembled, gives
+    // back its word(s); the two-word forms carry a nonzero second word.
+    // Relative branches print as ".+N"/".-N", so each line assembles
+    // to the same words wherever it lands in the listing.
+    std::string listing;
+    std::vector<std::pair<uint16_t, Inst>> words;
+    for (uint32_t w = 0; w <= 0xffff; w++) {
+        const uint16_t w1 = static_cast<uint16_t>(w ^ 0x5a5a);
+        Inst i = decode(static_cast<uint16_t>(w), w1);
+        if (i.op == Op::INVALID)
+            continue;
+        // BLD, BST, SBRC and SBRS ignore bit 3; only 0 there is canonical.
+        bool bit3_free = i.op == Op::BLD || i.op == Op::BST ||
+                         i.op == Op::SBRC || i.op == Op::SBRS;
+        if (bit3_free && (w & 8))
+            continue;
+        listing += disassemble(i) + "\n";
+        words.emplace_back(static_cast<uint16_t>(w), i);
     }
-    Program p2 = assemble(redis, "rt2");
-    EXPECT_EQ(p1.words, p2.words);
+    EXPECT_EQ(words.size(), 63769u);
+
+    Program p = assemble(listing, "rt");
+    size_t at = 0;
+    for (const auto &[w, i] : words) {
+        ASSERT_LE(at + i.words, p.words.size());
+        EXPECT_EQ(p.words[at], w) << disassemble(i);
+        if (i.words == 2) {
+            EXPECT_EQ(p.words[at + 1], static_cast<uint16_t>(w ^ 0x5a5a))
+                << disassemble(i);
+        }
+        if (HasFailure())
+            FAIL() << "stopping at the first word that does not round-trip";
+        at += i.words;
+    }
+    EXPECT_EQ(at, p.words.size());
+}
+
+TEST(Assembler, RelativeBranchOperands)
+{
+    // ".+N"/".-N" count bytes from the next instruction, as
+    // avr-objdump prints them.
+    EXPECT_EQ(decode(assemble("rjmp .+2", "b").words[0], 0).disp, 1);
+    EXPECT_EQ(decode(assemble("rcall .-4096", "b").words[0], 0).disp,
+              -2048);
+    EXPECT_EQ(decode(assemble("breq .+126", "b").words[0], 0).disp, 63);
+    EXPECT_EQ(decode(assemble("brbc 3, .-128", "b").words[0], 0).disp, -64);
+    EXPECT_DEATH(assemble("rjmp .+3", "b"), "even");
+    EXPECT_DEATH(assemble("breq .+128", "b"), "branch target out of range");
+}
+
+TEST(Assembler, DisplacementTakesSymbols)
+{
+    // The expression after Y+/Z+ keeps its case, like every other
+    // operand expression.
+    Inst i = one(".equ OFF = 3\nldd r0, Y+OFF");
+    EXPECT_EQ(i.op, Op::LDD_Y);
+    EXPECT_EQ(i.disp, 3);
 }
 
 TEST(Assembler, RomBytes)
