@@ -98,7 +98,7 @@ hostLadderZ2Steps(const OpfField &fm, const W &a24m, const W &one,
 {
     std::vector<W> snaps;
     snaps.reserve(nbits);
-    montLadder(OpfFieldOps{fm}, a24m, x1m,
+    montLadder(OpfFieldOps{fm, a24m}, x1m,
                LadderState<W>{one, W(fm.words(), 0), x1m, one},
                BigUInt(bits), nbits,
                [&](unsigned i, const LadderState<W> &s) {

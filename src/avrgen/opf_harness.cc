@@ -9,9 +9,9 @@ namespace jaavr
 namespace
 {
 
-/** The library's routines under the ladder's names; keeps the first
+/** The library's routines under OpfField's names; keeps the first
  *  trap any of them raises. */
-struct IssOps
+struct IssField
 {
     OpfAvrLibrary &lib;
     Trap &trap;
@@ -26,7 +26,7 @@ struct IssOps
 
     auto add(const auto &a, const auto &b) { return keep(lib.add(a, b)); }
     auto sub(const auto &a, const auto &b) { return keep(lib.sub(a, b)); }
-    auto mul(const auto &a, const auto &b) { return keep(lib.mul(a, b)); }
+    auto montMul(const auto &a, const auto &b) { return keep(lib.mul(a, b)); }
 };
 
 } // anonymous namespace
@@ -135,8 +135,9 @@ OpfAvrLibrary::ladder(
                              const LadderState<OpfField::Words> &)> &before)
 {
     OpfLadderRun out;
+    IssField iss{*this, out.trap};
     out.state = montLadder(
-        IssOps{*this, out.trap}, a24m, x1m, std::move(start), k, kbits,
+        OpfFieldOps{iss, a24m}, x1m, std::move(start), k, kbits,
         [&](unsigned i, const LadderState<OpfField::Words> &st) {
             return !out.trap && (!before || before(i, st));
         });

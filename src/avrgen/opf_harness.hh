@@ -4,7 +4,7 @@
  * model: assembles the routines, loads them into flash, marshals
  * operands, and measures cycle counts. One class serves both sets,
  * the OPF routines behind Table I and the secp160r1 reference set,
- * and runs the x-only Montgomery ladder (avrgen/ladder.hh) on the ISS
+ * and runs the x-only Montgomery ladder (curves/ladder.hh) on the ISS
  * for the fault and side-channel campaigns.
  */
 
@@ -19,8 +19,8 @@
 #include "avr/machine.hh"
 #include "avrasm/assembler.hh"
 #include "avrasm/symbol_table.hh"
-#include "avrgen/ladder.hh"
 #include "avrgen/opf_routines.hh"
+#include "curves/ladder.hh"
 #include "field/opf_field.hh"
 
 namespace jaavr
@@ -79,10 +79,10 @@ class OpfAvrLibrary
     OpfRun mulIse(const OpfField::Words &a, const OpfField::Words &b);
 
     /**
-     * montLadder() with every field operation a routine run on the
-     * ISS. The first trap is recorded and the ladder stops ahead of
-     * the next step (the trapping step finishes its calls); @p before
-     * is the ladder's hook and may stop it too.
+     * montLadder() over OpfFieldOps with every field operation a
+     * routine run on the ISS. The first trap is recorded and the
+     * ladder stops ahead of the next step (the trapping step finishes
+     * its calls); @p before is the ladder's hook and may stop it too.
      */
     OpfLadderRun
     ladder(const OpfField::Words &a24m, const OpfField::Words &x1m,

@@ -1,9 +1,42 @@
 #include "curves/montgomery.hh"
 
+#include <algorithm>
+
+#include "curves/ladder.hh"
 #include "support/logging.hh"
 
 namespace jaavr
 {
+
+namespace
+{
+
+/** PrimeField under the ladder's names, a24 as a small constant. */
+struct LadderOps
+{
+    const PrimeField &f;
+    uint32_t a24;
+
+    Fe add(const Fe &a, const Fe &b) const { return f.add(a, b); }
+    Fe sub(const Fe &a, const Fe &b) const { return f.sub(a, b); }
+    Fe mul(const Fe &a, const Fe &b) const { return f.mul(a, b); }
+    Fe sqr(const Fe &a) const { return f.sqr(a); }
+    Fe mulA24(const Fe &a) const { return f.mulSmall(a, a24); }
+
+    /** Swaps a and b when bit is 1, under a mask, with no branch. */
+    static void
+    cswap(unsigned bit, Fe &a, Fe &b)
+    {
+        uint64_t mask = 0 - uint64_t(bit);
+        for (size_t i = 0; i < Fe::limbs; i++) {
+            uint64_t t = mask & (a.w[i] ^ b.w[i]);
+            a.w[i] ^= t;
+            b.w[i] ^= t;
+        }
+    }
+};
+
+} // anonymous namespace
 
 MontgomeryCurve::MontgomeryCurve(const PrimeField &field, const BigUInt &ca,
                                  const BigUInt &cb, std::string name)
@@ -58,68 +91,21 @@ MontgomeryCurve::randomPoint(Rng &rng) const
 }
 
 XzPoint
-MontgomeryCurve::xzDbl(const XzPoint &p) const
-{
-    // 2M + 2S + 1 mulSmall (paper: "3M + 2S" with one small operand).
-    Fe sum = f->add(p.x, p.z);
-    Fe dif = f->sub(p.x, p.z);
-    Fe sum2 = f->sqr(sum);
-    Fe dif2 = f->sqr(dif);
-    Fe e = f->sub(sum2, dif2);  // 4 X Z
-    XzPoint r;
-    r.x = f->mul(sum2, dif2);
-    r.z = f->mul(e, f->add(dif2, f->mulSmall(e, a24v)));
-    return r;
-}
-
-XzPoint
-MontgomeryCurve::xzDiffAdd(const XzPoint &p, const XzPoint &q,
-                           const Fe &x_diff) const
-{
-    // 3M + 2S with the difference point in affine form (Z = 1), the
-    // Montgomery-ladder optimization the paper cites from
-    // [3, Remark 13.36 (ii)].
-    Fe t1 = f->mul(f->sub(p.x, p.z), f->add(q.x, q.z));
-    Fe t2 = f->mul(f->add(p.x, p.z), f->sub(q.x, q.z));
-    Fe s = f->sqr(f->add(t1, t2));
-    Fe d = f->sqr(f->sub(t1, t2));
-    XzPoint r;
-    r.x = s;                      // Z_diff = 1
-    r.z = f->mul(x_diff, d);
-    return r;
-}
-
-XzPoint
 MontgomeryCurve::ladderXz(const BigUInt &k, const BigUInt &x,
                           const BigUInt *blind) const
 {
-    if (k.isZero())
-        return XzPoint{Fe::one(), Fe{}};  // infinity
-
-    // R0 = P (affine), R1 = 2P; invariant R1 - R0 = P. With a blind,
-    // R0 starts as the equivalent randomized projective point
-    // (x * lambda : lambda); xzDbl/xzDiffAdd preserve the class.
+    // R0 = O = (1 : 0), R1 = P = (x : 1); with a blind, P starts as
+    // the equivalent randomized projective point (x * blind : blind).
     Fe xf = f->fromBig(x);
-    XzPoint r0{xf, Fe::one()};
+    LadderState<Fe> s{Fe::one(), Fe{}, xf, Fe::one()};
     if (blind && !blind->isZero()) {
-        Fe bf = f->fromBig(*blind);
-        r0.x = f->mul(xf, bf);
-        r0.z = bf;
+        s.z3 = f->fromBig(*blind);
+        s.x3 = f->mul(xf, s.z3);
     }
-    XzPoint r1 = xzDbl(r0);
-
-    for (size_t i = k.bitLength() - 1; i-- > 0;) {
-        // One differential addition and one doubling per bit,
-        // regardless of the bit's value.
-        if (k.bit(i)) {
-            r0 = xzDiffAdd(r0, r1, xf);
-            r1 = xzDbl(r1);
-        } else {
-            r1 = xzDiffAdd(r0, r1, xf);
-            r0 = xzDbl(r0);
-        }
-    }
-    return r0;
+    unsigned steps = std::max<unsigned>(k.bitLength(), f->bits());
+    s = montLadder(LadderOps{*f, a24v}, xf, s, k, steps,
+                   [](unsigned, const LadderState<Fe> &) { return true; });
+    return XzPoint{s.x2, s.z2};
 }
 
 std::optional<BigUInt>

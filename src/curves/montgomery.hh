@@ -3,12 +3,13 @@
  * Montgomery curves B*y^2 = x^3 + A*x^2 + x and the x-coordinate-only
  * Montgomery ladder (paper, Section II-B).
  *
- * The differential addition/doubling formulas cost 4M + 2S (3M + 2S
- * with the base point's Z = 1) and 2M + 2S + one multiplication by
- * the small constant (A + 2)/4, giving the paper's 5.3M + 4S per
- * scalar bit. The ladder executes one doubling and one differential
- * addition for every bit, which is why the paper's high-speed and
- * constant-time Montgomery rows coincide (Table II).
+ * Each ladder step is one differential addition (3M + 2S with the
+ * base point's Z = 1) and one doubling (2M + 2S + one multiplication
+ * by the small constant (A + 2)/4), the paper's 5.3M + 4S per scalar
+ * bit. The step is the same for either bit value and the curve runs
+ * a fixed number of steps (curves/ladder.hh), which is why the
+ * paper's high-speed and constant-time Montgomery rows coincide
+ * (Table II).
  */
 
 #ifndef JAAVR_CURVES_MONTGOMERY_HH
@@ -55,7 +56,11 @@ class MontgomeryCurve
     /**
      * x-only Montgomery ladder: returns the x-coordinate of k*P given
      * the x-coordinate of P. Returns nullopt when k*P is the point at
-     * infinity (Z ends at 0).
+     * infinity (Z ends at 0). The ladder runs max(k.bitLength(),
+     * field().bits()) steps of the same field operations, so neither
+     * the work nor the registers written depend on the key below
+     * 2^field().bits(). x must not be 0: the point (0, 0) of order 2
+     * lies outside the formulas' domain (validateX rejects it).
      *
      * When @p blind is given (nonzero), the working point starts in
      * randomized projective coordinates (X, Z) = (x * blind, blind)
@@ -77,16 +82,6 @@ class MontgomeryCurve
      */
     XzPoint ladderXz(const BigUInt &k, const BigUInt &x,
                      const BigUInt *blind = nullptr) const;
-
-    /** XZ doubling: 2M + 2S + 1 mulSmall. */
-    XzPoint xzDbl(const XzPoint &p) const;
-
-    /**
-     * Differential addition: computes P+Q from P, Q and the affine
-     * x-coordinate of P-Q (Z of the difference = 1): 3M + 2S.
-     */
-    XzPoint xzDiffAdd(const XzPoint &p, const XzPoint &q,
-                      const Fe &x_diff) const;
 
     /**
      * The birationally equivalent short Weierstrass curve

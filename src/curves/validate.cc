@@ -42,7 +42,9 @@ bool
 validatePoint(const EdwardsCurve &c, const AffinePoint &p,
               const BigUInt *order)
 {
-    if (p.inf || c.isIdentity(p))
+    // x = 0: the neutral element (0, 1) and the order-2 point (0, -1);
+    // y = 0: the order-4 points (+-1/sqrt(a), 0).
+    if (p.inf || p.x.isZero() || p.y.isZero())
         return false;
     const BigUInt &m = c.field().modulus();
     if (!(p.x < m) || !(p.y < m))

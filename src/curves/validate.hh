@@ -60,9 +60,12 @@ bool validatePoint(const WeierstrassCurve &c, const AffinePoint &p,
                    const BigUInt *order = nullptr);
 
 /**
- * Twisted-Edwards variant: rejects the identity (0, 1) as well —
- * every protocol input here is expected to be a generator multiple
- * of full order.
+ * Twisted-Edwards variant: rejects every point with x = 0 or y = 0
+ * as well — the identity (0, 1), the point (0, -1) of order 2 and,
+ * since a = -1 is a square when p = 1 (mod 4), the two points
+ * (+-1/sqrt(a), 0) of order 4. Every protocol input here is expected
+ * to be a generator multiple of full order; without @p order, points
+ * of order 8 still pass.
  */
 bool validatePoint(const EdwardsCurve &c, const AffinePoint &p,
                    const BigUInt *order = nullptr);

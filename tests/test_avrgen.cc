@@ -262,7 +262,7 @@ TEST(AvrGenCycles, RomBytesReported)
 namespace
 {
 
-/** The shared x-only ladder (avrgen/ladder.hh) on the ISS and host. */
+/** The shared x-only ladder (curves/ladder.hh) on the ISS and host. */
 class AvrLadderTest : public ::testing::TestWithParam<CpuMode>
 {};
 
@@ -299,7 +299,7 @@ TEST_P(AvrLadderTest, MatchesHostCurveAndModelStepByStep)
             });
         ASSERT_FALSE(iss.trap) << iss.trap.describe();
         LadderState<OpfField::Words> host = montLadder(
-            OpfFieldOps{fm}, a24m, x1m, start, BigUInt(k), kbits,
+            OpfFieldOps{fm, a24m}, x1m, start, BigUInt(k), kbits,
             [&](unsigned i, const LadderState<OpfField::Words> &s) {
                 if (i > 0)
                     hostZ2.push_back(s.z2);
@@ -340,7 +340,7 @@ TEST_P(AvrLadderTest, HookStopsAheadOfAStep)
             return i < 2;
         });
     LadderState<OpfField::Words> top = montLadder(
-        OpfFieldOps{fm}, a24m, x1m, start, BigUInt(0x2), 2,
+        OpfFieldOps{fm, a24m}, x1m, start, BigUInt(0x2), 2,
         [](unsigned i, const LadderState<OpfField::Words> &) {
             return i < 2;
         });

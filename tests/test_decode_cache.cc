@@ -89,21 +89,10 @@ TEST(DecodeCache, AllPrimaryWordsMatchFreshDecode)
                 Inst fresh = decode(w0, w1);
                 const DecodedInst &dc = m.decoded(a);
                 expectSameInst(dc.inst, fresh, a);
-                EXPECT_EQ(dc.cycles, baseCycles(fresh.op, mode));
                 if (HasFailure())
                     FAIL() << "stopping at first mismatching word";
             }
         }
-    }
-}
-
-/** isTwoWord() is exactly the words == 2 predicate of the decoder. */
-TEST(DecodeCache, IsTwoWordMatchesDecodeLength)
-{
-    for (uint32_t w0 = 0; w0 <= 0xffff; w0++) {
-        Inst inst = decode(static_cast<uint16_t>(w0), 0);
-        EXPECT_EQ(isTwoWord(static_cast<uint16_t>(w0)), inst.words == 2)
-            << "w0=0x" << std::hex << w0;
     }
 }
 

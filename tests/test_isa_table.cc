@@ -2,12 +2,13 @@
  * @file
  * Exact instruction words, pinned outside the ISA table.
  *
- * The decoder, the assembler and the disassembler all read one table
- * (avr/isa.hh), so a wrong row would still round-trip cleanly. These
- * literals come from the opcode patterns of the AVR Instruction Set
- * Manual instead: one per instruction form and one per assembler
- * alias, each checked both ways (assembled to the word, decoded from
- * it).
+ * The decoder, the assembler, the disassembler and the cycle tables
+ * all read one table (avr/isa.hh), so a wrong row would still
+ * round-trip cleanly. These literals come from the opcode patterns of
+ * the AVR Instruction Set Manual instead: one per instruction form
+ * and one per assembler alias, each checked both ways (assembled to
+ * the word, decoded from it), and each form's CA cycle count from
+ * the ATmega128 datasheet's instruction set summary.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <set>
 
 #include "avr/isa.hh"
+#include "avr/timing.hh"
 #include "avrasm/assembler.hh"
 
 using namespace jaavr;
@@ -26,98 +28,99 @@ namespace
 struct Pin
 {
     const char *src;  ///< assembler source; its first statement is pinned
-    uint16_t w0, w1;  ///< the word(s) of that statement (w1: 2-word forms)
+    uint16_t w0, w1;  ///< the word(s) of that statement (w1 != 0: 2 words)
     Op op;            ///< what the word decodes to
     const char *dis;  ///< its disassembly, when not @p src itself
+    unsigned ca = 0;  ///< CA cycles, not counting a taken branch or skip
 };
 
 // Branch targets are labels: "x: rjmp x" is a word offset of -1.
 const Pin kForms[] = {
-    {"add r1, r2", 0x0c12, 0, Op::ADD, nullptr},
-    {"adc r17, r18", 0x1f12, 0, Op::ADC, nullptr},
-    {"sub r3, r4", 0x1834, 0, Op::SUB, nullptr},
-    {"sbc r5, r6", 0x0856, 0, Op::SBC, nullptr},
-    {"and r7, r8", 0x2078, 0, Op::AND, nullptr},
-    {"or r9, r10", 0x289a, 0, Op::OR, nullptr},
-    {"eor r11, r12", 0x24bc, 0, Op::EOR, nullptr},
-    {"mov r13, r14", 0x2cde, 0, Op::MOV, nullptr},
-    {"cp r15, r16", 0x16f0, 0, Op::CP, nullptr},
-    {"cpc r20, r21", 0x0745, 0, Op::CPC, nullptr},
-    {"cpse r22, r23", 0x1367, 0, Op::CPSE, nullptr},
-    {"mul r24, r25", 0x9f89, 0, Op::MUL, nullptr},
-    {"muls r16, r31", 0x020f, 0, Op::MULS, nullptr},
-    {"mulsu r17, r18", 0x0312, 0, Op::MULSU, nullptr},
-    {"fmul r19, r20", 0x033c, 0, Op::FMUL, nullptr},
-    {"fmuls r21, r22", 0x03d6, 0, Op::FMULS, nullptr},
-    {"fmulsu r23, r16", 0x03f8, 0, Op::FMULSU, nullptr},
-    {"movw r24, r30", 0x01cf, 0, Op::MOVW, nullptr},
-    {"subi r24, 0x2a", 0x528a, 0, Op::SUBI, nullptr},
-    {"sbci r25, 0x01", 0x4091, 0, Op::SBCI, nullptr},
-    {"andi r26, 0xf0", 0x7fa0, 0, Op::ANDI, nullptr},
-    {"ori r27, 0x0f", 0x60bf, 0, Op::ORI, nullptr},
-    {"cpi r28, 0x80", 0x38c0, 0, Op::CPI, nullptr},
-    {"ldi r16, 0xff", 0xef0f, 0, Op::LDI, nullptr},
-    {"adiw r26, 63", 0x96df, 0, Op::ADIW, nullptr},
-    {"sbiw r30, 1", 0x9731, 0, Op::SBIW, nullptr},
-    {"com r31", 0x95f0, 0, Op::COM, nullptr},
-    {"neg r1", 0x9411, 0, Op::NEG, nullptr},
-    {"swap r2", 0x9422, 0, Op::SWAP, nullptr},
-    {"inc r3", 0x9433, 0, Op::INC, nullptr},
-    {"dec r4", 0x944a, 0, Op::DEC, nullptr},
-    {"asr r5", 0x9455, 0, Op::ASR, nullptr},
-    {"lsr r6", 0x9466, 0, Op::LSR, nullptr},
-    {"ror r7", 0x9477, 0, Op::ROR, nullptr},
-    {"bset 3", 0x9438, 0, Op::BSET, nullptr},
-    {"bclr 7", 0x94f8, 0, Op::BCLR, nullptr},
-    {"bld r13, 2", 0xf8d2, 0, Op::BLD, nullptr},
-    {"bst r17, 5", 0xfb15, 0, Op::BST, nullptr},
-    {"sbi 0x1f, 3", 0x9afb, 0, Op::SBI, nullptr},
-    {"cbi 0x05, 0", 0x9828, 0, Op::CBI, nullptr},
-    {"sbic 0x10, 7", 0x9987, 0, Op::SBIC, nullptr},
-    {"sbis 0x01, 1", 0x9b09, 0, Op::SBIS, nullptr},
-    {"in r25, 0x3f", 0xb79f, 0, Op::IN, nullptr},
-    {"out 0x3c, r2", 0xbe2c, 0, Op::OUT, nullptr},
-    {"ld r5, X", 0x905c, 0, Op::LD_X, nullptr},
-    {"ld r24, X+", 0x918d, 0, Op::LD_X_INC, nullptr},
-    {"ld r0, -X", 0x900e, 0, Op::LD_X_DEC, nullptr},
-    {"ldd r16, Y+9", 0x8509, 0, Op::LDD_Y, nullptr},
-    {"ld r1, Y+", 0x9019, 0, Op::LD_Y_INC, nullptr},
-    {"ld r2, -Y", 0x902a, 0, Op::LD_Y_DEC, nullptr},
-    {"ldd r24, Z+3", 0x8183, 0, Op::LDD_Z, nullptr},
-    {"ld r3, Z+", 0x9031, 0, Op::LD_Z_INC, nullptr},
-    {"ld r4, -Z", 0x9042, 0, Op::LD_Z_DEC, nullptr},
-    {"lds r8, 0x0123", 0x9080, 0x0123, Op::LDS, nullptr},
-    {"st X, r6", 0x926c, 0, Op::ST_X, nullptr},
-    {"st X+, r1", 0x921d, 0, Op::ST_X_INC, nullptr},
-    {"st -X, r7", 0x927e, 0, Op::ST_X_DEC, nullptr},
-    {"std Y+63, r9", 0xae9f, 0, Op::STD_Y, nullptr},
-    {"st Y+, r10", 0x92a9, 0, Op::ST_Y_INC, nullptr},
-    {"st -Y, r11", 0x92ba, 0, Op::ST_Y_DEC, nullptr},
-    {"std Z+17, r9", 0x8a91, 0, Op::STD_Z, nullptr},
-    {"st Z+, r12", 0x92c1, 0, Op::ST_Z_INC, nullptr},
-    {"st -Z, r13", 0x92d2, 0, Op::ST_Z_DEC, nullptr},
-    {"sts 0x0456, r9", 0x9290, 0x0456, Op::STS, nullptr},
-    {"push r10", 0x92af, 0, Op::PUSH, nullptr},
-    {"pop r11", 0x90bf, 0, Op::POP, nullptr},
-    {"lpm", 0x95c8, 0, Op::LPM_R0, nullptr},
-    {"lpm r14, Z", 0x90e4, 0, Op::LPM, nullptr},
-    {"lpm r15, Z+", 0x90f5, 0, Op::LPM_INC, nullptr},
-    {"rjmp x\n.org 0x124\nx:", 0xc123, 0, Op::RJMP, "rjmp .+582"},
-    {"x: rcall x", 0xdfff, 0, Op::RCALL, "rcall .-2"},
-    {"jmp 0x2abcd", 0x941c, 0xabcd, Op::JMP, nullptr},
-    {"call 0x1234", 0x940e, 0x1234, Op::CALL, nullptr},
-    {"ret", 0x9508, 0, Op::RET, nullptr},
-    {"reti", 0x9518, 0, Op::RETI, nullptr},
-    {"ijmp", 0x9409, 0, Op::IJMP, nullptr},
-    {"icall", 0x9509, 0, Op::ICALL, nullptr},
-    {"x: brbs 6, x", 0xf3fe, 0, Op::BRBS, "brbs 6, .-2"},
-    {"brbc 2, y\nnop\ny:", 0xf40a, 0, Op::BRBC, "brbc 2, .+2"},
-    {"sbrc r12, 5", 0xfcc5, 0, Op::SBRC, nullptr},
-    {"sbrs r31, 7", 0xfff7, 0, Op::SBRS, nullptr},
-    {"nop", 0x0000, 0, Op::NOP, nullptr},
-    {"sleep", 0x9588, 0, Op::SLEEP, nullptr},
-    {"wdr", 0x95a8, 0, Op::WDR, nullptr},
-    {"break", 0x9598, 0, Op::BREAK, nullptr},
+    {"add r1, r2", 0x0c12, 0, Op::ADD, nullptr, 1},
+    {"adc r17, r18", 0x1f12, 0, Op::ADC, nullptr, 1},
+    {"sub r3, r4", 0x1834, 0, Op::SUB, nullptr, 1},
+    {"sbc r5, r6", 0x0856, 0, Op::SBC, nullptr, 1},
+    {"and r7, r8", 0x2078, 0, Op::AND, nullptr, 1},
+    {"or r9, r10", 0x289a, 0, Op::OR, nullptr, 1},
+    {"eor r11, r12", 0x24bc, 0, Op::EOR, nullptr, 1},
+    {"mov r13, r14", 0x2cde, 0, Op::MOV, nullptr, 1},
+    {"cp r15, r16", 0x16f0, 0, Op::CP, nullptr, 1},
+    {"cpc r20, r21", 0x0745, 0, Op::CPC, nullptr, 1},
+    {"cpse r22, r23", 0x1367, 0, Op::CPSE, nullptr, 1},
+    {"mul r24, r25", 0x9f89, 0, Op::MUL, nullptr, 2},
+    {"muls r16, r31", 0x020f, 0, Op::MULS, nullptr, 2},
+    {"mulsu r17, r18", 0x0312, 0, Op::MULSU, nullptr, 2},
+    {"fmul r19, r20", 0x033c, 0, Op::FMUL, nullptr, 2},
+    {"fmuls r21, r22", 0x03d6, 0, Op::FMULS, nullptr, 2},
+    {"fmulsu r23, r16", 0x03f8, 0, Op::FMULSU, nullptr, 2},
+    {"movw r24, r30", 0x01cf, 0, Op::MOVW, nullptr, 1},
+    {"subi r24, 0x2a", 0x528a, 0, Op::SUBI, nullptr, 1},
+    {"sbci r25, 0x01", 0x4091, 0, Op::SBCI, nullptr, 1},
+    {"andi r26, 0xf0", 0x7fa0, 0, Op::ANDI, nullptr, 1},
+    {"ori r27, 0x0f", 0x60bf, 0, Op::ORI, nullptr, 1},
+    {"cpi r28, 0x80", 0x38c0, 0, Op::CPI, nullptr, 1},
+    {"ldi r16, 0xff", 0xef0f, 0, Op::LDI, nullptr, 1},
+    {"adiw r26, 63", 0x96df, 0, Op::ADIW, nullptr, 2},
+    {"sbiw r30, 1", 0x9731, 0, Op::SBIW, nullptr, 2},
+    {"com r31", 0x95f0, 0, Op::COM, nullptr, 1},
+    {"neg r1", 0x9411, 0, Op::NEG, nullptr, 1},
+    {"swap r2", 0x9422, 0, Op::SWAP, nullptr, 1},
+    {"inc r3", 0x9433, 0, Op::INC, nullptr, 1},
+    {"dec r4", 0x944a, 0, Op::DEC, nullptr, 1},
+    {"asr r5", 0x9455, 0, Op::ASR, nullptr, 1},
+    {"lsr r6", 0x9466, 0, Op::LSR, nullptr, 1},
+    {"ror r7", 0x9477, 0, Op::ROR, nullptr, 1},
+    {"bset 3", 0x9438, 0, Op::BSET, nullptr, 1},
+    {"bclr 7", 0x94f8, 0, Op::BCLR, nullptr, 1},
+    {"bld r13, 2", 0xf8d2, 0, Op::BLD, nullptr, 1},
+    {"bst r17, 5", 0xfb15, 0, Op::BST, nullptr, 1},
+    {"sbi 0x1f, 3", 0x9afb, 0, Op::SBI, nullptr, 2},
+    {"cbi 0x05, 0", 0x9828, 0, Op::CBI, nullptr, 2},
+    {"sbic 0x10, 7", 0x9987, 0, Op::SBIC, nullptr, 1},
+    {"sbis 0x01, 1", 0x9b09, 0, Op::SBIS, nullptr, 1},
+    {"in r25, 0x3f", 0xb79f, 0, Op::IN, nullptr, 1},
+    {"out 0x3c, r2", 0xbe2c, 0, Op::OUT, nullptr, 1},
+    {"ld r5, X", 0x905c, 0, Op::LD_X, nullptr, 2},
+    {"ld r24, X+", 0x918d, 0, Op::LD_X_INC, nullptr, 2},
+    {"ld r0, -X", 0x900e, 0, Op::LD_X_DEC, nullptr, 2},
+    {"ldd r16, Y+9", 0x8509, 0, Op::LDD_Y, nullptr, 2},
+    {"ld r1, Y+", 0x9019, 0, Op::LD_Y_INC, nullptr, 2},
+    {"ld r2, -Y", 0x902a, 0, Op::LD_Y_DEC, nullptr, 2},
+    {"ldd r24, Z+3", 0x8183, 0, Op::LDD_Z, nullptr, 2},
+    {"ld r3, Z+", 0x9031, 0, Op::LD_Z_INC, nullptr, 2},
+    {"ld r4, -Z", 0x9042, 0, Op::LD_Z_DEC, nullptr, 2},
+    {"lds r8, 0x0123", 0x9080, 0x0123, Op::LDS, nullptr, 2},
+    {"st X, r6", 0x926c, 0, Op::ST_X, nullptr, 2},
+    {"st X+, r1", 0x921d, 0, Op::ST_X_INC, nullptr, 2},
+    {"st -X, r7", 0x927e, 0, Op::ST_X_DEC, nullptr, 2},
+    {"std Y+63, r9", 0xae9f, 0, Op::STD_Y, nullptr, 2},
+    {"st Y+, r10", 0x92a9, 0, Op::ST_Y_INC, nullptr, 2},
+    {"st -Y, r11", 0x92ba, 0, Op::ST_Y_DEC, nullptr, 2},
+    {"std Z+17, r9", 0x8a91, 0, Op::STD_Z, nullptr, 2},
+    {"st Z+, r12", 0x92c1, 0, Op::ST_Z_INC, nullptr, 2},
+    {"st -Z, r13", 0x92d2, 0, Op::ST_Z_DEC, nullptr, 2},
+    {"sts 0x0456, r9", 0x9290, 0x0456, Op::STS, nullptr, 2},
+    {"push r10", 0x92af, 0, Op::PUSH, nullptr, 2},
+    {"pop r11", 0x90bf, 0, Op::POP, nullptr, 2},
+    {"lpm", 0x95c8, 0, Op::LPM_R0, nullptr, 3},
+    {"lpm r14, Z", 0x90e4, 0, Op::LPM, nullptr, 3},
+    {"lpm r15, Z+", 0x90f5, 0, Op::LPM_INC, nullptr, 3},
+    {"rjmp x\n.org 0x124\nx:", 0xc123, 0, Op::RJMP, "rjmp .+582", 2},
+    {"x: rcall x", 0xdfff, 0, Op::RCALL, "rcall .-2", 3},
+    {"jmp 0x2abcd", 0x941c, 0xabcd, Op::JMP, nullptr, 3},
+    {"call 0x1234", 0x940e, 0x1234, Op::CALL, nullptr, 4},
+    {"ret", 0x9508, 0, Op::RET, nullptr, 4},
+    {"reti", 0x9518, 0, Op::RETI, nullptr, 4},
+    {"ijmp", 0x9409, 0, Op::IJMP, nullptr, 2},
+    {"icall", 0x9509, 0, Op::ICALL, nullptr, 3},
+    {"x: brbs 6, x", 0xf3fe, 0, Op::BRBS, "brbs 6, .-2", 1},
+    {"brbc 2, y\nnop\ny:", 0xf40a, 0, Op::BRBC, "brbc 2, .+2", 1},
+    {"sbrc r12, 5", 0xfcc5, 0, Op::SBRC, nullptr, 1},
+    {"sbrs r31, 7", 0xfff7, 0, Op::SBRS, nullptr, 1},
+    {"nop", 0x0000, 0, Op::NOP, nullptr, 1},
+    {"sleep", 0x9588, 0, Op::SLEEP, nullptr, 1},
+    {"wdr", 0x95a8, 0, Op::WDR, nullptr, 1},
+    {"break", 0x9598, 0, Op::BREAK, nullptr, 1},
 };
 
 const Pin kAliases[] = {
@@ -175,11 +178,28 @@ checkBothWays(const Pin &p)
     EXPECT_EQ(prog.words[0], p.w0);
     Inst i = decode(p.w0, p.w1);
     EXPECT_EQ(i.op, p.op);
+    EXPECT_EQ(i.words, p.w1 ? 2 : 1);
+    EXPECT_EQ(isTwoWord(p.w0), p.w1 != 0);
     if (i.words == 2) {
         ASSERT_GE(prog.words.size(), 2u);
         EXPECT_EQ(prog.words[1], p.w1);
     }
     EXPECT_EQ(disassemble(i), p.dis ? p.dis : p.src);
+}
+
+/**
+ * FAST (and ISE) timing, avr/timing.hh and paper Section V-A: the
+ * data-space loads and stores, PUSH/POP and the multiplier family
+ * take one cycle; every other form keeps its CA count.
+ */
+unsigned
+fastCycles(const Pin &p)
+{
+    static const std::set<std::string_view> kOneCycle = {
+        "ld",  "ldd", "lds",  "st",    "std",  "sts",   "push",
+        "pop", "mul", "muls", "mulsu", "fmul", "fmuls", "fmulsu"};
+    std::string_view src(p.src);
+    return kOneCycle.count(src.substr(0, src.find(' '))) ? 1 : p.ca;
 }
 
 } // anonymous namespace
@@ -200,4 +220,22 @@ TEST(IsaTable, EveryAliasAssemblesToAndDecodesFromItsManualWord)
 {
     for (const Pin &p : kAliases)
         checkBothWays(p);
+}
+
+TEST(IsaTable, EveryFormTakesItsDatasheetCyclesInEveryMode)
+{
+    for (const Pin &p : kForms) {
+        SCOPED_TRACE(p.src);
+        EXPECT_EQ(baseCycles(p.op, CpuMode::CA), p.ca);
+        EXPECT_EQ(baseCycles(p.op, CpuMode::FAST), fastCycles(p));
+        EXPECT_EQ(baseCycles(p.op, CpuMode::ISE), fastCycles(p));
+        for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE})
+            EXPECT_EQ(baseCycleTable(mode)[static_cast<size_t>(p.op)],
+                      baseCycles(p.op, mode));
+    }
+    // A taken branch costs one more cycle; a skip one more per word
+    // it skips.
+    EXPECT_EQ(branchTakenExtra, 1u);
+    EXPECT_EQ(skipExtra(false), 1u);
+    EXPECT_EQ(skipExtra(true), 2u);
 }

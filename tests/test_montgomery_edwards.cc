@@ -54,8 +54,8 @@ TEST(MontgomeryOpf, LadderKnownAnswer)
     c.field().attachCounter(nullptr);
     ASSERT_TRUE(x.has_value());
     EXPECT_EQ(x->toHex(), "623ec84991c7a61c6b931c8b2b65a71f6f38414d");
-    expectOps(got, {.mul = 793, .sqr = 634, .add = 792, .sub = 792,
-                    .mulSmall = 159, .inv = 1});
+    expectOps(got, {.mul = 801, .sqr = 640, .add = 640, .sub = 640,
+                    .mulSmall = 160, .inv = 1});
 }
 
 TEST(EdwardsOpf, MulNafKnownAnswer)
@@ -160,25 +160,6 @@ TEST(MontgomeryOpf, LadderIsScalarCommutative)
         ASSERT_TRUE(xba.has_value());
         EXPECT_EQ(*xab, *xba);
     }
-}
-
-TEST(MontgomeryOpf, XzPrimitivesMatchLadder)
-{
-    const MontgomeryCurve &c = montgomeryOpfCurve();
-    const PrimeField &f = c.field();
-    Rng rng(84);
-    AffinePoint p = c.randomPoint(rng);
-    // 2P via xzDbl == ladder with k=2.
-    XzPoint pp{f.fromBig(p.x), Fe::one()};
-    XzPoint d = c.xzDbl(pp);
-    auto x2 = c.ladder(BigUInt(2), p.x);
-    ASSERT_TRUE(x2.has_value());
-    EXPECT_EQ(f.mul(d.x, f.inv(d.z)).toBig(), *x2);
-    // 3P via diffAdd(2P, P; P) == ladder k=3.
-    XzPoint t = c.xzDiffAdd(d, pp, pp.x);
-    auto x3 = c.ladder(BigUInt(3), p.x);
-    ASSERT_TRUE(x3.has_value());
-    EXPECT_EQ(f.mul(t.x, f.inv(t.z)).toBig(), *x3);
 }
 
 TEST(Montgomery, RejectsBadParameters)

@@ -612,18 +612,26 @@ TEST(Service, ErrorPaths)
     roundTrip(d2);
     EXPECT_EQ(d2.status, ServiceStatus::InvalidRequest);
 
-    // The Edwards peer (0, -1) has order 2 and passes validation; an
-    // even scalar sends it to the neutral element (0, 1), which is no
-    // shared secret.
-    ServiceRequest d3;
-    d3.op = ServiceOp::Derive;
-    d3.curve = ServiceCurve::EdwardsOpf;
-    d3.privateKey = BigUInt(1234);
-    d3.peer = AffinePoint(BigUInt(0), edwardsOpfCurve().field().modulus() -
-                                          BigUInt(1));
-    roundTrip(d3);
-    EXPECT_EQ(d3.status, ServiceStatus::InvalidRequest);
-    EXPECT_FALSE(d3.error.empty());
+    // Small-order Edwards peers are no shared secret whatever the
+    // scalar: (0, -1) of order 2 (an even scalar sends it to the
+    // neutral element (0, 1), an odd one returns it), and
+    // (sqrt(-1), 0) of order 4 at k = 1 and 2 (mod 4).
+    const PrimeField &fe = edwardsOpfCurve().field();
+    Rng rng(3);
+    const AffinePoint order2(BigUInt(0), fe.modulus() - BigUInt(1));
+    const AffinePoint order4(*fe.sqrt(fe.neg(BigUInt(1)), rng), BigUInt(0));
+    const std::pair<AffinePoint, uint64_t> smallOrder[] = {
+        {order2, 1234}, {order2, 1235}, {order4, 1233}, {order4, 1234}};
+    for (const auto &[peer, k] : smallOrder) {
+        ServiceRequest d3;
+        d3.op = ServiceOp::Derive;
+        d3.curve = ServiceCurve::EdwardsOpf;
+        d3.privateKey = BigUInt(k);
+        d3.peer = peer;
+        roundTrip(d3);
+        EXPECT_EQ(d3.status, ServiceStatus::InvalidRequest) << k;
+        EXPECT_FALSE(d3.error.empty());
+    }
 
     svc.stop();
 }

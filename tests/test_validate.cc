@@ -155,6 +155,17 @@ TEST(Validate, EdwardsPointChecks)
             rejected = true;
     }
     EXPECT_TRUE(rejected);
+
+    // Small-order points fail even without an order: (0, -1) of
+    // order 2 and (+-sqrt(-1), 0) of order 4.
+    const PrimeField &f = e.field();
+    BigUInt sqrtM1 = *f.sqrt(f.neg(BigUInt(1)), rng);
+    for (const AffinePoint &q : {AffinePoint(BigUInt(0), f.neg(BigUInt(1))),
+                                 AffinePoint(sqrtM1, BigUInt(0)),
+                                 AffinePoint(f.neg(sqrtM1), BigUInt(0))}) {
+        ASSERT_TRUE(e.onCurve(q));
+        EXPECT_FALSE(validatePoint(e, q)) << q.x.toHex();
+    }
 }
 
 TEST(Validate, MontgomeryXChecks)
