@@ -36,6 +36,11 @@ class MacUnit
     static constexpr uint8_t ctrlSwapMode = 0x01; ///< Algorithm 1
     static constexpr uint8_t ctrlLoadMode = 0x02; ///< Algorithm 2
 
+    /** The accumulator R0..R8 and the first operand R16..R19, as
+     *  register masks (bit i = Ri). */
+    static constexpr uint32_t accRegs = 0x000001ff;
+    static constexpr uint32_t operandRegs = 0x000f0000;
+
     /**
      * Reset counter and pending state (on MACCR writes). The MAC
      * statistics counter deliberately survives: it is observability

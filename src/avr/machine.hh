@@ -179,14 +179,14 @@ isMacLoadForm(const Inst &inst)
 
 /**
  * True if @p inst reads or writes a register of Algorithm 2's hazard
- * set {R0..R8, R16..R19}: by operand, or implicitly (the product of
- * the MUL family in R1:R0, LPM's R0).
+ * set {R0..R8, R16..R19}, as its ISA row lists them: by operand, or
+ * by name (the MUL family's product in R1:R0, LPM's R0).
  */
 inline bool
 touchesMacRegs(const Inst &inst)
 {
-    constexpr uint32_t macRegs = 0x000f01ff;
-    return (regsTouched(inst) & macRegs) != 0;
+    return (regsTouched(inst) &
+            (MacUnit::accRegs | MacUnit::operandRegs)) != 0;
 }
 
 /**

@@ -7,6 +7,10 @@
  * either public or secret-tainted, taint flows through every modeled
  * instruction, and both successors of every branch are always
  * explored (the walk is a dataflow fixpoint, not an execution). A
+ * form that touches only registers and flags passes the taint of what
+ * its ISA row (avr/isa.hh) says it reads to what the row says it
+ * writes; the values the walk knows, which it needs for pointers and
+ * MACCR, come from running the form on a scratch Machine. A
  * routine violates its timing contract when a *secret-tainted* value
  * reaches a timing-relevant sink:
  *

@@ -8,16 +8,21 @@
  * the AVR Instruction Set Manual instead: one per instruction form
  * and one per assembler alias, each checked both ways (assembled to
  * the word, decoded from it), and each form's CA cycle count from
- * the ATmega128 datasheet's instruction set summary.
+ * the ATmega128 datasheet's instruction set summary. The rows'
+ * register and flag effects are checked against Machine::execute()
+ * on random machine states.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "avr/isa.hh"
+#include "avr/machine.hh"
 #include "avr/timing.hh"
 #include "avrasm/assembler.hh"
+#include "support/random.hh"
 
 using namespace jaavr;
 
@@ -202,6 +207,50 @@ fastCycles(const Pin &p)
     return kOneCycle.count(src.substr(0, src.find(' '))) ? 1 : p.ca;
 }
 
+/**
+ * The forms whose only effects are on registers and SREG: no
+ * data-space access, I/O, flash read or control transfer.
+ */
+bool
+registersAndFlagsOnly(Op op)
+{
+    switch (op) {
+      case Op::IN: case Op::OUT: case Op::SBI: case Op::CBI:
+      case Op::SBIC: case Op::SBIS: case Op::LPM_R0: case Op::LPM:
+      case Op::LPM_INC: case Op::RJMP: case Op::RCALL: case Op::JMP:
+      case Op::CALL: case Op::RET: case Op::RETI: case Op::IJMP:
+      case Op::ICALL: case Op::BRBS: case Op::BRBC: case Op::SBRC:
+      case Op::SBRS: case Op::CPSE: case Op::SLEEP: case Op::BREAK:
+      case Op::INVALID:
+        return false;
+      default:
+        return isaForm(op).mem.kind == IsaMem::None;
+    }
+}
+
+/** The registers and SREG of a machine. */
+struct RegState
+{
+    std::array<uint8_t, 32> regs{};
+    uint8_t sreg = 0;
+};
+
+/** Run the instruction at word 0 of @p m once from @p in. */
+RegState
+runOnce(Machine &m, const RegState &in)
+{
+    for (unsigned r = 0; r < 32; r++)
+        m.setReg(r, in.regs[r]);
+    m.setSreg(in.sreg);
+    m.setPc(0);
+    m.step();
+    RegState out;
+    for (unsigned r = 0; r < 32; r++)
+        out.regs[r] = m.reg(r);
+    out.sreg = m.sreg();
+    return out;
+}
+
 } // anonymous namespace
 
 TEST(IsaTable, EveryFormAssemblesToAndDecodesFromItsManualWord)
@@ -238,4 +287,78 @@ TEST(IsaTable, EveryFormTakesItsDatasheetCyclesInEveryMode)
     EXPECT_EQ(branchTakenExtra, 1u);
     EXPECT_EQ(skipExtra(false), 1u);
     EXPECT_EQ(skipExtra(true), 2u);
+}
+
+/**
+ * A row's register and flag effects are what execute() does: on random
+ * states and operands, nothing outside the row's writes changes, a
+ * constant flag has its value, and flipping a register bit or flag the
+ * row does not list as read changes nothing the form writes.
+ * jaavr-ctcheck's taint rule and the superblock's flag pass rely on
+ * exactly these facts.
+ */
+TEST(IsaTable, RegisterAndFlagEffectsMatchExecute)
+{
+    Machine m(CpuMode::CA);
+    Rng rng(0x15a7ab1e);
+    unsigned forms = 0;
+    for (size_t o = 0; o < kNumOps; o++) {
+        const Op op = static_cast<Op>(o);
+        if (!registersAndFlagsOnly(op))
+            continue;
+        forms++;
+        const IsaForm &f = isaForm(op);
+        for (int trial = 0; trial < 256; trial++) {
+            const uint16_t w = static_cast<uint16_t>(
+                (rng.next32() & ~(f.mask >> 16)) | (f.match >> 16));
+            const Inst inst = decode(w, 0);
+            ASSERT_EQ(inst.op, op);
+            SCOPED_TRACE(disassemble(inst));
+            m.loadProgram({w}, 0);
+
+            RegState in;
+            for (uint8_t &r : in.regs)
+                r = static_cast<uint8_t>(rng.next32());
+            in.sreg = static_cast<uint8_t>(rng.next32());
+            const RegState out = runOnce(m, in);
+            ASSERT_EQ(m.pc(), 1u);
+
+            const uint32_t reads = regsRead(inst);
+            const uint32_t writes = regsWritten(inst);
+            const uint8_t flagsOut = sregWrites(op, inst.bit);
+            for (unsigned r = 0; r < 32; r++) {
+                if (!(writes >> r & 1)) {
+                    EXPECT_EQ(out.regs[r], in.regs[r]) << "r" << r;
+                }
+            }
+            EXPECT_EQ((out.sreg ^ in.sreg) & ~flagsOut, 0);
+            EXPECT_EQ(out.sreg & f.sregConst, f.sregConstVal);
+
+            auto sameWrites = [&](const RegState &a) {
+                for (unsigned r = 0; r < 32; r++)
+                    if ((writes >> r & 1) && a.regs[r] != out.regs[r])
+                        return false;
+                return ((a.sreg ^ out.sreg) & flagsOut) == 0;
+            };
+            for (unsigned flag = 0; flag < 8; flag++) {
+                if (f.sregInputs() >> flag & 1)
+                    continue;
+                RegState flipped = in;
+                flipped.sreg ^= static_cast<uint8_t>(1u << flag);
+                EXPECT_TRUE(sameWrites(runOnce(m, flipped)))
+                    << "flag " << flag;
+            }
+            for (int k = 0; k < 8; k++) {
+                const unsigned bit = rng.next32() % 256;
+                if (reads >> (bit / 8) & 1)
+                    continue;
+                RegState flipped = in;
+                flipped.regs[bit / 8] ^= static_cast<uint8_t>(1u << bit % 8);
+                EXPECT_TRUE(sameWrites(runOnce(m, flipped)))
+                    << "r" << bit / 8 << " bit " << bit % 8;
+            }
+        }
+    }
+    // The 39 forms jaavr-ctcheck's one rule covers.
+    EXPECT_EQ(forms, 39u);
 }
