@@ -6,8 +6,8 @@
  * (curves/small_curves.hh). For a point of every order the ladder's
  * domain holds and every scalar up to twice that order, x(k P) from
  * the ladder equals x(k P) from adding P k times on the Weierstrass
- * image with the textbook affine chord-and-tangent rule, written out
- * here so that it shares no code with any multiplier in src/curves.
+ * image with the textbook affine chord-and-tangent rule
+ * (affine_oracle.hh).
  *
  * LadderPattern: the ladder's sequence of field operations does not
  * depend on the key, neither as recorded from the template nor as
@@ -19,6 +19,7 @@
 #include <map>
 #include <tuple>
 
+#include "affine_oracle.hh"
 #include "curves/ladder.hh"
 #include "curves/small_curves.hh"
 #include "curves/standard_curves.hh"
@@ -28,30 +29,6 @@ using namespace jaavr;
 
 namespace
 {
-
-/** P + Q on @p w by the affine chord-and-tangent rule. */
-AffinePoint
-addAffine(const WeierstrassCurve &w, const AffinePoint &p,
-          const AffinePoint &q)
-{
-    if (p.inf)
-        return q;
-    if (q.inf)
-        return p;
-    const PrimeField &f = w.field();
-    BigUInt lambda;
-    if (p.x == q.x) {
-        if (f.add(p.y, q.y).isZero())
-            return AffinePoint::infinity();
-        BigUInt x2 = f.sqr(p.x);
-        lambda = f.mul(f.add(f.add(f.add(x2, x2), x2), w.coeffA()),
-                       f.inv(f.add(p.y, p.y)));
-    } else {
-        lambda = f.mul(f.sub(q.y, p.y), f.inv(f.sub(q.x, p.x)));
-    }
-    BigUInt x3 = f.sub(f.sub(f.sqr(lambda), p.x), q.x);
-    return AffinePoint(x3, f.sub(f.mul(lambda, f.sub(p.x, x3)), p.y));
-}
 
 /**
  * Montgomery x of 0 P, P, 2 P, ..., @p kmax P (nullopt for the point
