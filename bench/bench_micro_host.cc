@@ -176,7 +176,7 @@ BM_ScalarMult(benchmark::State &state)
         break;
       }
       case 3: {
-        // The service's fixed-base path: width-5 comb, no inversion.
+        // The service's fixed-base path: the Lim-Lee comb, no inversion.
         const WeierstrassCurve &c = secp160r1Curve();
         const CurveGenerator &g = secp160r1Generator();
         FixedBaseComb comb(c, g.g, g.order.bitLength());

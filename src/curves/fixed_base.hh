@@ -8,15 +8,26 @@
  * trade-off flips: a table built once per curve at startup turns
  * every fixed-base multiplication (ECDSA nonce point, key
  * generation, the verifier's u1*G term) from ~bits doublings +
- * ~bits/3 additions into bits/w doublings + bits/w additions. The
+ * ~bits/3 additions into a few doublings and ~bits/w additions. The
  * service layer (DESIGN.md §14) builds one table per curve and
  * shares it read-only across all worker threads.
  *
- * A comb of width w over a scalar of `bits` bits splits the scalar
- * into w rows of d = ceil(bits/w) columns; table entry j (for each
- * nonzero w-bit row pattern j) holds sum_{i in bits(j)} 2^(i*d) * G
- * as an affine point. Evaluation scans the d columns MSB-first with
- * one doubling and at most one mixed addition per column.
+ * Both combs implement Lim and Lee's method ("More Flexible
+ * Exponentiation with Precomputation", CRYPTO '94) with one layout of
+ * w rows and v sub-tables, fixed in fixed_base.cc by a measured sweep
+ * (DESIGN.md §14). A scalar of `bits` bits has d = ceil(bits/w)
+ * columns, split over the v sub-tables, e = ceil(d/v) columns each;
+ * bit i*v*e + b*e + c of k (row i < w, sub-table b < v, column
+ * c < e) is bit i of the digit sub-table b reads at column c.
+ * Sub-table b's entry j (for each nonzero w-bit digit j) holds
+ * sum_{i in bits(j)} 2^(i*v*e + b*e) * G as an affine point, so a
+ * table stores v * (2^w - 1) points. Evaluation scans the e columns
+ * MSB-first, all v sub-tables sharing one chain of doublings: a k*G
+ * costs e doublings (the first on the neutral element) plus at most
+ * v*e mixed additions.
+ *
+ * The table is read at indices taken from the scalar's digits; the
+ * host code makes no constant-time claim (DESIGN.md §14).
  *
  * The tables are immutable after construction and carry no reference
  * to the curve they were built from: every method takes the curve as
@@ -44,18 +55,19 @@ class FixedBaseComb
     /**
      * Build the table for @p g on @p c, covering scalars of up to
      * @p scalar_bits bits (use the subgroup order's bit length).
-     * @p w is the comb width; 2 <= w <= 8 (2^w - 1 stored points).
      * Construction performs one batched affine conversion of the
      * whole table (invBatch), so startup costs a single inversion.
+     * An entry that collapses to the point at infinity (a generator
+     * of order below 2^scalar_bits) is fatal.
      */
     FixedBaseComb(const WeierstrassCurve &c, const AffinePoint &g,
-                  unsigned scalar_bits, unsigned w = 5);
+                  unsigned scalar_bits);
 
     /**
      * k * G in Jacobian coordinates (no final inversion — callers
      * batch the affine conversions across requests). @p c must be
      * parameter-identical to the construction curve. Requires
-     * k < 2^(w*d); anything in [0, 2^scalar_bits) qualifies.
+     * k < 2^(w*v*e); anything in [0, 2^scalar_bits) qualifies.
      */
     JacobianPoint mulJacobian(const WeierstrassCurve &c,
                               const BigUInt &k) const;
@@ -64,16 +76,14 @@ class FixedBaseComb
     AffinePoint mul(const WeierstrassCurve &c, const BigUInt &k) const;
 
     const AffinePoint &generator() const { return base; }
-    unsigned window() const { return width; }
-    unsigned columns() const { return cols; }
-    /** Stored points (2^w - 1; entry j at index j - 1). */
+    /** Stored points, v * (2^w - 1): sub-table b's entry j at
+     *  b * (2^w - 1) + j - 1. */
     size_t tableSize() const { return table.size(); }
 
   private:
     AffinePoint base;
-    unsigned width;  ///< comb width w
-    unsigned cols;   ///< d = ceil(scalar_bits / w)
-    std::vector<AffineFe> table; ///< 2^w - 1 entries, all affine
+    unsigned span;               ///< e, columns per sub-table
+    std::vector<AffineFe> table; ///< all affine, none at infinity
 };
 
 /** Fixed-base comb over a twisted Edwards curve (a = -1). */
@@ -81,7 +91,7 @@ class EdwardsFixedBaseComb
 {
   public:
     EdwardsFixedBaseComb(const EdwardsCurve &c, const AffinePoint &g,
-                         unsigned scalar_bits, unsigned w = 5);
+                         unsigned scalar_bits);
 
     /** k * G in extended coordinates (batch the final divisions). */
     ExtendedPoint mulExtended(const EdwardsCurve &c,
@@ -90,14 +100,11 @@ class EdwardsFixedBaseComb
     AffinePoint mul(const EdwardsCurve &c, const BigUInt &k) const;
 
     const AffinePoint &generator() const { return base; }
-    unsigned window() const { return width; }
-    unsigned columns() const { return cols; }
     size_t tableSize() const { return table.size(); }
 
   private:
     AffinePoint base;
-    unsigned width;
-    unsigned cols;
+    unsigned span;
     std::vector<AffineFe> table;
     std::vector<Fe> tableTd2; ///< precomputed 2d*x*y per entry
 };

@@ -54,9 +54,6 @@ serviceOrderKnown(ServiceCurve c)
 namespace
 {
 
-/** Comb width of every service table: 2^5 - 1 precomputed points. */
-constexpr unsigned kCombWidth = 5;
-
 const ServiceCurveSet &
 S()
 {
@@ -123,20 +120,20 @@ ServiceTables::build(const ServiceCurveSet &snap)
     {
         Secp160r1Field f;
         WeierstrassCurve c(f, snap.r1A, snap.r1B, "secp160r1");
-        t.r1 = std::make_unique<FixedBaseComb>(
-            c, snap.r1G, snap.r1N.bitLength(), kCombWidth);
+        t.r1 = std::make_unique<FixedBaseComb>(c, snap.r1G,
+                                               snap.r1N.bitLength());
     }
     {
         Secp160k1Field f;
         GlvCurve c(f, snap.k1Params, "secp160k1");
         t.k1 = std::make_unique<FixedBaseComb>(
-            c, c.generator(), snap.k1Params.order.bitLength(), kCombWidth);
+            c, c.generator(), snap.k1Params.order.bitLength());
     }
     {
         PrimeField f(snap.glvP);
         GlvCurve c(f, snap.glvParams, "glv-opf");
         t.glv = std::make_unique<FixedBaseComb>(
-            c, c.generator(), snap.glvParams.order.bitLength(), kCombWidth);
+            c, c.generator(), snap.glvParams.order.bitLength());
     }
     return t;
 }

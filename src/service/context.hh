@@ -105,9 +105,9 @@ class WorkerContext
 };
 
 /**
- * The fixed-base comb tables (width-5 Lim–Lee) for the order-known
- * generators, built once per service (dogfooding the batched affine
- * conversion) and shared read-only by every worker.
+ * The fixed-base comb tables (Lim–Lee, curves/fixed_base.hh) for the
+ * order-known generators, built once per service (dogfooding the
+ * batched affine conversion) and shared read-only by every worker.
  */
 struct ServiceTables
 {

@@ -103,11 +103,25 @@ TEST(EcdsaKnownAnswer, Secp160r1Comb)
 {
     Ecdsa dsa = secp160r1Ecdsa();
     FixedBaseComb comb(secp160r1Curve(), dsa.generator(),
-                       dsa.order().bitLength(), 5);
+                       dsa.order().bitLength());
     dsa.attachFixedBase(&comb);
     expectSignPin(dsa, "41b1c475e612d155e4e835aad9ed6e0f7438479",
                   "89ef5bbcf4e4980b606f9936e305acb014fc570c",
-                  {.mul = 323, .sqr = 289, .add = 512, .sub = 448,
+                  {.mul = 161, .sqr = 111, .add = 180, .sub = 196,
+                   .mulSmall = 0, .inv = 1});
+}
+
+TEST(EcdsaKnownAnswer, Secp160k1Comb)
+{
+    // The service's secp160k1 table (ServiceTables::build builds the
+    // same comb from the same generator and order).
+    Ecdsa dsa(secp160k1Curve());
+    FixedBaseComb comb(secp160k1Curve(), dsa.generator(),
+                       dsa.order().bitLength());
+    dsa.attachFixedBase(&comb);
+    expectSignPin(dsa, "e2744db4a8527f449b6f4dbf24d61c18ab5fd830",
+                  "1121d06530e3ae967681c404320e2fb662af2ade",
+                  {.mul = 155, .sqr = 111, .add = 174, .sub = 190,
                    .mulSmall = 0, .inv = 1});
 }
 
@@ -140,10 +154,22 @@ TEST(EcdsaKnownAnswer, Secp160r1CombVerify)
 {
     Ecdsa dsa = secp160r1Ecdsa();
     FixedBaseComb comb(secp160r1Curve(), dsa.generator(),
-                       dsa.order().bitLength(), 5);
+                       dsa.order().bitLength());
     dsa.attachFixedBase(&comb);
-    expectVerifyPin(dsa, {.mul = 1157, .sqr = 1292, .add = 2413,
-                          .sub = 1809, .mulSmall = 0, .inv = 0});
+    expectVerifyPin(dsa, {.mul = 995, .sqr = 1114, .add = 2081,
+                          .sub = 1557, .mulSmall = 0, .inv = 0});
+}
+
+TEST(EcdsaKnownAnswer, Secp160k1CombVerify)
+{
+    // The path of every secp160k1 verify the service runs: u1 * G
+    // from the comb, u2 * Q by GLV.
+    Ecdsa dsa(secp160k1Curve());
+    FixedBaseComb comb(secp160k1Curve(), dsa.generator(),
+                       dsa.order().bitLength());
+    dsa.attachFixedBase(&comb);
+    expectVerifyPin(dsa, {.mul = 632, .sqr = 687, .add = 1150,
+                          .sub = 967, .mulSmall = 0, .inv = 2});
 }
 
 TEST(EcdsaKnownAnswer, Secp160k1GlvVerify)
