@@ -14,7 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include "avrgen/opf_harness.hh"
-#include "curves/fixed_base.hh"
+#include "curves/point_mult.hh"
 #include "curves/standard_curves.hh"
 #include "field/opf_field.hh"
 #include "nt/opf_prime.hh"

@@ -18,8 +18,8 @@
 
 #include <array>
 
-#include "curves/fixed_base.hh"
 #include "curves/glv.hh"
+#include "curves/point_mult.hh"
 #include "curves/weierstrass.hh"
 
 namespace jaavr

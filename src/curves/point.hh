@@ -5,8 +5,9 @@
  * AffinePoint is the edge type (keys, requests, results, setup) and
  * holds BigUInt coordinates. Everything the point formulas, the
  * scalar-multiplication loops and the comb tables touch is built from
- * Fe field elements instead: AffineFe for affine addends, and the
- * projective JacobianPoint, XzPoint and ExtendedPoint.
+ * Fe field elements instead: AffineFe and EdwardsAddend for affine
+ * addends, and the projective JacobianPoint, XzPoint and
+ * ExtendedPoint.
  */
 
 #ifndef JAAVR_CURVES_POINT_HH
@@ -86,6 +87,15 @@ struct ExtendedPoint
     Fe y;
     Fe t;
     Fe z;
+};
+
+/** Affine twisted-Edwards addend with its product 2d*x*y precomputed
+ *  (the C term of the mixed addition). */
+struct EdwardsAddend
+{
+    Fe x;
+    Fe y;
+    Fe td2;
 };
 
 } // namespace jaavr

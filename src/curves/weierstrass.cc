@@ -1,7 +1,7 @@
 #include "curves/weierstrass.hh"
 
+#include "curves/point_mult.hh"
 #include "field/batch_inverse.hh"
-#include "scalar/recode.hh"
 #include "support/logging.hh"
 
 namespace jaavr
@@ -242,14 +242,8 @@ WeierstrassCurve::add(const JacobianPoint &p, const JacobianPoint &q) const
 AffinePoint
 WeierstrassCurve::mulBinary(const BigUInt &k, const AffinePoint &p) const
 {
-    AffineFe pf = AffineFe::from(*f, p);
-    JacobianPoint r = JacobianPoint::infinity();
-    for (size_t i = k.bitLength(); i-- > 0;) {
-        r = dbl(r);
-        if (k.bit(i))
-            r = addMixed(r, pf);
-    }
-    return toAffine(r);
+    return toAffine(
+        binaryMul(WeierstrassFamily{*this}, k, AffineFe::from(*f, p)));
 }
 
 AffinePoint
@@ -261,36 +255,17 @@ WeierstrassCurve::mulNaf(const BigUInt &k, const AffinePoint &p) const
 JacobianPoint
 WeierstrassCurve::mulNafJacobian(const BigUInt &k, const AffinePoint &p) const
 {
-    auto digits = nafDigits(k);
-    AffineFe pf = AffineFe::from(*f, p);
-    AffineFe neg_p = negate(pf);
-    JacobianPoint r = JacobianPoint::infinity();
-    for (size_t i = digits.size(); i-- > 0;) {
-        r = dbl(r);
-        if (digits[i] == 1)
-            r = addMixed(r, pf);
-        else if (digits[i] == -1)
-            r = addMixed(r, neg_p);
-    }
-    return r;
+    return nafMul(WeierstrassFamily{*this}, k, AffineFe::from(*f, p));
 }
 
 AffinePoint
 WeierstrassCurve::mulDaaa(const BigUInt &k, const AffinePoint &p) const
 {
-    if (k.isZero() || p.inf)
-        return AffinePoint::infinity();
-    // Start at the top bit with R = P; every further bit performs
-    // exactly one doubling and one addition (result kept or dropped).
-    AffineFe pf = AffineFe::from(*f, p);
-    JacobianPoint r = toJacobian(pf);
-    for (size_t i = k.bitLength() - 1; i-- > 0;) {
-        r = dbl(r);
-        JacobianPoint q = addMixed(r, pf);
-        if (k.bit(i))
-            r = q;
-    }
-    return toAffine(r);
+    // The top bit's doubling and addition start from infinity and
+    // return before any field operation, so every further bit
+    // performs exactly one doubling and one addition.
+    return toAffine(
+        alwaysAddMul(WeierstrassFamily{*this}, k, AffineFe::from(*f, p)));
 }
 
 std::vector<AffinePoint>
@@ -344,17 +319,10 @@ WeierstrassCurve::mulWNaf(const BigUInt &k, const AffinePoint &p,
         table_j.push_back(add(table_j[i - 1], p2));
     std::vector<AffineFe> table = toAffineBatchFe(table_j);
 
-    auto digits = wNafDigits(k, w);
-    JacobianPoint r = JacobianPoint::infinity();
-    for (size_t i = digits.size(); i-- > 0;) {
-        r = dbl(r);
-        int d = digits[i];
-        if (d > 0)
-            r = addMixed(r, table[(d - 1) / 2]);
-        else if (d < 0)
-            r = addMixed(r, negate(table[(-d - 1) / 2]));
-    }
-    return toAffine(r);
+    return toAffine(signedDigitMul(
+        WeierstrassFamily{*this}, wNafDigits(k, w), [&](int8_t d) {
+            return d > 0 ? table[(d - 1) / 2] : negate(table[(-d - 1) / 2]);
+        }));
 }
 
 void

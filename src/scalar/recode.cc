@@ -18,28 +18,6 @@ binaryDigits(const BigUInt &k)
 }
 
 std::vector<int8_t>
-nafDigits(const BigUInt &k)
-{
-    std::vector<int8_t> out;
-    BigUInt v = k;
-    while (!v.isZero()) {
-        if (v.isOdd()) {
-            // d = 2 - (v mod 4) in {1, -1}.
-            int8_t d = (v.low32() & 3) == 1 ? 1 : -1;
-            out.push_back(d);
-            if (d == 1)
-                v -= BigUInt(1);
-            else
-                v += BigUInt(1);
-        } else {
-            out.push_back(0);
-        }
-        v = v >> 1;
-    }
-    return out;
-}
-
-std::vector<int8_t>
 wNafDigits(const BigUInt &k, unsigned w)
 {
     if (w < 2 || w > 7)

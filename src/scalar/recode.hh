@@ -1,8 +1,9 @@
 /**
  * @file
  * Scalar recodings used by the point-multiplication methods of the
- * paper: binary expansion, Non-Adjacent Form (NAF), width-w NAF, and
- * the Joint Sparse Form (JSF) for the GLV two-scalar multiplication.
+ * paper: binary expansion, width-w NAF (the Non-Adjacent Form, NAF, at
+ * w = 2), and the Joint Sparse Form (JSF) for the GLV two-scalar
+ * multiplication.
  *
  * All digit vectors are least-significant-digit first.
  */
@@ -23,15 +24,11 @@ namespace jaavr
 std::vector<int8_t> binaryDigits(const BigUInt &k);
 
 /**
- * Non-Adjacent Form: digits in {-1, 0, 1}, no two adjacent non-zero
- * digits. Average non-zero density 1/3, which is what gives the NAF
- * double-and-add method its speed (paper, Section V-B).
- */
-std::vector<int8_t> nafDigits(const BigUInt &k);
-
-/**
  * Width-w NAF: odd digits with |d| < 2^(w-1), at most one non-zero
- * digit in any w consecutive positions.
+ * digit in any w consecutive positions. w = 2 is the Non-Adjacent
+ * Form: digits in {-1, 0, 1}, no two adjacent non-zero digits, an
+ * average non-zero density of 1/3, which is what gives the NAF
+ * double-and-add method its speed (paper, Section V-B).
  */
 std::vector<int8_t> wNafDigits(const BigUInt &k, unsigned w);
 

@@ -19,9 +19,9 @@
 
 #include "curves/ecdsa.hh"
 #include "curves/edwards.hh"
-#include "curves/fixed_base.hh"
 #include "curves/glv.hh"
 #include "curves/montgomery.hh"
+#include "curves/point_mult.hh"
 #include "curves/standard_curves.hh"
 #include "curves/weierstrass.hh"
 #include "field/secp160.hh"
@@ -105,7 +105,7 @@ class WorkerContext
 };
 
 /**
- * The fixed-base comb tables (Lim–Lee, curves/fixed_base.hh) for the
+ * The fixed-base comb tables (Lim–Lee, curves/point_mult.hh) for the
  * order-known generators, built once per service (dogfooding the
  * batched affine conversion) and shared read-only by every worker.
  */

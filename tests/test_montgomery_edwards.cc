@@ -225,9 +225,8 @@ TEST(EdwardsOpf, MixedAdditionMatchesFull)
         AffinePoint q = c.randomPoint(rng);
         auto pe = c.toExtended(p);
         AffinePoint full = c.toAffine(c.add(pe, c.toExtended(q)));
-        AffineFe qf = AffineFe::from(c.field(), q);
         AffinePoint mixed = c.toAffine(
-            c.addMixed(pe, qf, c.precomputeTd2(qf)));
+            c.addMixed(pe, c.addend(AffineFe::from(c.field(), q))));
         EXPECT_EQ(full.x, mixed.x);
         EXPECT_EQ(full.y, mixed.y);
     }

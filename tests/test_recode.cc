@@ -30,7 +30,7 @@ TEST(Recode, NafRoundTripAndNonAdjacency)
     Rng rng(61);
     for (int i = 0; i < 200; i++) {
         BigUInt k = BigUInt::randomBits(rng, 1 + rng.below(200));
-        auto d = nafDigits(k);
+        auto d = wNafDigits(k, 2);
         EXPECT_EQ(digitsToScalar(d), k);
         for (size_t j = 0; j + 1 < d.size(); j++) {
             EXPECT_TRUE(d[j] >= -1 && d[j] <= 1);
@@ -45,13 +45,13 @@ TEST(Recode, NafRoundTripAndNonAdjacency)
 TEST(Recode, NafKnownValues)
 {
     // 7 = 8 - 1 -> (-1, 0, 0, 1).
-    auto d = nafDigits(BigUInt(7));
+    auto d = wNafDigits(BigUInt(7), 2);
     ASSERT_EQ(d.size(), 4u);
     EXPECT_EQ(d[0], -1);
     EXPECT_EQ(d[1], 0);
     EXPECT_EQ(d[2], 0);
     EXPECT_EQ(d[3], 1);
-    EXPECT_TRUE(nafDigits(BigUInt(0)).empty());
+    EXPECT_TRUE(wNafDigits(BigUInt(0), 2).empty());
 }
 
 TEST(Recode, NafDensityIsAboutOneThird)
@@ -59,7 +59,7 @@ TEST(Recode, NafDensityIsAboutOneThird)
     Rng rng(62);
     uint64_t nonzero = 0, total = 0;
     for (int i = 0; i < 100; i++) {
-        auto d = nafDigits(BigUInt::randomBits(rng, 160));
+        auto d = wNafDigits(BigUInt::randomBits(rng, 160), 2);
         for (int8_t v : d)
             if (v != 0)
                 nonzero++;
