@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 
+#include "curves/point_mult.hh"
 #include "curves/validate.hh"
 #include "field/batch_inverse.hh"
 #include "support/logging.hh"
@@ -76,6 +77,51 @@ BigUInt
 randomScalar(Rng &rng, const BigUInt &n)
 {
     return BigUInt(1) + BigUInt::random(rng, n - BigUInt(1));
+}
+
+/**
+ * Derive on one group of a point family's curve: each peer checked
+ * (its order against @p n where known), each scalar in [1, n) or,
+ * without n, nonzero; every product by @p mul converted with one
+ * shared inversion, and a product at the neutral element refused.
+ */
+template <class F, class Mul>
+void
+deriveBatch(const F &fam, const BigUInt *n, Mul &&mul,
+            std::vector<ServiceRequest *> &reqs)
+{
+    std::vector<ServiceRequest *> live;
+    std::vector<typename F::Point> points;
+    live.reserve(reqs.size());
+    points.reserve(reqs.size());
+    for (ServiceRequest *rp : reqs) {
+        ServiceRequest &r = *rp;
+        if (!validatePoint(fam.c, r.peer, n)) {
+            fail(r, ServiceStatus::InvalidRequest, "peer point invalid");
+            continue;
+        }
+        if (n ? !validScalar(r.privateKey, *n) : r.privateKey.isZero()) {
+            fail(r, ServiceStatus::InvalidRequest, "scalar out of range");
+            continue;
+        }
+        points.push_back(mul(r.privateKey, r.peer));
+        live.push_back(rp);
+    }
+    if (live.empty())
+        return;
+
+    std::vector<AffineFe> affs = fam.c.toAffineBatchFe(points);
+    for (size_t i = 0; i < live.size(); i++) {
+        // Infinity, or Edwards' (0, 1): a small-order peer times a
+        // multiple of its order.
+        if (fam.isNeutral(affs[i])) {
+            fail(*live[i], ServiceStatus::InvalidRequest,
+                 "derived the neutral element");
+            continue;
+        }
+        live[i]->pointOut = affs[i].toAffine();
+        live[i]->status = ServiceStatus::Ok;
+    }
 }
 
 /** Finalizing 64-bit mix (splitmix64) so adjacent hints spread. */
@@ -357,13 +403,13 @@ EccService::processBatch(WorkerContext &ctx, WorkerStats &st,
     for (auto &g : deriveW)
         if (!g.empty())
             group("derive_w_batch", g.size(),
-                  [&] { processDeriveWeierstrassBatch(ctx, g); });
+                  [&] { processDeriveBatch(ctx, g); });
     if (!deriveM.empty())
         group("derive_m_batch", deriveM.size(),
               [&] { processDeriveMontgomeryBatch(ctx, deriveM); });
     if (!deriveE.empty())
         group("derive_e_batch", deriveE.size(),
-              [&] { processDeriveEdwardsBatch(ctx, deriveE); });
+              [&] { processDeriveBatch(ctx, deriveE); });
     if (!singles.empty())
         group("singles", singles.size(), [&] {
             for (ServiceRequest *r : singles)
@@ -617,48 +663,31 @@ EccService::processSignBatch(WorkerContext &ctx,
 }
 
 void
-EccService::processDeriveWeierstrassBatch(WorkerContext &ctx,
-                                          std::vector<ServiceRequest *> &reqs)
+EccService::processDeriveBatch(WorkerContext &ctx,
+                               std::vector<ServiceRequest *> &reqs)
 {
     ServiceCurve curve = reqs[0]->curve;
-    const WeierstrassCurve *c = ctx.weierstrassFor(curve);
-    Ecdsa *S = ctx.signerFor(curve);
-    const BigUInt *n = S ? &S->order() : nullptr;
-
-    std::vector<ServiceRequest *> live;
-    std::vector<JacobianPoint> points;
-    live.reserve(reqs.size());
-    points.reserve(reqs.size());
-    for (ServiceRequest *rp : reqs) {
-        ServiceRequest &r = *rp;
-        if (!validatePoint(*c, r.peer, n)) {
-            fail(r, ServiceStatus::InvalidRequest, "peer point invalid");
-            continue;
-        }
-        if (n ? !validScalar(r.privateKey, *n) : r.privateKey.isZero()) {
-            fail(r, ServiceStatus::InvalidRequest, "scalar out of range");
-            continue;
-        }
-        // Order-known curves take their signer's variable-base method
-        // (Ecdsa::mulJacobian: GLV + JSF on the GLV curves);
-        // weierstrass-opf has neither a signer nor an endomorphism.
-        points.push_back(S ? S->mulJacobian(r.privateKey, r.peer)
-                           : c->mulNafJacobian(r.privateKey, r.peer));
-        live.push_back(rp);
-    }
-    if (live.empty())
+    if (curve == ServiceCurve::EdwardsOpf) {
+        const EdwardsCurve &c = ctx.edwardsOpf;
+        deriveBatch(
+            EdwardsFamily{c}, nullptr,
+            [&](const BigUInt &k, const AffinePoint &p) {
+                return c.mulNafExtended(k, p);
+            },
+            reqs);
         return;
-
-    std::vector<AffinePoint> affs = c->toAffineBatch(points);
-    for (size_t i = 0; i < live.size(); i++) {
-        if (affs[i].inf) {
-            fail(*live[i], ServiceStatus::InvalidRequest,
-                 "derived the point at infinity");
-            continue;
-        }
-        live[i]->pointOut = affs[i];
-        live[i]->status = ServiceStatus::Ok;
     }
+    // Order-known curves take their signer's variable-base method
+    // (Ecdsa::mulJacobian: GLV + JSF on the GLV curves);
+    // weierstrass-opf has neither a signer nor an endomorphism.
+    const WeierstrassCurve &c = *ctx.weierstrassFor(curve);
+    const Ecdsa *S = ctx.signerFor(curve);
+    deriveBatch(
+        WeierstrassFamily{c}, S ? &S->order() : nullptr,
+        [&](const BigUInt &k, const AffinePoint &p) {
+            return S ? S->mulJacobian(k, p) : c.mulNafJacobian(k, p);
+        },
+        reqs);
 }
 
 void
@@ -703,46 +732,6 @@ EccService::processDeriveMontgomeryBatch(WorkerContext &ctx,
             continue;
         }
         live[i]->xOut = f.mul(xz[i].x, zs[i]).toBig();
-        live[i]->status = ServiceStatus::Ok;
-    }
-}
-
-void
-EccService::processDeriveEdwardsBatch(WorkerContext &ctx,
-                                      std::vector<ServiceRequest *> &reqs)
-{
-    const EdwardsCurve &c = ctx.edwardsOpf;
-
-    std::vector<ServiceRequest *> live;
-    std::vector<ExtendedPoint> points;
-    live.reserve(reqs.size());
-    points.reserve(reqs.size());
-    for (ServiceRequest *rp : reqs) {
-        ServiceRequest &r = *rp;
-        if (!validatePoint(c, r.peer)) {
-            fail(r, ServiceStatus::InvalidRequest, "peer point invalid");
-            continue;
-        }
-        if (r.privateKey.isZero()) {
-            fail(r, ServiceStatus::InvalidRequest, "zero scalar");
-            continue;
-        }
-        points.push_back(c.mulNafExtended(r.privateKey, r.peer));
-        live.push_back(rp);
-    }
-    if (live.empty())
-        return;
-
-    std::vector<AffinePoint> affs = c.toAffineBatch(points);
-    for (size_t i = 0; i < live.size(); i++) {
-        // (0, 1) is what the other curves call the point at infinity:
-        // a small-order peer times a multiple of its order.
-        if (c.isIdentity(affs[i])) {
-            fail(*live[i], ServiceStatus::InvalidRequest,
-                 "derived the neutral element");
-            continue;
-        }
-        live[i]->pointOut = affs[i];
         live[i]->status = ServiceStatus::Ok;
     }
 }

@@ -161,12 +161,11 @@ class EccService
     // One handler per amortizable op, over one curve's group.
     void processSignBatch(WorkerContext &ctx,
                           std::vector<ServiceRequest *> &reqs);
-    void processDeriveWeierstrassBatch(WorkerContext &ctx,
-                                       std::vector<ServiceRequest *> &reqs);
+    /** Derive on a Weierstrass-family or the Edwards curve. */
+    void processDeriveBatch(WorkerContext &ctx,
+                            std::vector<ServiceRequest *> &reqs);
     void processDeriveMontgomeryBatch(WorkerContext &ctx,
                                       std::vector<ServiceRequest *> &reqs);
-    void processDeriveEdwardsBatch(WorkerContext &ctx,
-                                   std::vector<ServiceRequest *> &reqs);
 
     ServiceConfig cfg;
     ServiceTables tables;
