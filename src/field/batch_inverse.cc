@@ -57,12 +57,4 @@ invBatch(const PrimeField &f, std::vector<BigUInt> &elems)
     return n;
 }
 
-std::vector<BigUInt>
-invBatchCopy(const PrimeField &f, const std::vector<BigUInt> &elems)
-{
-    std::vector<BigUInt> out = elems;
-    invBatch(f, out);
-    return out;
-}
-
 } // namespace jaavr

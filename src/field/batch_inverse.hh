@@ -39,10 +39,6 @@ size_t invBatch(const PrimeField &f, std::vector<Fe> &elems);
 /** invBatch on BigUInt elements (converted through the field). */
 size_t invBatch(const PrimeField &f, std::vector<BigUInt> &elems);
 
-/** Non-mutating convenience wrapper around invBatch. */
-std::vector<BigUInt> invBatchCopy(const PrimeField &f,
-                                  const std::vector<BigUInt> &elems);
-
 } // namespace jaavr
 
 #endif // JAAVR_FIELD_BATCH_INVERSE_HH

@@ -28,7 +28,6 @@
 #include <array>
 #include <optional>
 
-#include "bigint/big_int.hh"
 #include "bigint/big_uint.hh"
 #include "field/fe.hh"
 #include "field/op_counts.hh"
@@ -117,9 +116,6 @@ class PrimeField
 
     /** Reduce an arbitrary BigUInt into [0, p). */
     BigUInt reduce(const BigUInt &a) const { return a % p; }
-
-    /** Reduce a signed value into [0, p). */
-    BigUInt reduceSigned(const BigInt &a) const { return a.mod(p); }
 
     BigUInt fromUint(uint64_t v) const { return reduce(BigUInt(v)); }
     BigUInt fromHex(const std::string &h) const

@@ -29,7 +29,6 @@ methodName(PmMethod m)
       case PmMethod::CozLadder: return "Mon";
       case PmMethod::XzLadder: return "Mon";
       case PmMethod::GlvJsf: return "End, JSF";
-      case PmMethod::Binary: return "Binary";
     }
     return "?";
 }
@@ -83,51 +82,29 @@ curveEnv(CurveId curve, CpuMode mode)
 std::function<void(const BigUInt &)>
 prepareRun(CurveId curve, PmMethod method)
 {
+    const WeierstrassCurve *w = nullptr; ///< the Weierstraß family
+    const GlvCurve *glv = nullptr;
+    AffinePoint g;
     switch (curve) {
-      case CurveId::Secp160r1: {
-        const WeierstrassCurve &c = secp160r1Curve();
-        AffinePoint g = secp160r1Generator().g;
-        switch (method) {
-          case PmMethod::Naf:
-            return [&c, g](const BigUInt &k) { c.mulNaf(k, g); };
-          case PmMethod::Daaa:
-            return [&c, g](const BigUInt &k) { c.mulDaaa(k, g); };
-          case PmMethod::CozLadder:
-            return [&c, g](const BigUInt &k) { c.mulLadder(k, g); };
-          case PmMethod::Binary:
-            return [&c, g](const BigUInt &k) { c.mulBinary(k, g); };
-          default: break;
-        }
+      case CurveId::Secp160r1:
+        w = &secp160r1Curve();
+        g = secp160r1Generator().g;
         break;
-      }
-      case CurveId::WeierstrassOpf: {
-        const WeierstrassCurve &c = weierstrassOpfCurve();
-        AffinePoint g = weierstrassOpfBasePoint();
-        switch (method) {
-          case PmMethod::Naf:
-            return [&c, g](const BigUInt &k) { c.mulNaf(k, g); };
-          case PmMethod::Daaa:
-            return [&c, g](const BigUInt &k) { c.mulDaaa(k, g); };
-          case PmMethod::CozLadder:
-            return [&c, g](const BigUInt &k) { c.mulLadder(k, g); };
-          case PmMethod::Binary:
-            return [&c, g](const BigUInt &k) { c.mulBinary(k, g); };
-          default: break;
-        }
+      case CurveId::WeierstrassOpf:
+        w = &weierstrassOpfCurve();
+        g = weierstrassOpfBasePoint();
         break;
-      }
+      case CurveId::GlvOpf:
+        w = glv = &glvOpfCurve();
+        g = glv->generator();
+        break;
       case CurveId::EdwardsOpf: {
         const EdwardsCurve &c = edwardsOpfCurve();
-        AffinePoint g = edwardsOpfBasePoint();
-        switch (method) {
-          case PmMethod::Naf:
+        g = edwardsOpfBasePoint();
+        if (method == PmMethod::Naf)
             return [&c, g](const BigUInt &k) { c.mulNaf(k, g); };
-          case PmMethod::Daaa:
+        if (method == PmMethod::Daaa)
             return [&c, g](const BigUInt &k) { c.mulDaaa(k, g); };
-          case PmMethod::Binary:
-            return [&c, g](const BigUInt &k) { c.mulBinary(k, g); };
-          default: break;
-        }
         break;
       }
       case CurveId::MontgomeryOpf: {
@@ -137,24 +114,21 @@ prepareRun(CurveId curve, PmMethod method)
             return [&c, x](const BigUInt &k) { c.ladder(k, x); };
         break;
       }
-      case CurveId::GlvOpf: {
-        const GlvCurve &c = glvOpfCurve();
-        AffinePoint g = c.generator();
+    }
+    if (w) {
         switch (method) {
           case PmMethod::Naf:
-            return [&c, g](const BigUInt &k) { c.mulNaf(k, g); };
+            return [w, g](const BigUInt &k) { w->mulNaf(k, g); };
           case PmMethod::Daaa:
-            return [&c, g](const BigUInt &k) { c.mulDaaa(k, g); };
+            return [w, g](const BigUInt &k) { w->mulDaaa(k, g); };
           case PmMethod::CozLadder:
-            return [&c, g](const BigUInt &k) { c.mulLadder(k, g); };
+            return [w, g](const BigUInt &k) { w->mulLadder(k, g); };
           case PmMethod::GlvJsf:
-            return [&c, g](const BigUInt &k) { c.mulGlvJsf(k, g); };
-          case PmMethod::Binary:
-            return [&c, g](const BigUInt &k) { c.mulBinary(k, g); };
+            if (glv)
+                return [glv, g](const BigUInt &k) { glv->mulGlvJsf(k, g); };
+            break;
           default: break;
         }
-        break;
-      }
     }
     panic("measurePointMult: method %s not available on curve %s",
           methodName(method), curveName(curve));

@@ -35,7 +35,6 @@ enum class PmMethod
     CozLadder, ///< Montgomery ladder via co-Z additions ("Mon")
     XzLadder,  ///< x-only Montgomery-curve ladder ("Mon")
     GlvJsf,    ///< endomorphism + JSF ("End, JSF")
-    Binary,    ///< plain double-and-add (baseline, not in the paper)
 };
 
 const char *curveName(CurveId id);

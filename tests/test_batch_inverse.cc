@@ -163,19 +163,6 @@ TEST(BatchInverse, ZeroHeavyLargeBatch)
     EXPECT_EQ(elems, expect);
 }
 
-TEST(BatchInverse, CopyWrapperLeavesInputAlone)
-{
-    PrimeField f = testField();
-    Rng rng(45);
-    std::vector<BigUInt> elems = randomElems(f, rng, 9);
-    std::vector<BigUInt> orig = elems;
-    std::vector<BigUInt> inv = invBatchCopy(f, elems);
-    EXPECT_EQ(elems, orig);
-    ASSERT_EQ(inv.size(), elems.size());
-    for (size_t i = 0; i < elems.size(); i++)
-        EXPECT_TRUE(f.mul(elems[i], inv[i]) == BigUInt(1));
-}
-
 TEST(BatchInverse, ProductIsOneInBothDirections)
 {
     // x * invBatch(x) == 1 for mixed small/large values, including
