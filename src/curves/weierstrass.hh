@@ -14,6 +14,8 @@
  *    (ZADDC + ZADDU, 10M + 5S per bit), the register-lean ladder of
  *    Hutter-Joye-Sierra cited by the paper for its constant-time
  *    secp160r1/Weierstrass/GLV rows.
+ *
+ * The double-and-add methods run the loops of point_mult.hh.
  */
 
 #ifndef JAAVR_CURVES_WEIERSTRASS_HH
