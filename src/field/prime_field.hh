@@ -11,7 +11,9 @@
  *    additions-only reduction the paper contrasts with its OPFs;
  *  - Redc, for every other modulus (the OPF primes, the group orders,
  *    small test primes): Montgomery REDC with R = 2^192, then one
- *    more REDC of the result times R^2 mod p to undo the R^-1.
+ *    more REDC of the result times R^2 mod p to undo the R^-1, on
+ *    the three-limb kernel in redc.hh that the set-up number theory
+ *    shares.
  *
  * Inversion is Fermat's a^(p-2) with a fixed 4-bit window on the same
  * kernel (in the Montgomery domain for Redc fields) and counts as one
@@ -25,12 +27,12 @@
 #ifndef JAAVR_FIELD_PRIME_FIELD_HH
 #define JAAVR_FIELD_PRIME_FIELD_HH
 
-#include <array>
 #include <optional>
 
 #include "bigint/big_uint.hh"
 #include "field/fe.hh"
 #include "field/op_counts.hh"
+#include "field/redc.hh"
 #include "support/random.hh"
 
 namespace jaavr
@@ -142,22 +144,12 @@ class PrimeField
     /** a * b mod p through the field's reduction; not counted. */
     Fe mulRaw(const Fe &a, const Fe &b) const;
 
-    /** REDC of the 6-limb t < p * 2^192: t * 2^-192 mod p. */
-    Fe redc(uint64_t t[6]) const;
-
-    /** REDC(a * b): the Montgomery product a * b * 2^-192 mod p. */
-    Fe montMul(const Fe &a, const Fe &b) const;
-
     BigUInt p;
     unsigned pBits;
-    Fe pw;                  ///< p as limbs
+    RedcContext mont;       ///< p's Montgomery domain (Redc's kernel)
     Reduction red;
     uint64_t foldC = 0;     ///< Fold: c = 2^160 - p
-    uint64_t redcInv = 0;   ///< Redc: -p^-1 mod 2^64
-    Fe r2;                  ///< Redc: 2^384 mod p
-    /** 4-bit windows of p - 2, most significant first. */
-    std::array<uint8_t, 48> invWindows{};
-    unsigned invWindowCount = 0;
+    ExpWindows invExp;      ///< p - 2, Fermat's inversion exponent
     mutable FieldOpCounts *counter = nullptr;
 };
 
