@@ -1,5 +1,6 @@
 #include "nt/primality.hh"
 
+#include "field/redc.hh"
 #include "support/logging.hh"
 
 namespace jaavr
@@ -8,9 +9,10 @@ namespace jaavr
 bool
 isProbablePrime(const BigUInt &n, Rng &rng, unsigned rounds)
 {
-    if (n < BigUInt(2))
-        return false;
-    for (uint64_t small : {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}) {
+    if (n < BigUInt(3) || !n.isOdd())
+        return n == BigUInt(2);
+    const RedcContext mn(n, "isProbablePrime");
+    for (uint64_t small : {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}) {
         BigUInt s(small);
         if (n == s)
             return true;
@@ -21,18 +23,21 @@ isProbablePrime(const BigUInt &n, Rng &rng, unsigned rounds)
     // Write n - 1 = d * 2^r with d odd.
     BigUInt nm1 = n - BigUInt(1);
     unsigned r = nm1.trailingZeros();
-    BigUInt d = nm1 >> r;
+    const ExpWindows d(nm1 >> r);
+    // The rounds run in the Montgomery domain: 1 is mn.one(), and
+    // n - 1 enters as n - (R mod n).
+    const Fe minusOne = mn.toMont(limb::feOf(nm1));
 
     for (unsigned i = 0; i < rounds; i++) {
         // Base in [2, n - 2].
         BigUInt a = BigUInt(2) + BigUInt::random(rng, n - BigUInt(3));
-        BigUInt x = a.powMod(d, n);
-        if (x.isOne() || x == nm1)
+        Fe x = mn.pow(mn.toMont(limb::feOf(a)), d);
+        if (x == mn.one() || x == minusOne)
             continue;
         bool composite = true;
         for (unsigned j = 0; j + 1 < r; j++) {
-            x = x.mulMod(x, n);
-            if (x == nm1) {
+            x = mn.sqr(x);
+            if (x == minusOne) {
                 composite = false;
                 break;
             }

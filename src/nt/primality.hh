@@ -13,9 +13,11 @@ namespace jaavr
 {
 
 /**
- * Miller-Rabin probabilistic primality test.
+ * Miller-Rabin probabilistic primality test: trial division by the
+ * primes up to 37, then @p rounds random bases, in n's Montgomery
+ * domain on the three-limb kernel (field/redc.hh).
  *
- * @param n      candidate
+ * @param n      candidate; an odd n of 2^192 or more is fatal
  * @param rng    randomness source for the bases
  * @param rounds number of random bases (error probability <= 4^-rounds)
  */
