@@ -32,13 +32,12 @@ Ecdsa::Ecdsa(const WeierstrassCurve &curve, const AffinePoint &gen,
         fatal("Ecdsa: invalid generator (off curve or order mismatch)");
 }
 
+// GlvCurve's constructor has checked G (coordinates below p, on the
+// curve) and n * G = O on this very curve object.
 Ecdsa::Ecdsa(const GlvCurve &curve)
     : c(curve), glv(&curve), g(curve.generator()), n(curve.order()),
       fn(curve.order())
-{
-    if (!generatesOrder(c, g, n))
-        fatal("Ecdsa: invalid GLV generator");
-}
+{}
 
 BigUInt
 Ecdsa::hashToScalar(const std::string &message) const

@@ -58,8 +58,9 @@ class Ecdsa
     Ecdsa(const WeierstrassCurve &curve, const AffinePoint &g,
           const BigUInt &n);
 
-    /** Convenience constructor for GLV curves (uses their G and n,
-     *  checked the same way). */
+    /** Convenience constructor for GLV curves: uses their G and n,
+     *  which GlvCurve's constructor has already checked (G valid,
+     *  n * G = O), so nothing is multiplied out again. */
     explicit Ecdsa(const GlvCurve &curve);
 
     /** Fresh key pair from @p rng (not a CSPRNG: examples only). */

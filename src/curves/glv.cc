@@ -175,6 +175,9 @@ GlvCurve::GlvCurve(const PrimeField &field, const GlvParams &params,
       decomp(params.order, params.lambda)
 {
     AffinePoint g = generator();
+    if (!(g.x < field.modulus()) || !(g.y < field.modulus()))
+        panic("GlvCurve %s: generator coordinates not below p",
+              ident.c_str());
     if (!onCurve(g))
         panic("GlvCurve %s: generator not on curve", ident.c_str());
     if (!mulBinary(prm.order, g).inf)

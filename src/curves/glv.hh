@@ -39,9 +39,11 @@ class GlvCurve : public WeierstrassCurve
 {
   public:
     /**
-     * Wrap validated parameters. Checks beta/lambda/order consistency
-     * (phi(G) == lambda * G, n * G == infinity) and panics on
-     * mismatch.
+     * Wrap validated parameters. Checks that G is a valid point (both
+     * coordinates below p, on the curve) and beta/lambda/order
+     * consistency (n * G == infinity, phi(G) == lambda * G), and
+     * panics on any mismatch. Ecdsa(const GlvCurve &) relies on these
+     * checks instead of repeating them.
      */
     GlvCurve(const PrimeField &field, const GlvParams &params,
              std::string name = "glv");

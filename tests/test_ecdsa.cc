@@ -301,6 +301,19 @@ TEST(Ecdsa, OffCurvePublicKeyRejected)
     EXPECT_FALSE(dsa.verify("msg", sig, bogus));
 }
 
+TEST(Ecdsa, ConstructorRejectsWrongOrder)
+{
+    // n + 2 is odd, so the scalar field accepts it; n + 2 times G is
+    // 2G, not O. (The GLV constructor takes n from a GlvCurve, whose
+    // own constructor checks it: GlvCurveChecks.* in test_glv.cc.)
+    const CurveGenerator &gen = secp160r1Generator();
+    EXPECT_DEATH(Ecdsa(secp160r1Curve(), gen.g, gen.order + BigUInt(2)),
+                 "invalid generator");
+    AffinePoint off(gen.g.x, secp160r1Field().add(gen.g.y, BigUInt(1)));
+    EXPECT_DEATH(Ecdsa(secp160r1Curve(), off, gen.order),
+                 "invalid generator");
+}
+
 TEST(Ecdsa, GlvAndNafSignaturesInteroperate)
 {
     // A signature produced with the endomorphism-accelerated signer
