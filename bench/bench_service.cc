@@ -24,6 +24,11 @@
  *     submit-to-completion latency from the service histograms
  *     (Histogram::percentile).
  *
+ * Before either sweep it times the process's first use of the curves
+ * (the set-up row): the ServiceCurveSet snapshot, whose number
+ * theory and GLV-OPF search every process pays once, and the first
+ * EccService construction (comb tables and worker contexts).
+ *
  * Rows go to BENCH_service.json (pinned rows gate via jaavr-report
  * against bench/baselines.json); the final sweep's labeled metrics
  * snapshot — queue depths, batch occupancy, per-worker op counters —
@@ -47,6 +52,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -427,6 +433,34 @@ runFlightDrill(const SignCase &c, uint64_t seed)
     note(std::string("flight drill dump -> ") + kFlightPath);
 }
 
+/**
+ * Times the first ServiceCurveSet::instance() call, before anything
+ * else touches a curve, and then the construction of one service of
+ * the default configuration (two workers, amortized: the comb tables
+ * and two worker contexts). Emits both as one row; the gate pins the
+ * snapshot time.
+ */
+void
+runSetup()
+{
+    auto t0 = std::chrono::steady_clock::now();
+    ServiceCurveSet::instance();
+    double snapshotMs = secondsSince(t0) * 1e3;
+    auto t1 = std::chrono::steady_clock::now();
+    auto svc = std::make_unique<EccService>(ServiceConfig{});
+    double serviceMs = secondsSince(t1) * 1e3;
+
+    rowMeasured("curve snapshot (first use)", snapshotMs * 1e3, "us");
+    rowMeasured("service build (tables, 2 contexts)", serviceMs * 1e3,
+                "us");
+    JsonLine line = benchLine("service");
+    line.str("workload", "setup")
+        .str("config", "first_use")
+        .num("curve_snapshot_ms", snapshotMs)
+        .num("service_build_ms", serviceMs);
+    appendJsonLine(kJsonPath, line);
+}
+
 void
 emitRow(const char *workload, const char *config, double batch_max,
         const SweepResult &r, double offered = 0)
@@ -465,6 +499,9 @@ main(int argc, char **argv)
     // the gated batch-sweep rows therefore measure the idle-tracer
     // cost (contract: none).
     obs::SpanTracer tracer;
+
+    heading("ECC service: set-up (first use in this process)");
+    runSetup();
 
     heading("ECC service: batch amortization sweep (ECDSA sign, "
             "secp160r1, 1 worker)");
