@@ -1,133 +1,112 @@
 /**
  * @file
- * Bounded lock-free ring queue (Vyukov's bounded MPMC algorithm,
- * used here as the per-worker MPSC request queue of the ECC service
- * — DESIGN.md §14).
+ * Bounded blocking queue: the per-worker request queue of the ECC
+ * service (DESIGN.md §14).
  *
- * Each cell carries a sequence number that encodes, relative to the
- * ring lap, whether the cell is free for the next producer or holds a
- * value for the next consumer. Producers claim cells with one CAS on
- * the enqueue cursor; the single consumer per queue claims with a
- * plain load/store pair on the dequeue cursor (the algorithm also
- * supports multiple consumers, so the same type backs tests that pop
- * from several threads). Push and pop are wait-free when uncontended
- * and lock-free under contention; a full queue rejects the push
- * instead of blocking, which is the backpressure signal
- * EccService::trySubmit reports to callers.
+ * A fixed ring under one mutex, for any number of producers and one
+ * consumer. A push onto a full ring is refused instead of blocking,
+ * which is the backpressure signal EccService::trySubmit reports to
+ * callers; a push after close() is refused too. popBatch sleeps on a
+ * condition variable until a value is queued or the queue is closed,
+ * so an idle consumer costs nothing and wakes on the push that feeds
+ * it. Push, pop and close take the same lock: a push either lands
+ * before close() and is popped, or is refused.
  */
 
 #ifndef JAAVR_SERVICE_QUEUE_HH
 #define JAAVR_SERVICE_QUEUE_HH
 
-#include <atomic>
+#include <algorithm>
+#include <condition_variable>
 #include <cstddef>
-#include <memory>
-
-#include "support/logging.hh"
+#include <mutex>
+#include <vector>
 
 namespace jaavr
 {
 
+enum class PushResult
+{
+    Ok,
+    Full,   ///< backpressure: the ring holds capacity() values
+    Closed, ///< close() was called
+};
+
 template <typename T>
-class BoundedMpmcQueue
+class BoundedBlockingQueue
 {
   public:
-    /** @param capacity slots; rounded up to a power of two >= 2. */
-    explicit BoundedMpmcQueue(size_t capacity)
+    /** @param capacity slots, exactly. */
+    explicit BoundedBlockingQueue(size_t capacity) : ring(capacity) {}
+
+    BoundedBlockingQueue(const BoundedBlockingQueue &) = delete;
+    BoundedBlockingQueue &operator=(const BoundedBlockingQueue &) = delete;
+
+    PushResult
+    push(const T &v)
     {
-        size_t cap = 2;
-        while (cap < capacity) {
-            cap <<= 1;
-            if (cap == 0)
-                fatal("BoundedMpmcQueue: capacity overflow");
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            if (closed)
+                return PushResult::Closed;
+            if (count == ring.size())
+                return PushResult::Full;
+            ring[(head + count) % ring.size()] = v;
+            count++;
         }
-        cells = std::make_unique<Cell[]>(cap);
-        maskv = cap - 1;
-        for (size_t i = 0; i < cap; i++)
-            cells[i].seq.store(i, std::memory_order_relaxed);
-        enqueuePos.store(0, std::memory_order_relaxed);
-        dequeuePos.store(0, std::memory_order_relaxed);
+        // No waiter (a busy consumer) makes this a check, not a
+        // syscall.
+        nonEmpty.notify_one();
+        return PushResult::Ok;
     }
 
-    BoundedMpmcQueue(const BoundedMpmcQueue &) = delete;
-    BoundedMpmcQueue &operator=(const BoundedMpmcQueue &) = delete;
-
-    /** False iff the queue is full. Safe from any thread. */
+    /**
+     * Wait until a value is queued or the queue is closed, then
+     * replace @p out with up to @p max values in FIFO order. False,
+     * with @p out empty, once the queue is closed and empty.
+     */
     bool
-    tryPush(const T &v)
+    popBatch(std::vector<T> &out, size_t max)
     {
-        size_t pos = enqueuePos.load(std::memory_order_relaxed);
-        for (;;) {
-            Cell &cell = cells[pos & maskv];
-            size_t seq = cell.seq.load(std::memory_order_acquire);
-            intptr_t diff = intptr_t(seq) - intptr_t(pos);
-            if (diff == 0) {
-                if (enqueuePos.compare_exchange_weak(
-                        pos, pos + 1, std::memory_order_relaxed))
-                {
-                    cell.value = v;
-                    cell.seq.store(pos + 1, std::memory_order_release);
-                    return true;
-                }
-                // CAS failure reloaded pos; retry that cell.
-            } else if (diff < 0) {
-                return false;  // cell still holds the previous lap
-            } else {
-                pos = enqueuePos.load(std::memory_order_relaxed);
-            }
+        out.clear();
+        std::unique_lock<std::mutex> lk(mu);
+        nonEmpty.wait(lk, [this] { return count > 0 || closed; });
+        size_t n = std::min(max, count);
+        for (size_t i = 0; i < n; i++) {
+            out.push_back(ring[head]);
+            head = (head + 1) % ring.size();
         }
+        count -= n;
+        return n > 0;
     }
 
-    /** False iff the queue is empty. Safe from any thread. */
-    bool
-    tryPop(T &out)
+    /** Refuse every later push; popBatch still returns what is left. */
+    void
+    close()
     {
-        size_t pos = dequeuePos.load(std::memory_order_relaxed);
-        for (;;) {
-            Cell &cell = cells[pos & maskv];
-            size_t seq = cell.seq.load(std::memory_order_acquire);
-            intptr_t diff = intptr_t(seq) - intptr_t(pos + 1);
-            if (diff == 0) {
-                if (dequeuePos.compare_exchange_weak(
-                        pos, pos + 1, std::memory_order_relaxed))
-                {
-                    out = cell.value;
-                    cell.seq.store(pos + maskv + 1,
-                                   std::memory_order_release);
-                    return true;
-                }
-            } else if (diff < 0) {
-                return false;  // empty (producer not done yet)
-            } else {
-                pos = dequeuePos.load(std::memory_order_relaxed);
-            }
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            closed = true;
         }
+        nonEmpty.notify_all();
     }
 
-    /** Momentary depth; approximate under concurrent traffic. */
     size_t
-    sizeApprox() const
+    size() const
     {
-        size_t e = enqueuePos.load(std::memory_order_relaxed);
-        size_t d = dequeuePos.load(std::memory_order_relaxed);
-        return e >= d ? e - d : 0;
+        std::lock_guard<std::mutex> lk(mu);
+        return count;
     }
 
-    size_t capacity() const { return maskv + 1; }
+    size_t capacity() const { return ring.size(); }
 
   private:
-    struct Cell
-    {
-        std::atomic<size_t> seq{0};
-        T value{};
-    };
-
-    // The cursors live on separate cache lines so producers hammering
-    // enqueuePos do not false-share with the consumer's dequeuePos.
-    std::unique_ptr<Cell[]> cells;
-    size_t maskv;
-    alignas(64) std::atomic<size_t> enqueuePos;
-    alignas(64) std::atomic<size_t> dequeuePos;
+    mutable std::mutex mu;
+    std::condition_variable nonEmpty;
+    std::vector<T> ring;
+    size_t head = 0;  ///< slot of the oldest value
+    size_t count = 0; ///< values queued
+    bool closed = false;
 };
 
 } // namespace jaavr

@@ -148,10 +148,11 @@ EccService::EccService(const ServiceConfig &config)
         fatal("EccService: at least one worker required");
     if (cfg.batchMax == 0)
         fatal("EccService: batchMax must be >= 1");
+    if (cfg.queueCapacity == 0)
+        fatal("EccService: queueCapacity must be >= 1");
     for (unsigned i = 0; i < cfg.workers; i++) {
         contexts.push_back(std::make_unique<WorkerContext>(cfg.rngSeed + i));
-        queues.push_back(std::make_unique<BoundedMpmcQueue<ServiceRequest *>>(
-            cfg.queueCapacity));
+        queues.push_back(std::make_unique<RequestQueue>(cfg.queueCapacity));
         stats.push_back(std::make_unique<WorkerStats>(latencyBoundsUs(),
                                                       occupancyBounds()));
         if (cfg.amortize) {
@@ -173,7 +174,6 @@ EccService::start()
 {
     if (!threads.empty())
         return;
-    running.store(true, std::memory_order_release);
     for (unsigned i = 0; i < cfg.workers; i++)
         threads.emplace_back([this, i] { workerLoop(i); });
 }
@@ -181,10 +181,10 @@ EccService::start()
 void
 EccService::stop()
 {
-    accepting.store(false, std::memory_order_release);
-    if (threads.empty())
-        return;
-    running.store(false, std::memory_order_release);
+    // A closed queue refuses pushes, and its worker exits once it has
+    // popped everything pushed before.
+    for (auto &q : queues)
+        q->close();
     for (std::thread &t : threads)
         t.join();
     threads.clear();
@@ -219,11 +219,9 @@ EccService::setFlightRecorder(obs::FlightRecorder *f)
     flightSubmit = flight->source("submit");
 }
 
-bool
-EccService::trySubmit(ServiceRequest *req)
+PushResult
+EccService::enqueue(ServiceRequest *req)
 {
-    if (!accepting.load(std::memory_order_acquire))
-        return false;
     req->done.store(false, std::memory_order_relaxed);
     req->status = ServiceStatus::Pending;
     req->error.clear();
@@ -235,8 +233,9 @@ EccService::trySubmit(ServiceRequest *req)
                    ? roundRobin.fetch_add(1, std::memory_order_relaxed) %
                          queues.size()
                    : mixHint(req->shardHint) % queues.size();
-    if (queues[w]->tryPush(req))
-        return true;
+    PushResult r = queues[w]->push(req);
+    if (r != PushResult::Full)
+        return r;
     // Backpressure: the shard queue is full. Only the *onset* lands
     // in the flight ring (submit() spins here under saturation, so
     // per-refusal recording would become the hot path); the refusal
@@ -249,19 +248,22 @@ EccService::trySubmit(ServiceRequest *req)
                              cfg.queueCapacity);
         flight->trigger("service_backpressure");
     }
-    return false;
+    return r;
+}
+
+bool
+EccService::trySubmit(ServiceRequest *req)
+{
+    return enqueue(req) == PushResult::Ok;
 }
 
 bool
 EccService::submit(ServiceRequest *req)
 {
-    for (;;) {
-        if (trySubmit(req))
-            return true;
-        if (!accepting.load(std::memory_order_acquire))
-            return false;
+    PushResult r;
+    while ((r = enqueue(req)) == PushResult::Full)
         std::this_thread::yield();
-    }
+    return r == PushResult::Ok;
 }
 
 void
@@ -284,50 +286,25 @@ void
 EccService::workerLoop(unsigned idx)
 {
     WorkerContext &ctx = *contexts[idx];
-    BoundedMpmcQueue<ServiceRequest *> &q = *queues[idx];
+    RequestQueue &q = *queues[idx];
     WorkerStats &st = *stats[idx];
-    // amortize = false drains one request per wake: every group is
+    // amortize = false drains one request per pop: every group is
     // then a group of one, so nothing shares an inversion (and the
     // constructor attached no comb).
     const size_t drainMax = cfg.amortize ? cfg.batchMax : 1;
     std::vector<ServiceRequest *> batch;
     batch.reserve(drainMax);
-    unsigned idle = 0;
 
-    for (;;) {
-        batch.clear();
-        ServiceRequest *req = nullptr;
-        // One relaxed flag sample per wake: the pop-time stamps only
-        // exist while tracing, so the idle-tracer drain loop stays
-        // pop + push_back.
-        bool tracing = tracer && tracer->enabled();
-        while (batch.size() < drainMax && q.tryPop(req)) {
-            if (tracing)
-                req->poppedAtUs = tracer->nowUs();
-            batch.push_back(req);
+    // popBatch sleeps until a request is queued, and returns false
+    // once stop() has closed the queue and it is empty.
+    while (q.popBatch(batch, drainMax)) {
+        // The pop-time stamp exists only while tracing; one clock
+        // read serves the whole batch.
+        if (tracer && tracer->enabled()) {
+            uint64_t poppedAt = tracer->nowUs();
+            for (ServiceRequest *r : batch)
+                r->poppedAtUs = poppedAt;
         }
-        if (batch.empty()) {
-            if (!running.load(std::memory_order_acquire)) {
-                // Drain check after observing shutdown: anything a
-                // producer pushed before stop() is still processed.
-                if (!q.tryPop(req))
-                    break;
-                if (tracing)
-                    req->poppedAtUs = tracer->nowUs();
-                batch.push_back(req);
-            } else if (idle < 64) {
-                idle++;
-                continue;
-            } else if (idle < 128) {
-                idle++;
-                std::this_thread::yield();
-                continue;
-            } else {
-                std::this_thread::sleep_for(std::chrono::microseconds(50));
-                continue;
-            }
-        }
-        idle = 0;
         processBatch(ctx, st, batch, idx);
     }
 }
@@ -749,7 +726,7 @@ EccService::publishMetrics(MetricsRegistry &reg) const
         const WorkerStats &st = *stats[i];
         MetricLabels wl{{"worker", std::to_string(i)}};
         reg.gauge("service_queue_depth", wl)
-            .set(double(queues[i]->sizeApprox()));
+            .set(double(queues[i]->size()));
         raise("service_ops", wl, st.ops.load(std::memory_order_relaxed));
         raise("service_batches", wl,
               st.batches.load(std::memory_order_relaxed));

@@ -4,12 +4,14 @@
  *
  * Architecture: a fixed pool of worker threads, each with a private
  * WorkerContext (no shared mutable state — see context.hh) and its
- * own bounded lock-free MPSC request queue. Submitters shard across
- * the queues (round-robin by default, sticky via
- * ServiceRequest::shardHint), so the hot path is one CAS per submit
- * and workers never contend with each other.
+ * own bounded blocking request queue (queue.hh). Submitters shard
+ * across the queues (round-robin by default, sticky via
+ * ServiceRequest::shardHint), so workers never contend with each
+ * other. A worker sleeps in its queue's pop until a submit wakes it,
+ * and exits once stop() has closed the queue and it is empty, so
+ * every accepted request runs.
  *
- * Amortization: a worker drains up to `batchMax` requests per wake
+ * Amortization: a worker drains up to `batchMax` requests per pop
  * and partitions the drain into (op, curve) groups, one handler per
  * op: Sign/Keygen, and Derive on Weierstrass, Montgomery and Edwards
  * curves. A group's Jacobian/extended results are converted to
@@ -20,7 +22,7 @@
  * and hardened Derive share no work across requests and run singly.
  * With `amortize` on (the default) fixed-base multiplications go
  * through comb tables built once at startup. With `amortize` off no
- * comb is built and a wake drains one request, so no inversion is
+ * comb is built and a pop drains one request, so no inversion is
  * shared — the "batch size 1" baseline bench_service compares
  * against, on the same handlers.
  *
@@ -53,7 +55,7 @@ namespace jaavr
 struct ServiceConfig
 {
     unsigned workers = 2;        ///< worker threads (>= 1)
-    size_t queueCapacity = 1024; ///< per-worker queue slots (pow2-rounded)
+    size_t queueCapacity = 1024; ///< per-worker queue slots (>= 1)
     size_t batchMax = 16;        ///< drain limit when amortizing (>= 1)
     bool amortize = true;        ///< combs + multi-request drains
     uint64_t rngSeed = 1;        ///< base seed; worker i uses seed + i
@@ -69,7 +71,7 @@ class EccService
     EccService &operator=(const EccService &) = delete;
 
     void start();
-    /** Drains every queued request, then joins the workers. */
+    /** Refuses new requests, runs every accepted one, joins the workers. */
     void stop();
     bool started() const { return !threads.empty(); }
 
@@ -111,7 +113,7 @@ class EccService
      * micro-batch with per-request child spans (queue-wait /
      * drain-wait stage arguments) plus per-group amortization spans
      * into its own ring. Attached-but-disabled costs a relaxed load
-     * per submit and per worker wake — results stay bit-identical
+     * per submit and per worker pop — results stay bit-identical
      * either way (pinned by tests/test_obs.cc).
      */
     void setTracer(obs::SpanTracer *t);
@@ -152,6 +154,10 @@ class EccService
         {}
     };
 
+    using RequestQueue = BoundedBlockingQueue<ServiceRequest *>;
+
+    /** Stamp and route @p req, then push it onto its shard's queue. */
+    PushResult enqueue(ServiceRequest *req);
     void workerLoop(unsigned idx);
     void processBatch(WorkerContext &ctx, WorkerStats &st,
                       std::vector<ServiceRequest *> &batch,
@@ -170,11 +176,9 @@ class EccService
     ServiceConfig cfg;
     ServiceTables tables;
     std::vector<std::unique_ptr<WorkerContext>> contexts;
-    std::vector<std::unique_ptr<BoundedMpmcQueue<ServiceRequest *>>> queues;
+    std::vector<std::unique_ptr<RequestQueue>> queues;
     std::vector<std::unique_ptr<WorkerStats>> stats;
     std::vector<std::thread> threads;
-    std::atomic<bool> accepting{true};
-    std::atomic<bool> running{false};
     std::atomic<uint64_t> roundRobin{0};
 
     // Observability (src/obs/): optional, attach before start().

@@ -5,16 +5,19 @@
  * are bit-identical to serial runs (no hidden globals in the ISS),
  * independent WorkerContexts evaluating one shared comb table
  * concurrently agree with the single-threaded golden results, the
- * lock-free queue survives a multi-producer stress run without
- * losing or duplicating items, and a running multi-worker service
+ * blocking queue survives a multi-producer stress run without
+ * losing or duplicating items, a running multi-worker service
  * fed from several submitter threads completes every request
- * correctly. The span tracer rides the same contract: one shared
- * SpanTracer feeding per-thread rings under full contention must
+ * correctly, and stop() racing those submitters leaves no accepted
+ * request unprocessed. The span tracer rides the same contract: one
+ * shared SpanTracer feeding per-thread rings under full contention must
  * keep span IDs globally unique and every ring internally ordered.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -165,10 +168,11 @@ TEST(Concurrency, WorkerContextsShareOneCombSafely)
 TEST(Concurrency, QueueMultiProducerStress)
 {
     // 4 producers push disjoint tagged requests through one queue
-    // while a consumer drains; every tag must arrive exactly once.
+    // while a consumer pops batches; every tag must arrive exactly
+    // once.
     constexpr int kProducers = 4;
     constexpr int kPerProducer = 2000;
-    BoundedMpmcQueue<ServiceRequest *> q(64);
+    BoundedBlockingQueue<ServiceRequest *> q(64);
 
     std::vector<std::vector<ServiceRequest>> reqs;
     for (int p = 0; p < kProducers; p++) {
@@ -178,35 +182,28 @@ TEST(Concurrency, QueueMultiProducerStress)
     }
 
     std::vector<char> seen(kProducers * kPerProducer, 0);
-    std::atomic<int> consumed{0};
     std::thread consumer([&] {
-        ServiceRequest *r = nullptr;
-        while (consumed.load(std::memory_order_relaxed) <
-               kProducers * kPerProducer)
-        {
-            if (q.tryPop(r)) {
+        std::vector<ServiceRequest *> batch;
+        while (q.popBatch(batch, 16))
+            for (ServiceRequest *r : batch)
                 seen[size_t(r->shardHint)]++;
-                consumed.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                std::this_thread::yield();
-            }
-        }
     });
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; p++)
         producers.emplace_back([&, p] {
             for (int i = 0; i < kPerProducer; i++)
-                while (!q.tryPush(&reqs[p][i]))
+                while (q.push(&reqs[p][i]) != PushResult::Ok)
                     std::this_thread::yield();
         });
     for (auto &t : producers)
         t.join();
+    q.close();
     consumer.join();
 
     for (size_t i = 0; i < seen.size(); i++)
         ASSERT_EQ(int(seen[i]), 1) << "tag " << i;
-    EXPECT_EQ(q.sizeApprox(), 0u);
+    EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(Concurrency, TracerSpanIdsStayUniqueAcrossThreads)
@@ -326,4 +323,73 @@ TEST(Concurrency, ManySubmittersOneService)
 
     EXPECT_EQ(bad.load(), 0);
     EXPECT_EQ(svc.opsProcessed(), uint64_t(kThreads * kPerThread));
+}
+
+TEST(Concurrency, StopNeverStrandsAnAcceptedRequest)
+{
+    // stop() races three submitters, round after round: every request
+    // submit() accepted must have run by the time stop() returns. Each
+    // submitter waits for its request before the next, so the worker
+    // keeps finding its queue empty, and stop() lands at a random
+    // point of a submit. The requests carry key 0, which the worker
+    // rejects at once.
+    constexpr int kRounds = 1000;
+    constexpr int kSubmitters = 3;
+    constexpr size_t kPool = 2048;
+    std::vector<std::vector<ServiceRequest>> pools;
+    for (int t = 0; t < kSubmitters; t++) {
+        pools.emplace_back(kPool);
+        for (ServiceRequest &r : pools.back())
+            r.message = "race";
+    }
+
+    uint64_t accepted = 0, stranded = 0;
+    for (int round = 0; round < kRounds; round++) {
+        EccService svc([] {
+            ServiceConfig cfg;
+            cfg.workers = 1;
+            cfg.amortize = false;
+            return cfg;
+        }());
+        svc.start();
+        std::atomic<int> ready{0};
+        // Ends the wait for a request the service did not run.
+        std::atomic<bool> stopped{false};
+        std::vector<size_t> taken(kSubmitters, 0);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kSubmitters; t++)
+            threads.emplace_back([&, t] {
+                ready.fetch_add(1);
+                size_t i = 0;
+                while (i < kPool && svc.submit(&pools[t][i])) {
+                    while (!pools[t][i].done.load() && !stopped.load())
+                        std::this_thread::yield();
+                    i++;
+                }
+                taken[t] = i;
+            });
+        while (ready.load() < kSubmitters)
+            std::this_thread::yield();
+        // Stop after 0–39 µs of submitting.
+        auto until = std::chrono::steady_clock::now() +
+                     std::chrono::microseconds(round % 40);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        svc.stop();
+        stopped.store(true);
+        for (auto &th : threads)
+            th.join();
+
+        uint64_t roundAccepted = 0;
+        for (int t = 0; t < kSubmitters; t++) {
+            roundAccepted += taken[t];
+            for (size_t i = 0; i < taken[t]; i++)
+                if (!pools[t][i].done.load(std::memory_order_acquire))
+                    stranded++;
+        }
+        accepted += roundAccepted;
+        EXPECT_EQ(svc.opsProcessed(), roundAccepted) << "round " << round;
+    }
+    EXPECT_EQ(stranded, 0u) << "of " << accepted << " accepted requests";
+    EXPECT_GT(accepted, 0u);
 }

@@ -1,9 +1,9 @@
 /**
  * @file
- * The ECC service end to end: the bounded lock-free queue's contract
- * (FIFO, capacity, backpressure), every op on every curve against
- * the single-call library golden path, bit-identical batched vs
- * single-call signatures (explicit nonces), result-for-result
+ * The ECC service end to end: the bounded blocking queue's contract
+ * (FIFO, exact capacity, backpressure, close), every op on every
+ * curve against the single-call library golden path, bit-identical
+ * batched vs single-call signatures (explicit nonces), result-for-result
  * agreement of the amortized and unamortized configurations, error
  * and hardened paths, deterministic full-batch occupancy, and the
  * idempotent metrics publication.
@@ -40,37 +40,56 @@ scalarBelow(Rng &rng, const BigUInt &n)
 
 } // namespace
 
-// --- BoundedMpmcQueue --------------------------------------------------
+// --- BoundedBlockingQueue ----------------------------------------------
 
 TEST(ServiceQueue, FifoAndCapacity)
 {
-    BoundedMpmcQueue<ServiceRequest *> q(5); // rounds up to 8
-    EXPECT_EQ(q.capacity(), 8u);
+    BoundedBlockingQueue<ServiceRequest *> q(5); // exact, not rounded
+    EXPECT_EQ(q.capacity(), 5u);
 
-    std::vector<ServiceRequest> reqs(9);
-    for (size_t i = 0; i < 8; i++)
-        EXPECT_TRUE(q.tryPush(&reqs[i]));
-    EXPECT_TRUE(q.sizeApprox() == 8u);
-    // Full: the ninth push is the backpressure signal.
-    EXPECT_FALSE(q.tryPush(&reqs[8]));
+    std::vector<ServiceRequest> reqs(6);
+    auto ptrs = [&](std::initializer_list<size_t> idx) {
+        std::vector<ServiceRequest *> v;
+        for (size_t i : idx)
+            v.push_back(&reqs[i]);
+        return v;
+    };
+    for (size_t i = 0; i < 5; i++)
+        EXPECT_EQ(q.push(&reqs[i]), PushResult::Ok);
+    EXPECT_EQ(q.size(), 5u);
+    // Full: the sixth push is the backpressure signal.
+    EXPECT_EQ(q.push(&reqs[5]), PushResult::Full);
 
-    ServiceRequest *out = nullptr;
-    for (size_t i = 0; i < 8; i++) {
-        ASSERT_TRUE(q.tryPop(out));
-        EXPECT_EQ(out, &reqs[i]);
-    }
-    EXPECT_FALSE(q.tryPop(out));
-    EXPECT_EQ(q.sizeApprox(), 0u);
+    // popBatch hands out at most max values, oldest first.
+    std::vector<ServiceRequest *> out;
+    ASSERT_TRUE(q.popBatch(out, 3));
+    EXPECT_EQ(out, ptrs({0, 1, 2}));
+    EXPECT_EQ(q.size(), 2u);
 
     // Wraps around the ring cleanly.
     for (int lap = 0; lap < 3; lap++) {
-        for (size_t i = 0; i < 6; i++)
-            EXPECT_TRUE(q.tryPush(&reqs[i]));
-        for (size_t i = 0; i < 6; i++) {
-            ASSERT_TRUE(q.tryPop(out));
-            EXPECT_EQ(out, &reqs[i]);
-        }
+        for (size_t i : {5, 0, 1})
+            EXPECT_EQ(q.push(&reqs[i]), PushResult::Ok);
+        EXPECT_EQ(q.push(&reqs[2]), PushResult::Full);
+        ASSERT_TRUE(q.popBatch(out, 3));
+        EXPECT_EQ(out, ptrs({3, 4, 5}));
+        ASSERT_TRUE(q.popBatch(out, 16));
+        EXPECT_EQ(out, ptrs({0, 1}));
+        EXPECT_EQ(q.size(), 0u);
+        EXPECT_EQ(q.push(&reqs[3]), PushResult::Ok);
+        EXPECT_EQ(q.push(&reqs[4]), PushResult::Ok);
     }
+
+    // Closed: later pushes are refused, the values queued before
+    // close() still pop, and then popBatch reports the end instead
+    // of waiting.
+    q.close();
+    EXPECT_EQ(q.push(&reqs[5]), PushResult::Closed);
+    ASSERT_TRUE(q.popBatch(out, 16));
+    EXPECT_EQ(out, ptrs({3, 4}));
+    EXPECT_FALSE(q.popBatch(out, 16));
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(q.size(), 0u);
 }
 
 // --- Service lifecycle and routing ------------------------------------
@@ -83,6 +102,13 @@ TEST(Service, RejectsAfterStop)
     ServiceRequest r;
     EXPECT_FALSE(svc.trySubmit(&r));
     EXPECT_FALSE(svc.submit(&r));
+}
+
+TEST(Service, RejectsZeroQueueCapacity)
+{
+    ServiceConfig cfg = testConfig(1, false);
+    cfg.queueCapacity = 0;
+    EXPECT_DEATH(EccService{cfg}, "queueCapacity");
 }
 
 TEST(Service, StopDrainsQueuedRequests)
@@ -212,7 +238,7 @@ TEST(Service, FullBatchIsBitIdenticalToSingleCalls)
 TEST(Service, UnamortizedConfigurationAgrees)
 {
     // amortize = false attaches no comb and drains one request per
-    // wake; amortize = true drains the whole pre-start queue into
+    // pop; amortize = true drains the whole pre-start queue into
     // mixed (op, curve) groups. Every op on every curve the service
     // accepts must give the same result either way.
     Ecdsa r1(secp160r1Curve(), secp160r1Generator().g,
