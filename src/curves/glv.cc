@@ -9,10 +9,6 @@
 namespace jaavr
 {
 
-namespace
-{
-
-/** Cube root of unity mod m (m = 1 mod 3): (-1 + sqrt(-3)) / 2. */
 BigUInt
 cubeRootOfUnity(const BigUInt &m, Rng &rng)
 {
@@ -29,7 +25,24 @@ cubeRootOfUnity(const BigUInt &m, Rng &rng)
     return beta;
 }
 
-} // anonymous namespace
+BigUInt
+matchGlvEigenvalue(const WeierstrassCurve &curve, const BigUInt &beta,
+                   const BigUInt &lambda, const AffinePoint &g,
+                   const BigUInt &n)
+{
+    // phi^2(x, y) = (beta^2 x, y), and lambda G = phi^2(G) gives
+    // lambda^2 G = phi^4(G) = phi(G): one multiplication decides.
+    const PrimeField &f = curve.field();
+    AffinePoint lg = curve.mulBinary(lambda, g);
+    BigUInt bx = f.mul(beta, g.x);
+    if (!lg.inf && lg.y == g.y) {
+        if (lg.x == bx)
+            return lambda;
+        if (lg.x == f.mul(beta, bx))
+            return lambda.mulMod(lambda, n);
+    }
+    panic("matchGlvEigenvalue: no eigenvalue matches beta");
+}
 
 std::vector<BigUInt>
 GlvCurve::candidateOrders(const BigUInt &p, const BigUInt &l,
@@ -141,18 +154,7 @@ GlvCurve::tryConstruct(const PrimeField &field, Rng &rng)
         }
         prm.gx = g.x;
         prm.gy = g.y;
-
-        // Match lambda to beta on the subgroup: phi(G) must equal
-        // lambda * G; otherwise take the other root lambda^2.
-        AffinePoint phi_g(field.mul(prm.beta, g.x), g.y);
-        AffinePoint lam_g = curve.mulBinary(lam, g);
-        if (!(lam_g.x == phi_g.x && lam_g.y == phi_g.y)) {
-            lam = lam.mulMod(lam, target_n);
-            lam_g = curve.mulBinary(lam, g);
-            if (!(lam_g.x == phi_g.x && lam_g.y == phi_g.y))
-                panic("GlvCurve::tryConstruct: no eigenvalue matches beta");
-        }
-        prm.lambda = lam;
+        prm.lambda = matchGlvEigenvalue(curve, prm.beta, lam, g, target_n);
         return prm;
     }
     return std::nullopt;

@@ -35,6 +35,18 @@ struct GlvParams
     BigUInt gx, gy;   ///< generator of the prime-order subgroup
 };
 
+/** A primitive cube root of unity mod m, m = 1 (mod 3). */
+BigUInt cubeRootOfUnity(const BigUInt &m, Rng &rng);
+
+/**
+ * The cube root of unity mod n that acts on G's order-n subgroup as
+ * phi(x, y) = (beta x, y) does: @p lambda if lambda G = phi(G), its
+ * square if lambda G = phi^2(G). Panics if neither holds.
+ */
+BigUInt matchGlvEigenvalue(const WeierstrassCurve &curve,
+                           const BigUInt &beta, const BigUInt &lambda,
+                           const AffinePoint &g, const BigUInt &n);
+
 class GlvCurve : public WeierstrassCurve
 {
   public:

@@ -4,7 +4,6 @@
 
 #include "nt/opf_prime.hh"
 #include "nt/primality.hh"
-#include "nt/sqrt_mod.hh"
 #include "support/logging.hh"
 
 namespace jaavr
@@ -23,18 +22,6 @@ const char *kR1N = "0100000000000000000001f4c8f927aed3ca752257";
 const char *kK1Gx = "3b4c382ce37aa192a4019e763036f4f5dd4d7ebb";
 const char *kK1Gy = "938cf935318fdced6bc28286531733c3f03c4fee";
 const char *kK1N = "0100000000000000000001b8fa16dfab9aca16b6b3";
-
-/** Cube root of unity mod m (m = 1 mod 3): (-1 + sqrt(-3)) / 2. */
-BigUInt
-cubeRoot(const BigUInt &m)
-{
-    Rng rng(0xc0be);
-    BigUInt neg3 = m - BigUInt(3);
-    auto s = sqrtMod(neg3, m, rng);
-    if (!s)
-        panic("standard_curves: -3 not a residue mod m");
-    return (m - BigUInt(1) + *s).mulMod(BigUInt(2).invMod(m), m);
-}
 
 /**
  * Smallest A = 2 (mod 4), A >= 6, whose Edwards twin coefficient
@@ -175,16 +162,15 @@ secp160k1Curve()
         prm.gy = BigUInt::fromHex(kK1Gy);
         prm.order = BigUInt::fromHex(kK1N);
         prm.cofactor = BigUInt(1);
-        prm.beta = cubeRoot(f.modulus());
-        BigUInt lam = cubeRoot(prm.order);
+        // Each root draws from its own Rng(0xc0be).
+        Rng betaRng(0xc0be), lambdaRng(0xc0be);
+        prm.beta = cubeRootOfUnity(f.modulus(), betaRng);
+        BigUInt lam = cubeRootOfUnity(prm.order, lambdaRng);
         // Match the eigenvalue to beta on the published generator.
         WeierstrassCurve w(f, BigUInt(0), prm.b, "secp160k1-probe");
-        AffinePoint g(prm.gx, prm.gy);
-        AffinePoint phi_g(f.mul(prm.beta, g.x), g.y);
-        AffinePoint lg = w.mulBinary(lam, g);
-        if (!(lg.x == phi_g.x && lg.y == phi_g.y))
-            lam = lam.mulMod(lam, prm.order);
-        prm.lambda = lam;
+        prm.lambda = matchGlvEigenvalue(w, prm.beta, lam,
+                                        AffinePoint(prm.gx, prm.gy),
+                                        prm.order);
         return GlvCurve(f, prm, "secp160k1");
     }();
     return curve;

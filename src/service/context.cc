@@ -114,27 +114,18 @@ WorkerContext::weierstrassFor(ServiceCurve c) const
 ServiceTables
 ServiceTables::build(const ServiceCurveSet &snap)
 {
-    // The combs store only plain affine point data, so the curve and
-    // field objects used to build them can be transient.
+    // The snapshot copies its parameters from these singletons, whose
+    // constructors have already checked G, n and λ; the combs keep
+    // only plain affine point data.
+    const GlvCurve &k1 = secp160k1Curve();
+    const GlvCurve &glv = glvOpfCurve();
     ServiceTables t;
-    {
-        Secp160r1Field f;
-        WeierstrassCurve c(f, snap.r1A, snap.r1B, "secp160r1");
-        t.r1 = std::make_unique<FixedBaseComb>(c, snap.r1G,
-                                               snap.r1N.bitLength());
-    }
-    {
-        Secp160k1Field f;
-        GlvCurve c(f, snap.k1Params, "secp160k1");
-        t.k1 = std::make_unique<FixedBaseComb>(
-            c, c.generator(), snap.k1Params.order.bitLength());
-    }
-    {
-        PrimeField f(snap.glvP);
-        GlvCurve c(f, snap.glvParams, "glv-opf");
-        t.glv = std::make_unique<FixedBaseComb>(
-            c, c.generator(), snap.glvParams.order.bitLength());
-    }
+    t.r1 = std::make_unique<FixedBaseComb>(secp160r1Curve(), snap.r1G,
+                                           snap.r1N.bitLength());
+    t.k1 = std::make_unique<FixedBaseComb>(
+        k1, k1.generator(), snap.k1Params.order.bitLength());
+    t.glv = std::make_unique<FixedBaseComb>(
+        glv, glv.generator(), snap.glvParams.order.bitLength());
     return t;
 }
 

@@ -115,7 +115,8 @@ struct ServiceTables
     std::unique_ptr<FixedBaseComb> k1;
     std::unique_ptr<FixedBaseComb> glv;
 
-    /** Build all three from @p snap via a throwaway context. */
+    /** Build all three on the standard-curve singletons @p snap was
+     *  captured from. */
     static ServiceTables build(const ServiceCurveSet &snap);
 };
 
