@@ -12,6 +12,15 @@ namespace jaavr::net
 namespace
 {
 
+/** Consecutive MAC/signature failures before a re-key. */
+constexpr uint32_t kAuthFailRekeyThreshold = 3;
+/** Handshake/session failures before quarantine. */
+constexpr uint32_t kFailStreakQuarantineThreshold = 3;
+constexpr SimTime kHandshakeTimeoutUs = 60'000;
+constexpr SimTime kQuarantineBaseUs = 250'000;  ///< first quarantine hold
+constexpr SimTime kQuarantineMaxUs = 4'000'000; ///< backoff cap
+constexpr size_t kTelemetryQueueCap = 256;      ///< app-level backpressure
+
 void
 putU32(std::string &s, uint32_t v)
 {
@@ -453,7 +462,7 @@ Node::beginHandshake(Peer &p, uint32_t epoch, SimTime now)
     p.helloRetries = 0;
     p.helloNextAt = now + backoffStep(p, p.helloRto);
     p.helloAckBytes.clear();
-    p.handshakeDeadline = now + cfg.handshakeTimeoutUs;
+    p.handshakeDeadline = now + kHandshakeTimeoutUs;
     noteEvent("handshake_begin", now, "epoch", epoch, "pending",
               p.pendingApp.size());
     p.transmit(p.helloBytes, now);
@@ -496,9 +505,8 @@ Node::quarantine(Peer &p, SimTime now)
     p.helloAckBytes.clear();
     p.quarantineHold =
         p.quarantineHold
-            ? std::min<SimTime>(p.quarantineHold * 2,
-                                cfg.quarantineMaxUs)
-            : cfg.quarantineBaseUs;
+            ? std::min<SimTime>(p.quarantineHold * 2, kQuarantineMaxUs)
+            : kQuarantineBaseUs;
     p.quarantineUntil = now + p.quarantineHold;
     noteEvent("quarantine", now, "hold_us", p.quarantineHold,
               "epoch", p.epoch);
@@ -519,7 +527,7 @@ Node::escalateFailure(Peer &p, SimTime now)
     requeueUnacked(p);
     p.helloBytes.clear();
     p.helloAckBytes.clear();
-    if (p.failStreak >= cfg.failStreakQuarantineThreshold)
+    if (p.failStreak >= kFailStreakQuarantineThreshold)
         quarantine(p, now);
     else
         beginHandshake(p, p.epoch + 1, now);
@@ -534,7 +542,7 @@ Node::authFailure(Peer &p, SimTime now)
     p.authFailStreak++;
     noteEvent("auth_fail", now, "streak", p.authFailStreak, "epoch",
               p.epoch);
-    if (p.authFailStreak >= cfg.authFailRekeyThreshold) {
+    if (p.authFailStreak >= kAuthFailRekeyThreshold) {
         st.rekeys++;
         p.authFailStreak = 0;
         // The forgery-rejection streak is a flight trigger: the
@@ -544,9 +552,9 @@ Node::authFailure(Peer &p, SimTime now)
             flightSrc->record(
                 now, "forgery_streak",
                 csprintf("peer %s: %u rejects -> rekey epoch %u",
-                         p.name.c_str(), cfg.authFailRekeyThreshold,
+                         p.name.c_str(), kAuthFailRekeyThreshold,
                          p.epoch + 1),
-                cfg.authFailRekeyThreshold, p.epoch + 1);
+                kAuthFailRekeyThreshold, p.epoch + 1);
             flight->trigger("net_forgery_streak");
         }
         noteEvent("rekey", now, "epoch", p.epoch + 1, "rekeys",
@@ -602,8 +610,7 @@ Node::sendTelemetry(const std::string &peer,
                     std::vector<uint8_t> payload, SimTime now)
 {
     Peer &p = peerRef(peer);
-    if (p.pendingApp.size() + p.inflightApp.size() >=
-        cfg.telemetryQueueCap) {
+    if (p.pendingApp.size() + p.inflightApp.size() >= kTelemetryQueueCap) {
         st.telemetryRefused++;
         // Backpressure onset is a flight trigger; later refusals
         // only count (the app may hammer a saturated queue).
@@ -611,7 +618,7 @@ Node::sendTelemetry(const std::string &peer,
             flightSrc->record(now, "backpressure",
                               csprintf("peer %s app queue full",
                                        p.name.c_str()),
-                              cfg.telemetryQueueCap, p.epoch);
+                              kTelemetryQueueCap, p.epoch);
             flight->trigger("net_backpressure");
         }
         return false;

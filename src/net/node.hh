@@ -29,15 +29,15 @@
  * Degradation ladder (the robustness story this layer exists for):
  *  1. a frame failing its keyed MAC or a telemetry payload failing
  *     signature verification bumps a consecutive-failure counter;
- *     at authFailRekeyThreshold the node re-keys: epoch+1, fresh
+ *     at three in a row the node re-keys: epoch+1, fresh
  *     handshake, and every unacknowledged telemetry payload is
  *     re-signed under the new epoch and re-queued so nothing is
  *     lost;
  *  2. a handshake that times out, or a session that exhausts its
- *     retransmit budget, counts a failure streak; at
- *     failStreakQuarantineThreshold the peer is quarantined —
- *     no traffic in or out — for an exponentially growing, capped
- *     backoff, after which the node probes again with a fresh
+ *     retransmit budget, counts a failure streak; at three the
+ *     peer is quarantined — no traffic in or out — for an
+ *     exponentially growing, capped backoff (0.25 s doubling to
+ *     4 s, simulated), after which the node probes again with a fresh
  *     handshake;
  *  3. every transition publishes through the MetricsRegistry
  *     (net_node_* / net_session_* names) so `monitor metrics`-style
@@ -68,15 +68,6 @@ struct NodeConfig
     std::string name;
     uint64_t seed = 1;
     SessionConfig session;
-
-    /** Consecutive MAC/signature failures before a re-key. */
-    uint32_t authFailRekeyThreshold = 3;
-    /** Handshake/session failures before quarantine. */
-    uint32_t failStreakQuarantineThreshold = 3;
-    SimTime handshakeTimeoutUs = 60'000;
-    SimTime quarantineBaseUs = 250'000;  ///< first quarantine hold
-    SimTime quarantineMaxUs = 4'000'000; ///< backoff cap
-    size_t telemetryQueueCap = 256;      ///< app-level backpressure
 };
 
 enum class PeerState : uint8_t
