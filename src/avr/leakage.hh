@@ -83,7 +83,6 @@ class LeakTracer : public ExecObserver
     void end() { armed = false; }
 
     const LeakModel &model() const { return model_; }
-    void setModel(const LeakModel &m) { model_ = m; }
 
     /** True while armed (between begin() and end()). */
     bool active() const { return armed; }

@@ -83,69 +83,59 @@ fail(const char *reason)
     return r;
 }
 
+/**
+ * The full-point hardened skeleton: k in [1, n) and p validated
+ * against n, @p primary and @p redo compared (in that order), and the
+ * result validated again.
+ */
+template <class Curve, class Primary, class Redo>
+HardenedMul
+hardenedMul(const Curve &c, const BigUInt &k, const AffinePoint &p,
+            const BigUInt &n, Primary &&primary, Redo &&redo)
+{
+    if (!validScalar(k, n))
+        return fail("invalid scalar");
+    if (!validatePoint(c, p, &n))
+        return fail("invalid input point");
+    AffinePoint a = primary();
+    AffinePoint b = redo();
+    if (a.inf != b.inf || (!a.inf && (a.x != b.x || a.y != b.y)))
+        return fail("recomputation mismatch");
+    // k in [1, n) times a point of prime order n is never infinity.
+    if (!validatePoint(c, a))
+        return fail("invalid output point");
+    HardenedMul r;
+    r.point = a;
+    r.ok = true;
+    return r;
+}
+
 } // anonymous namespace
 
 HardenedMul
 hardenedMulWeierstrass(const WeierstrassCurve &c, const BigUInt &k,
                        const AffinePoint &p, const BigUInt &n)
 {
-    if (!validScalar(k, n))
-        return fail("invalid scalar");
-    if (!validatePoint(c, p, &n))
-        return fail("invalid input point");
-    AffinePoint primary = c.mulLadder(k, p);
-    AffinePoint redo = c.mulNaf(k, p);
-    if (primary.inf != redo.inf ||
-        (!primary.inf && (primary.x != redo.x || primary.y != redo.y)))
-        return fail("recomputation mismatch");
-    // k in [1, n) times a point of prime order n is never infinity.
-    if (!validatePoint(c, primary))
-        return fail("invalid output point");
-    HardenedMul r;
-    r.point = primary;
-    r.ok = true;
-    return r;
+    return hardenedMul(
+        c, k, p, n, [&] { return c.mulLadder(k, p); },
+        [&] { return c.mulNaf(k, p); });
 }
 
 HardenedMul
 hardenedMulGlv(const GlvCurve &c, const BigUInt &k, const AffinePoint &p)
 {
-    const BigUInt &n = c.order();
-    if (!validScalar(k, n))
-        return fail("invalid scalar");
-    if (!validatePoint(c, p, &n))
-        return fail("invalid input point");
-    AffinePoint primary = c.mulGlvJsf(k, p);
-    AffinePoint redo = c.mulLadder(k, p);
-    if (primary.inf != redo.inf ||
-        (!primary.inf && (primary.x != redo.x || primary.y != redo.y)))
-        return fail("recomputation mismatch");
-    if (!validatePoint(c, primary))
-        return fail("invalid output point");
-    HardenedMul r;
-    r.point = primary;
-    r.ok = true;
-    return r;
+    return hardenedMul(
+        c, k, p, c.order(), [&] { return c.mulGlvJsf(k, p); },
+        [&] { return c.mulLadder(k, p); });
 }
 
 HardenedMul
 hardenedMulEdwards(const EdwardsCurve &c, const BigUInt &k,
                    const AffinePoint &p, const BigUInt &n)
 {
-    if (!validScalar(k, n))
-        return fail("invalid scalar");
-    if (!validatePoint(c, p, &n))
-        return fail("invalid input point");
-    AffinePoint primary = c.mulDaaa(k, p);
-    AffinePoint redo = c.mulNaf(k, p);
-    if (primary.x != redo.x || primary.y != redo.y)
-        return fail("recomputation mismatch");
-    if (!validatePoint(c, primary))
-        return fail("invalid output point");
-    HardenedMul r;
-    r.point = primary;
-    r.ok = true;
-    return r;
+    return hardenedMul(
+        c, k, p, n, [&] { return c.mulDaaa(k, p); },
+        [&] { return c.mulNaf(k, p); });
 }
 
 HardenedMul

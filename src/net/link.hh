@@ -91,13 +91,6 @@ class LossyLink
     /** All datagrams due at or before @p now, in delivery order. */
     std::vector<std::vector<uint8_t>> drain(SimTime now);
 
-    /** Time of the earliest queued delivery; ~0 when idle. */
-    SimTime
-    nextDeliveryAt() const
-    {
-        return queue.empty() ? ~SimTime(0) : queue.begin()->first.first;
-    }
-
     bool idle() const { return queue.empty(); }
 
     const LinkStats &stats() const { return st; }

@@ -21,34 +21,15 @@ ServiceCurveSet::instance()
         const WeierstrassCurve &w = weierstrassOpfCurve();
         v.wA = w.coeffA();
         v.wB = w.coeffB();
-        v.wBase = weierstrassOpfBasePoint();
         const MontgomeryCurve &m = montgomeryOpfCurve();
         v.mA = m.coeffA();
         v.mB = m.coeffB();
-        v.mBaseX = montgomeryOpfBasePoint().x;
         const EdwardsCurve &e = edwardsOpfCurve();
         v.eA = e.coeffA();
         v.eD = e.coeffD();
-        v.eBase = edwardsOpfBasePoint();
         return v;
     }();
     return snap;
-}
-
-bool
-serviceOrderKnown(ServiceCurve c)
-{
-    switch (c) {
-    case ServiceCurve::Secp160r1:
-    case ServiceCurve::Secp160k1:
-    case ServiceCurve::GlvOpf:
-        return true;
-    case ServiceCurve::WeierstrassOpf:
-    case ServiceCurve::MontgomeryOpf:
-    case ServiceCurve::EdwardsOpf:
-        return false;
-    }
-    return false;
 }
 
 namespace
@@ -89,23 +70,6 @@ WorkerContext::signerFor(ServiceCurve c)
         return &ecdsaK1;
     case ServiceCurve::GlvOpf:
         return &ecdsaGlv;
-    default:
-        return nullptr;
-    }
-}
-
-const WeierstrassCurve *
-WorkerContext::weierstrassFor(ServiceCurve c) const
-{
-    switch (c) {
-    case ServiceCurve::Secp160r1:
-        return &secp160r1;
-    case ServiceCurve::Secp160k1:
-        return &secp160k1;
-    case ServiceCurve::GlvOpf:
-        return &glvOpf;
-    case ServiceCurve::WeierstrassOpf:
-        return &weierstrassOpf;
     default:
         return nullptr;
     }

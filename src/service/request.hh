@@ -74,12 +74,6 @@ struct ServiceRequest
     EcdsaSignature signature; ///< Verify input
     AffinePoint peer;         ///< Verify public key / Derive peer point
     BigUInt peerX;            ///< Derive peer for the x-only ladder
-    /**
-     * Shard routing hint: requests with equal hints land on the same
-     * worker (key affinity keeps a client's traffic in one batch
-     * stream). The default (~0) round-robins across workers.
-     */
-    uint64_t shardHint = ~uint64_t(0);
 
     // --- outputs (written by the worker, then done is released) -----
     ServiceStatus status = ServiceStatus::Pending;
@@ -95,8 +89,8 @@ struct ServiceRequest
     /**
      * Tracing identity (src/obs/): assigned at submit when a span
      * tracer is attached and enabled, 0 otherwise. Carried through
-     * shard routing → queue wait → batch drain so the per-request
-     * span and any downstream spans share one trace.
+     * queue wait → batch drain so the per-request span and any
+     * downstream spans share one trace.
      */
     uint64_t traceId = 0;
     /** Tracer µs when the worker popped the request (tracing only). */

@@ -178,7 +178,7 @@ TEST(Concurrency, QueueMultiProducerStress)
     for (int p = 0; p < kProducers; p++) {
         reqs.emplace_back(kPerProducer);
         for (int i = 0; i < kPerProducer; i++)
-            reqs[p][i].shardHint = uint64_t(p) * kPerProducer + i;
+            reqs[p][i].traceId = uint64_t(p) * kPerProducer + i;
     }
 
     std::vector<char> seen(kProducers * kPerProducer, 0);
@@ -186,7 +186,7 @@ TEST(Concurrency, QueueMultiProducerStress)
         std::vector<ServiceRequest *> batch;
         while (q.popBatch(batch, 16))
             for (ServiceRequest *r : batch)
-                seen[size_t(r->shardHint)]++;
+                seen[size_t(r->traceId)]++;
     });
 
     std::vector<std::thread> producers;
@@ -258,9 +258,9 @@ TEST(Concurrency, TracerSpanIdsStayUniqueAcrossThreads)
 TEST(Concurrency, ManySubmittersOneService)
 {
     // Several threads hammer a running 2-worker service with mixed
-    // sign/derive traffic (shard hints force cross-queue contention);
-    // every request must complete with the deterministic expected
-    // result.
+    // sign/derive traffic (round-robin puts every submitter on both
+    // queues); every request must complete with the deterministic
+    // expected result.
     EccService svc([] {
         ServiceConfig cfg;
         cfg.workers = 2;
@@ -285,7 +285,7 @@ TEST(Concurrency, ManySubmittersOneService)
     std::atomic<int> bad{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; t++)
-        threads.emplace_back([&, t] {
+        threads.emplace_back([&] {
             for (int i = 0; i < kPerThread; i++) {
                 ServiceRequest r;
                 if (i % 2 == 0) {
@@ -300,7 +300,6 @@ TEST(Concurrency, ManySubmittersOneService)
                     r.privateKey = d;
                     r.peer = peer;
                 }
-                r.shardHint = uint64_t(t * kPerThread + i);
                 if (!svc.submit(&r)) {
                     bad.fetch_add(1);
                     continue;

@@ -344,7 +344,6 @@ TEST(Obs, ServiceResultsBitIdenticalWithTracerAttached)
             r.message = "traced";
             r.privateKey = d;
             r.nonce = k;
-            r.shardHint = uint64_t(i);
             ASSERT_TRUE(svc.submit(&r));
         }
         for (ServiceRequest &r : reqs) {
@@ -448,7 +447,7 @@ TEST(Obs, BackpressureOnsetIsRecordedExactlyOnce)
     }());
     svc.setFlightRecorder(&flight);
 
-    // Never started: submissions park in the shard queue until it
+    // Never started: submissions park in the worker's queue until it
     // fills, then every further trySubmit is a backpressure refusal.
     std::vector<ServiceRequest> reqs(6);
     unsigned accepted = 0, refused = 0;

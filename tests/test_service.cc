@@ -5,8 +5,9 @@
  * curve against the single-call library golden path, bit-identical
  * batched vs single-call signatures (explicit nonces), result-for-result
  * agreement of the amortized and unamortized configurations, error
- * and hardened paths, deterministic full-batch occupancy, and the
- * idempotent metrics publication.
+ * and hardened paths, deterministic full-batch occupancy, the
+ * round-robin split of one submitter's requests, and the idempotent
+ * metrics publication.
  */
 
 #include <functional>
@@ -134,6 +135,40 @@ TEST(Service, StopDrainsQueuedRequests)
         EXPECT_EQ(r.status, ServiceStatus::Ok) << r.error;
     }
     EXPECT_EQ(svc.opsProcessed(), reqs.size());
+}
+
+TEST(Service, RoundRobinSplitsPreStartQueue)
+{
+    // From one submitter request i goes to worker i mod workers, so
+    // 2 x batchMax signs queued before start() are one full drain on
+    // each of two workers.
+    ServiceConfig cfg = testConfig(2, true);
+    EccService svc(cfg);
+    Rng rng(10);
+    const BigUInt &n = secp160r1Generator().order;
+    std::vector<ServiceRequest> reqs(2 * cfg.batchMax);
+    for (auto &r : reqs) {
+        r.op = ServiceOp::Sign;
+        r.curve = ServiceCurve::Secp160r1;
+        r.message = "split";
+        r.privateKey = scalarBelow(rng, n);
+        ASSERT_TRUE(svc.trySubmit(&r));
+    }
+    svc.start();
+    for (auto &r : reqs)
+        EccService::wait(r);
+    svc.stop();
+
+    for (auto &r : reqs)
+        EXPECT_EQ(r.status, ServiceStatus::Ok) << r.error;
+    MetricsRegistry reg;
+    svc.publishMetrics(reg);
+    for (unsigned w = 0; w < 2; w++) {
+        MetricLabels wl{{"worker", std::to_string(w)}};
+        EXPECT_EQ(reg.counter("service_batches", wl).value(), 1u) << w;
+        EXPECT_EQ(reg.counter("service_ops", wl).value(), cfg.batchMax)
+            << w;
+    }
 }
 
 // --- Sign/Verify/Keygen against the library golden path ----------------
@@ -539,41 +574,71 @@ TEST(Service, BatchedDeriveAgreesWithEcdh)
 
 TEST(Service, HardenedDeriveMatchesPlain)
 {
+    // Hardened derive runs on exactly the curves with a signer: there
+    // it equals the plain derive (GLV + JSF and the co-Z ladder on the
+    // GLV curves, the co-Z ladder and NAF on secp160r1); the OPF
+    // curves are refused whatever their inputs.
     EccService svc(testConfig(1));
     svc.start();
     Rng rng(8);
-    const GlvCurve &c = secp160k1Curve();
-    BigUInt k = scalarBelow(rng, c.order());
-    AffinePoint peer =
-        c.mulNaf(scalarBelow(rng, c.order()), c.generator());
-
-    ServiceRequest plain, hard;
-    for (ServiceRequest *r : {&plain, &hard}) {
-        r->op = ServiceOp::Derive;
-        r->curve = ServiceCurve::Secp160k1;
-        r->privateKey = k;
-        r->peer = peer;
+    struct Case
+    {
+        ServiceCurve curve;
+        const WeierstrassCurve *c;
+        AffinePoint g;
+        BigUInt n;
+    };
+    const Case known[] = {
+        {ServiceCurve::Secp160r1, &secp160r1Curve(), secp160r1Generator().g,
+         secp160r1Generator().order},
+        {ServiceCurve::Secp160k1, &secp160k1Curve(),
+         secp160k1Curve().generator(), secp160k1Curve().order()},
+        {ServiceCurve::GlvOpf, &glvOpfCurve(), glvOpfCurve().generator(),
+         glvOpfCurve().order()},
+    };
+    for (const Case &w : known) {
+        BigUInt k = scalarBelow(rng, w.n);
+        AffinePoint peer = w.c->mulNaf(scalarBelow(rng, w.n), w.g);
+        ServiceRequest plain, hard;
+        for (ServiceRequest *r : {&plain, &hard}) {
+            r->op = ServiceOp::Derive;
+            r->curve = w.curve;
+            r->privateKey = k;
+            r->peer = peer;
+        }
+        hard.hardened = true;
+        ASSERT_TRUE(svc.submit(&plain));
+        ASSERT_TRUE(svc.submit(&hard));
+        EccService::wait(plain);
+        EccService::wait(hard);
+        const char *name = serviceCurveName(w.curve);
+        ASSERT_EQ(plain.status, ServiceStatus::Ok) << name << ": "
+                                                   << plain.error;
+        ASSERT_EQ(hard.status, ServiceStatus::Ok) << name << ": "
+                                                  << hard.error;
+        EXPECT_EQ(plain.pointOut.x, hard.pointOut.x) << name;
+        EXPECT_EQ(plain.pointOut.y, hard.pointOut.y) << name;
     }
-    hard.hardened = true;
-    ASSERT_TRUE(svc.submit(&plain));
-    ASSERT_TRUE(svc.submit(&hard));
-    EccService::wait(plain);
-    EccService::wait(hard);
-    ASSERT_EQ(plain.status, ServiceStatus::Ok) << plain.error;
-    ASSERT_EQ(hard.status, ServiceStatus::Ok) << hard.error;
-    EXPECT_EQ(plain.pointOut.x, hard.pointOut.x);
-    EXPECT_EQ(plain.pointOut.y, hard.pointOut.y);
 
-    // Hardened derive needs a known order.
-    ServiceRequest nope;
-    nope.op = ServiceOp::Derive;
-    nope.curve = ServiceCurve::WeierstrassOpf;
-    nope.hardened = true;
-    nope.privateKey = k;
-    nope.peer = weierstrassOpfBasePoint();
-    ASSERT_TRUE(svc.submit(&nope));
-    EccService::wait(nope);
-    EXPECT_EQ(nope.status, ServiceStatus::InvalidRequest);
+    for (ServiceCurve curve :
+         {ServiceCurve::WeierstrassOpf, ServiceCurve::MontgomeryOpf,
+          ServiceCurve::EdwardsOpf}) {
+        ServiceRequest nope;
+        nope.op = ServiceOp::Derive;
+        nope.curve = curve;
+        nope.hardened = true;
+        nope.privateKey = BigUInt(5);
+        nope.peer = curve == ServiceCurve::EdwardsOpf
+                        ? edwardsOpfBasePoint()
+                        : weierstrassOpfBasePoint();
+        nope.peerX = montgomeryOpfBasePoint().x;
+        ASSERT_TRUE(svc.submit(&nope));
+        EccService::wait(nope);
+        EXPECT_EQ(nope.status, ServiceStatus::InvalidRequest)
+            << serviceCurveName(curve);
+        EXPECT_EQ(nope.error,
+                  "hardened derive requires a curve with a known order");
+    }
     svc.stop();
 }
 
@@ -598,6 +663,7 @@ TEST(Service, ErrorPaths)
     s1.privateKey = BigUInt(5);
     roundTrip(s1);
     EXPECT_EQ(s1.status, ServiceStatus::InvalidRequest);
+    EXPECT_EQ(s1.error, "ECDSA requires a curve with a known order");
 
     // Zero / out-of-range private key.
     ServiceRequest s2;
